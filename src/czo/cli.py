@@ -3,10 +3,10 @@
 Usage: ``czo <kind> [--config FILE] [--out DIR] [--threads K] [key=value ...]``
 
 Configuration is a flat key=value text file; command-line pairs override
-file values.  Every experiment writes fixed-name CSV files plus a
-``manifest.csv`` (config echo, seed, library versions, wall time) into the
-output directory.  Exit codes: 0 pass, 1 numerical assertion failure,
-2 configuration error.
+file values; a key that ``DEFAULTS`` does not list is rejected.  Every
+experiment writes fixed-name CSV files plus a ``manifest.csv`` (config
+echo, seed, library versions, wall time) into the output directory.  Exit
+codes: 0 pass, 1 numerical assertion failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ DEFAULTS = {
 class ExperimentConfig:
     kind: str
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.options) - set(DEFAULTS))
+        if unknown:
+            raise RejectedInputError(
+                f"unknown config key(s) {unknown}; valid keys: "
+                f"{sorted(DEFAULTS)}")
 
     def get(self, key: str) -> str:
         if key in self.options:
@@ -189,9 +196,8 @@ def _fmt(v) -> str:
 def _write_manifest(out_dir: str, cfg: ExperimentConfig,
                     wall_time: float) -> None:
     rows = [("kind", cfg.kind)]
-    keys = sorted(set(DEFAULTS) | set(cfg.options))
-    for k in keys:
-        rows.append((k, cfg.options.get(k, DEFAULTS.get(k, ""))))
+    for k in sorted(DEFAULTS):
+        rows.append((k, cfg.get(k)))
     rows += [("czo_version", __version__),
              ("numpy_version", np.__version__),
              ("python_version", sys.version.split()[0]),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import RegistryError
@@ -9,8 +11,31 @@ from .geometry import Box, CurveBranch, HyperCurve, Region, box, region, whole_s
 from .util import BOUNDING_HALF_WIDTH
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _identity(X: np.ndarray) -> np.ndarray:
     return X.copy()
+
+
+def _segment_distance(X: np.ndarray, Y: np.ndarray,
+                      p: tuple, q: tuple) -> np.ndarray:
+    """Distance in the (x, y) plane from (x_j, y_j) to segment p-q (n=1)."""
+    P = np.column_stack([X[:, 0], Y[:, 0]])
+    p = np.asarray(p, float)
+    q = np.asarray(q, float)
+    d = q - p
+    t = np.clip(((P - p) @ d) / (d @ d), 0.0, 1.0)
+    proj = p + t[:, None] * d
+    return np.sqrt(np.sum((P - proj) ** 2, axis=1))
+
+
+def _polyline_distance(*vertices: tuple):
+    """The distance to the polyline through the given (x, y) vertices."""
+    def distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return np.minimum.reduce([_segment_distance(X, Y, p, q)
+                                  for p, q in zip(vertices, vertices[1:])])
+    return distance
 
 
 def diagonal(dim: int = 1) -> HyperCurve:
@@ -25,6 +50,7 @@ def diagonal(dim: int = 1) -> HyperCurve:
         preimage_boxes=lambda b: [b],
         preimage_nearest=lambda Y, X: Y.copy(),
         name="identity",
+        distance=lambda X, Y: np.sqrt(np.sum((X - Y) ** 2, axis=1)) / _SQRT2,
     )
     return HyperCurve("diagonal", [br],
                       intersection_points=np.empty((0, dim)))
@@ -41,6 +67,7 @@ def two_lines() -> HyperCurve:
         preimage_boxes=lambda b: [b],
         preimage_nearest=lambda Y, X: Y.copy(),
         name="plus",
+        distance=lambda X, Y: np.abs(X[:, 0] - Y[:, 0]) / _SQRT2,
     )
     minus = CurveBranch(
         index=1, domain=dom,
@@ -51,6 +78,7 @@ def two_lines() -> HyperCurve:
         preimage_boxes=lambda b: [Box((-b.hi[0],), (-b.lo[0],))],
         preimage_nearest=lambda Y, X: -Y,
         name="minus",
+        distance=lambda X, Y: np.abs(X[:, 0] + Y[:, 0]) / _SQRT2,
     )
     return HyperCurve("two-lines", [plus, minus],
                       intersection_points=np.array([[0.0]]))
@@ -94,6 +122,7 @@ def diamond() -> HyperCurve:
         preimage_nearest=lambda Y, X: _pm_preimage_nearest(1.0 - Y, X),
         breakpoints=(0.0,),
         name="upper",
+        distance=_polyline_distance((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)),
     )
 
     def lower_fwd(X):
@@ -116,6 +145,7 @@ def diamond() -> HyperCurve:
         preimage_nearest=lambda Y, X: _pm_preimage_nearest(1.0 + Y, X),
         breakpoints=(0.0,),
         name="lower",
+        distance=_polyline_distance((-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)),
     )
 
     flat_dom = region(box(1.0, L), box(-L, -1.0))
@@ -136,6 +166,8 @@ def diamond() -> HyperCurve:
         preimage_nearest=lambda Y, X: flat_dom.clamp(X),
         invertible=False,
         name="flat",
+        distance=lambda X, Y: np.sqrt(flat_dom.distance(X) ** 2
+                                      + Y[:, 0] ** 2),
     )
 
     return HyperCurve("diamond", [upper, lower, flat],

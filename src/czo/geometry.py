@@ -245,6 +245,9 @@ class CurveBranch:
       preimage of y closest to x (set-valued inverses resolved per query).
     - ``breakpoints``: parameter values (n=1) where the map is non-smooth;
       the distance solver splits its refinement bracket there.
+    - ``distance``: the exact distance from each (x, y) to the graph of the
+      branch, on point arrays of shape (m, n); without it rho falls back to
+      the sampled solver.
 
     ``invertible=False`` marks a degenerate branch (e.g. a constant map)
     whose pointwise inverse is ill-defined; such branches are handled through
@@ -264,6 +267,10 @@ class CurveBranch:
     breakpoints: tuple[float, ...] = ()
     invertible: bool = True
     name: str = ""
+    distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # The sampled distance solver's samplers, keyed on the sampling extent.
+    _samplers: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def dim(self) -> int:

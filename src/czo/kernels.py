@@ -12,7 +12,7 @@ by midpoint quadrature with substitution-based tail integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +41,10 @@ class KernelSpec:
     size_constant: float
     delta: float
     regularity_audited: bool = True
+    # apply_truncated's (R, K) matrices, keyed on the output and input grids;
+    # held per kernel, so kernels that share a name never share matrices.
+    _matrices: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def dim(self) -> int:
@@ -57,8 +61,7 @@ def kernel_eval(kernel: KernelSpec, x, y, rho: Optional[np.ndarray] = None,
     if np.any(rho < _RHO_FLOOR):
         raise SingularityError("kernel evaluated on (or within 1e-12 of) "
                                "the singular curve")
-    out = kernel.fn(X, Y, rho)
-    return out if np.ndim(x) > 1 or np.ndim(y) > 1 else out
+    return kernel.fn(X, Y, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +272,19 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
     ya = np.array([[float(y)]])
     za = np.array([[float(z)]])
 
+    def rho_and_kernel(A: np.ndarray, B: np.ndarray):
+        r, _ = rho_values(curve, A, B, threads)
+        return r, np.where(r >= _RHO_FLOOR,
+                           kernel.fn(A, B, np.maximum(r, _RHO_FLOOR)), 0.0)
+
     def diff(xs: np.ndarray) -> np.ndarray:
         X = xs.reshape(-1, 1)
         Yv = np.broadcast_to(ya, X.shape)
         Zv = np.broadcast_to(za, X.shape)
         if transpose:
-            r1, _ = rho_values(curve, Yv, X, threads)
-            r2, _ = rho_values(curve, Zv, X, threads)
-            k1 = np.where(r1 >= _RHO_FLOOR,
-                          kernel.fn(Yv, X, np.maximum(r1, _RHO_FLOOR)), 0.0)
-            k2 = np.where(r2 >= _RHO_FLOOR,
-                          kernel.fn(Zv, X, np.maximum(r2, _RHO_FLOOR)), 0.0)
+            (r1, k1), (_, k2) = rho_and_kernel(Yv, X), rho_and_kernel(Zv, X)
         else:
-            r1, _ = rho_values(curve, X, Yv, threads)
-            r2, _ = rho_values(curve, X, Zv, threads)
-            k1 = np.where(r1 >= _RHO_FLOOR,
-                          kernel.fn(X, Yv, np.maximum(r1, _RHO_FLOOR)), 0.0)
-            k2 = np.where(r2 >= _RHO_FLOOR,
-                          kernel.fn(X, Zv, np.maximum(r2, _RHO_FLOOR)), 0.0)
+            (r1, k1), (_, k2) = rho_and_kernel(X, Yv), rho_and_kernel(X, Zv)
         mask = r1 >= 2.0 * sep
         return np.where(mask, np.abs(k1 - k2), 0.0)
 

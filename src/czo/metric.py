@@ -6,10 +6,12 @@ surrogates built from nearest domain / range points.  All three are
 equivalent up to the factor 2(c_gamma + 1), which check_equivalence verifies
 empirically.
 
-The rho solver seeds a KD-tree over dense curve samples and refines with
-vectorized golden-section search, splitting brackets at declared
-non-smooth parameter values, so built-in piecewise-linear curves are
-resolved to machine precision.
+rho takes one of two paths per branch.  A branch that declares its exact
+``distance`` (every branch of the built-in curves does) is evaluated in
+closed form.  Any other branch falls back to the sampled solver,
+``sampled_rho_branch_values``: it seeds a KD-tree over dense curve samples
+and refines with vectorized golden-section search, splitting brackets at
+declared non-smooth parameter values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import RejectedInputError
 from .geometry import Box, CurveBranch, HyperCurve, box
@@ -45,6 +46,8 @@ class MetricValue:
 
 class _BranchSampler:
     def __init__(self, branch: CurveBranch, extent: float):
+        from scipy.spatial import cKDTree
+
         self.extent = extent
         dim = branch.dim
         boxes = branch.domain.clipped(extent)
@@ -86,13 +89,9 @@ def _extent_for(branch: CurveBranch, X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _get_sampler(branch: CurveBranch, extent: float) -> _BranchSampler:
-    cache = getattr(branch, "_samplers", None)
-    if cache is None:
-        cache = {}
-        branch._samplers = cache
-    if extent not in cache:
-        cache[extent] = _BranchSampler(branch, extent)
-    return cache[extent]
+    if extent not in branch._samplers:
+        branch._samplers[extent] = _BranchSampler(branch, extent)
+    return branch._samplers[extent]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,18 @@ def _solve_chunk_nd(branch: CurveBranch, sampler: _BranchSampler,
 
 def rho_branch_values(curve: HyperCurve, i: int, X, Y,
                       threads: int = 1) -> np.ndarray:
-    """Distance from each (x, y) to the graph of branch i (solver-based)."""
+    """Distance from each (x, y) to the graph of branch i: the branch's
+    declared distance when it has one, else the sampled solver."""
+    b = curve.branch(i)
+    if b.distance is None:
+        return sampled_rho_branch_values(curve, i, X, Y, threads)
+    return b.distance(as_points(X, curve.dim), as_points(Y, curve.dim))
+
+
+def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y,
+                              threads: int = 1) -> np.ndarray:
+    """Distance from each (x, y) to the graph of branch i by the sampled
+    solver, whether or not the branch declares an exact distance."""
     b = curve.branch(i)
     X = as_points(X, curve.dim)
     Y = as_points(Y, curve.dim)
@@ -205,14 +215,16 @@ def rho_branch_values(curve: HyperCurve, i: int, X, Y,
     return pmap_chunks(run, len(X), _CHUNK, threads)
 
 
+def _min_over_branches(branch_values, curve: HyperCurve, X, Y, *args):
+    """Min and argmin over i of branch_values(curve, i, X, Y, *args)."""
+    stacked = np.stack([branch_values(curve, i, X, Y, *args)
+                        for i in range(curve.r)])
+    return np.min(stacked, axis=0), np.argmin(stacked, axis=0)
+
+
 def rho_values(curve: HyperCurve, X, Y, threads: int = 1):
     """min over branches of rho_i; returns (values, attaining branch indices)."""
-    X = as_points(X, curve.dim)
-    Y = as_points(Y, curve.dim)
-    stacked = np.stack([rho_branch_values(curve, i, X, Y, threads)
-                        for i in range(curve.r)])
-    branch = np.argmin(stacked, axis=0)
-    return np.min(stacked, axis=0), branch
+    return _min_over_branches(rho_branch_values, curve, X, Y, threads)
 
 
 def rho_tilde_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
@@ -226,11 +238,7 @@ def rho_tilde_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
 
 
 def rho_tilde_values(curve: HyperCurve, X, Y):
-    X = as_points(X, curve.dim)
-    Y = as_points(Y, curve.dim)
-    stacked = np.stack([rho_tilde_branch_values(curve, i, X, Y)
-                        for i in range(curve.r)])
-    return np.min(stacked, axis=0), np.argmin(stacked, axis=0)
+    return _min_over_branches(rho_tilde_branch_values, curve, X, Y)
 
 
 def _eta_values(b: CurveBranch, Y: np.ndarray) -> np.ndarray:
@@ -257,19 +265,10 @@ def rho_tilde_star_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
 
 
 def rho_tilde_star_values(curve: HyperCurve, X, Y):
-    X = as_points(X, curve.dim)
-    Y = as_points(Y, curve.dim)
-    stacked = np.stack([rho_tilde_star_branch_values(curve, i, X, Y)
-                        for i in range(curve.r)])
-    return np.min(stacked, axis=0), np.argmin(stacked, axis=0)
+    return _min_over_branches(rho_tilde_star_branch_values, curve, X, Y)
 
 
 # Scalar wrappers ------------------------------------------------------------
-
-def rho_branch(curve: HyperCurve, i: int, x, y) -> MetricValue:
-    v = rho_branch_values(curve, i, x, y)
-    return MetricValue(float(v[0]), i)
-
 
 def rho(curve: HyperCurve, x, y) -> MetricValue:
     v, b = rho_values(curve, x, y)
@@ -287,51 +286,20 @@ def rho_tilde_star(curve: HyperCurve, x, y) -> MetricValue:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the built-in curves (test oracles and cross-checks)
+# Declared closed forms (test oracles and cross-checks)
 # ---------------------------------------------------------------------------
 
-def _segment_distance(X: np.ndarray, Y: np.ndarray,
-                      p: tuple, q: tuple) -> np.ndarray:
-    """Distance in the (x, y) plane from (x_j, y_j) to segment p-q (n=1)."""
-    P = np.column_stack([X[:, 0], Y[:, 0]])
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    d = q - p
-    t = np.clip(((P - p) @ d) / (d @ d), 0.0, 1.0)
-    proj = p + t[:, None] * d
-    return np.sqrt(np.sum((P - proj) ** 2, axis=1))
-
-
 def closed_form_rho_branch(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
-    """Analytic rho_i for the built-in curves; raises for others."""
-    X = as_points(X, curve.dim)
-    Y = as_points(Y, curve.dim)
-    name = curve.name
-    if name == "diagonal":
-        diff = np.sqrt(np.sum((X - Y) ** 2, axis=1))
-        return diff / math.sqrt(2.0)
-    if name == "two-lines":
-        if i == 0:
-            return np.abs(X[:, 0] - Y[:, 0]) / math.sqrt(2.0)
-        return np.abs(X[:, 0] + Y[:, 0]) / math.sqrt(2.0)
-    if name == "diamond":
-        if i == 0:
-            return np.minimum(
-                _segment_distance(X, Y, (-1.0, 0.0), (0.0, 1.0)),
-                _segment_distance(X, Y, (0.0, 1.0), (1.0, 0.0)))
-        if i == 1:
-            return np.minimum(
-                _segment_distance(X, Y, (-1.0, 0.0), (0.0, -1.0)),
-                _segment_distance(X, Y, (0.0, -1.0), (1.0, 0.0)))
-        dx = curve.branch(2).domain.distance(X)
-        return np.sqrt(dx ** 2 + Y[:, 0] ** 2)
-    raise RejectedInputError(f"no closed-form rho for curve {curve.name!r}")
+    """The declared exact rho_i; raises for a branch that declares none."""
+    b = curve.branch(i)
+    if b.distance is None:
+        raise RejectedInputError(
+            f"no closed-form rho for branch {i} of curve {curve.name!r}")
+    return b.distance(as_points(X, curve.dim), as_points(Y, curve.dim))
 
 
 def closed_form_rho(curve: HyperCurve, X, Y) -> np.ndarray:
-    vals = np.stack([closed_form_rho_branch(curve, i, X, Y)
-                     for i in range(curve.r)])
-    return np.min(vals, axis=0)
+    return _min_over_branches(closed_form_rho_branch, curve, X, Y)[0]
 
 
 # ---------------------------------------------------------------------------

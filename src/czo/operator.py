@@ -2,10 +2,10 @@
 
 ``apply_truncated`` realizes T_eps f(x) = sum over cells with
 rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule.  The kernel
-and rho matrices for a (kernel, output geometry, input geometry) pair are
-cached, so sweeping eps only changes the mask.  Inner sums pair each cell
-with its mirror cell before accumulating, so integrands that are exactly
-antisymmetric on a symmetric grid cancel bitwise.
+and rho matrices for an (output geometry, input geometry) pair are cached on
+the kernel object, so sweeping eps only changes the mask.  Inner sums pair
+each cell with its mirror cell before accumulating, so integrands that are
+exactly antisymmetric on a symmetric grid cancel bitwise.
 """
 
 from __future__ import annotations
@@ -185,12 +185,7 @@ def interpolate(gf: GridFunction, X) -> tuple[np.ndarray, np.ndarray]:
 # Truncated operators
 # ---------------------------------------------------------------------------
 
-_MATRIX_CACHE: dict = {}
 _CACHE_ENTRY_LIMIT = 1 << 24
-
-
-def clear_matrix_cache() -> None:
-    _MATRIX_CACHE.clear()
 
 
 def _build_matrices(kernel: KernelSpec, Xout: np.ndarray,
@@ -206,31 +201,22 @@ def _build_matrices(kernel: KernelSpec, Xout: np.ndarray,
             K = kernel.fn(Xrep, Ytil, np.maximum(R, _RHO_FLOOR))
         K = np.where(R >= _RHO_FLOOR, K, 0.0)
         return np.stack([R.reshape(e - s, m_in), K.reshape(e - s, m_in)],
-                        axis=0).reshape(-1, m_in)
+                        axis=1)
 
     row_chunk = max(1, _CACHE_ENTRY_LIMIT // (8 * m_in))
-    flat = pmap_chunks(rows, m_out, row_chunk, threads)
-    # Each chunk contributed (2*rows, m_in): de-interleave back into R and K.
-    Rs, Ks = [], []
-    pos = 0
-    for s in range(0, m_out, row_chunk):
-        e = min(s + row_chunk, m_out)
-        blk = flat[pos:pos + 2 * (e - s)].reshape(2, e - s, m_in)
-        Rs.append(blk[0])
-        Ks.append(blk[1])
-        pos += 2 * (e - s)
-    return np.concatenate(Rs), np.concatenate(Ks)
+    RK = pmap_chunks(rows, m_out, row_chunk, threads)     # (m_out, 2, m_in)
+    return np.ascontiguousarray(RK[:, 0]), np.ascontiguousarray(RK[:, 1])
 
 
 def _matrices_for(kernel: KernelSpec, Xout: np.ndarray, out_key,
                   gf: GridFunction, threads: int):
-    key = (kernel.name, out_key, gf.geometry())
-    hit = _MATRIX_CACHE.get(key)
+    key = (out_key, gf.geometry())
+    hit = kernel._matrices.get(key)
     if hit is not None:
         return hit
     R, K = _build_matrices(kernel, Xout, gf, threads)
     if R.size <= _CACHE_ENTRY_LIMIT:
-        _MATRIX_CACHE[key] = (R, K)
+        kernel._matrices[key] = (R, K)
     return R, K
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from czo.cli import (ExperimentConfig, builtin_function, builtin_registry,
                      main, parse_config_file, run_experiment)
-from czo.errors import RegistryError
+from czo.errors import RegistryError, RejectedInputError
 from czo.geometry import HyperCurve, box
 from czo.kernels import KernelSpec
 from czo.operator import grid_function, write_grid_csv
@@ -23,6 +23,10 @@ class TestConfig:
         p.write_text("# comment\nn = 128\nkernel=hilbert\n\n")
         opts = parse_config_file(str(p))
         assert opts == {"n": "128", "kernel": "hilbert"}
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(RejectedInputError, match="valid keys"):
+            ExperimentConfig("decompose", {"lamda": "5"})
 
     def test_bad_config_line(self, tmp_path):
         p = tmp_path / "cfg"
@@ -70,6 +74,19 @@ class TestExitCodes:
 
     def test_bad_override_exits_2(self, tmp_path):
         code = main(["apply", "oops", "--out", str(tmp_path)])
+        assert code == 2
+
+    def test_unknown_override_key_exits_2(self, tmp_path, capsys):
+        code = main(["decompose", "lamda=5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'lamda'" in err and "'lambda'" in err
+        assert not (tmp_path / "manifest.csv").exists()
+
+    def test_unknown_config_file_key_exits_2(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text("n=64\nkernal=hilbert\n")
+        code = main(["apply", "--config", str(p), "--out", str(tmp_path)])
         assert code == 2
 
     def test_missing_config_file_exits_2(self, tmp_path):

@@ -107,6 +107,22 @@ class TestNorms:
         g = GridFunction(box(0.0, 4.0), 64, vals)
         assert weak_l1_quasinorm(g) == 1.25
 
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_weak_l1_matches_per_level_count(self, distinct):
+        # Reference: |{|g| >= lam}| counted level by level, as defined.
+        rng = np.random.default_rng(9)
+        vals = rng.normal(size=128 * 128)
+        if distinct:
+            assert len(np.unique(np.abs(vals))) == vals.size
+        else:
+            vals = np.round(vals * 4.0)        # many ties and zeros
+        g = GridFunction(box((0.0, 0.0), (2.0, 2.0)), 128, vals)
+        v = np.abs(g.values)
+        levels = np.unique(v[v > 0])
+        counts = np.array([np.count_nonzero(v >= lam) for lam in levels])
+        want = float(np.max(levels * counts * g.h ** 2))
+        assert weak_l1_quasinorm(g) == want
+
     def test_lp_examples(self):
         nodes = grid_nodes(box(-2.0, 2.0), 256)[:, 0]
         chi = GridFunction(box(-2.0, 2.0), 256,

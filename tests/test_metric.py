@@ -2,17 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from czo.curves import get_curve
+from czo.curves import CURVE_NAMES, diagonal, get_curve
 from czo.errors import RejectedInputError
-from czo.geometry import box
+from czo.geometry import CurveBranch, HyperCurve, box, whole_space
 from czo.metric import (check_equivalence, check_qtheta, closed_form_rho,
                         closed_form_rho_branch, enlarged_cube, rho,
                         rho_branch_values, rho_tilde, rho_tilde_star,
                         rho_tilde_star_branch_values, rho_tilde_values,
-                        rho_values)
+                        rho_values, sampled_rho_branch_values)
 
 SQ2 = math.sqrt(2.0)
+WAVE = 0.3
+
+
+def wavy_curve() -> HyperCurve:
+    """gamma(x) = x + 0.3 sin x, declaring no exact distance."""
+    def inverse(Y):
+        t = Y.copy()
+        for _ in range(30):
+            t = t - (t + WAVE * np.sin(t) - Y) / (1.0 + WAVE * np.cos(t))
+        return t
+
+    branch = CurveBranch(
+        index=0, domain=whole_space(1),
+        forward=lambda X: X + WAVE * np.sin(X), inverse=inverse,
+        jacobian=lambda X: 1.0 + WAVE * np.cos(X[:, 0]),
+        lipschitz=1.0 / (1.0 - WAVE), name="wavy")
+    return HyperCurve("wavy", [branch])
+
+
+def brute_wavy_rho(x: float, y: float) -> float:
+    """Distance from (x, y) to the wavy graph by dense parameter sampling:
+    the nearest curve point lies within the vertical distance v of x, and
+    the best sample is refined once on a second dense grid."""
+    def dist(t):
+        return np.hypot(t - x, t + WAVE * np.sin(t) - y)
+
+    v = abs(y - (x + WAVE * math.sin(x))) + 1e-9
+    t = np.linspace(x - v, x + v, 20001)
+    k = int(np.argmin(dist(t)))
+    fine = np.linspace(t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)], 20001)
+    return float(np.min(dist(fine)))
 
 
 class TestSolverAgainstClosedForms:
@@ -150,3 +182,63 @@ class TestQTheta:
     def test_theta_hypothesis_enforced(self):
         with pytest.raises(RejectedInputError):
             check_qtheta(get_curve("two-lines"), box(0.0, 1.0), 5.0)
+
+
+class TestSampledSolverAgainstDeclaredDistances:
+    """The sampled solver is the fallback for branches without a declared
+    distance; these pin it against the declared exact distances."""
+
+    @pytest.mark.parametrize("name", CURVE_NAMES)
+    def test_every_builtin_branch(self, name):
+        curve = get_curve(name)
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-8, 8, size=(400, 1))
+        Y = rng.uniform(-8, 8, size=(400, 1))
+        for i, b in enumerate(curve.branches):
+            got = sampled_rho_branch_values(curve, i, X, Y)
+            want = b.distance(X, Y)
+            assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_diagonal_in_each_dimension(self, n):
+        curve = diagonal(n)
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-8, 8, size=(300, n))
+        Y = rng.uniform(-8, 8, size=(300, n))
+        got = sampled_rho_branch_values(curve, 0, X, Y)
+        want = curve.branch(0).distance(X, Y)
+        assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) < 1e-9
+
+    def test_far_queries_grow_the_sampling_extent(self):
+        curve = diagonal(1)
+        got = sampled_rho_branch_values(curve, 0, [[500.0]], [[300.0]])
+        assert got[0] == pytest.approx(200.0 / SQ2, rel=1e-12)
+        assert max(curve.branch(0)._samplers) >= 1.3 * 500.0
+
+    @given(st.lists(st.tuples(st.floats(-40, 40), st.floats(-8, 8)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_curved_branch_matches_dense_sampling(self, points):
+        curve = wavy_curve()
+        x = np.array([p[0] for p in points])
+        y = x + WAVE * np.sin(x) + np.array([p[1] for p in points])
+        got = rho_branch_values(curve, 0, x[:, None], y[:, None])
+        want = np.array([brute_wavy_rho(a, b) for a, b in zip(x, y)])
+        assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + want))
+
+
+class TestDeclaredDistancePath:
+    @pytest.mark.parametrize("name", CURVE_NAMES)
+    def test_rho_values_is_the_declared_distance(self, name):
+        curve = get_curve(name)
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-8, 8, size=(1000, 1))
+        Y = rng.uniform(-8, 8, size=(1000, 1))
+        got, branch = rho_values(curve, X, Y)
+        per_branch = np.stack([b.distance(X, Y) for b in curve.branches])
+        assert np.array_equal(got, np.min(per_branch, axis=0))
+        assert np.array_equal(branch, np.argmin(per_branch, axis=0))
+
+    def test_closed_form_needs_a_declared_distance(self):
+        with pytest.raises(RejectedInputError):
+            closed_form_rho(wavy_curve(), [[0.0]], [[1.0]])

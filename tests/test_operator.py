@@ -7,7 +7,7 @@ import pytest
 from czo.curves import get_curve
 from czo.errors import ConsistencyError, RejectedInputError
 from czo.geometry import box
-from czo.kernels import get_kernel
+from czo.kernels import KernelSpec, get_kernel
 from czo.metric import rho_values
 from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
                           apply_truncated_at, black_box_handle, estimate_T0,
@@ -154,6 +154,38 @@ class TestApplyTruncated:
         assert far.any()
         for o in outs[1:]:
             assert np.array_equal(outs[0].values[far], o.values[far])
+
+
+class TestMatrixCache:
+    def test_kernels_sharing_a_name_do_not_share_matrices(self):
+        curve = get_curve("diagonal")
+
+        def k(X, Y, rho):
+            return 1.0 / (X[:, 0] - Y[:, 0])
+
+        one = KernelSpec("custom", curve, k, 1.0, 1.0)
+        two = KernelSpec("custom", curve, lambda X, Y, r: 2.0 * k(X, Y, r),
+                         2.0, 1.0)
+        f = grid_function(B8, 64, lambda X: np.exp(-X[:, 0] ** 2))
+        T1 = quiet_apply(one, f, 0.5).values
+        T2 = quiet_apply(two, f, 0.5).values
+        assert np.any(T1 != 0.0)
+        assert np.array_equal(T2, 2.0 * T1)
+
+    def test_new_epsilon_reuses_the_kernel_matrices(self, monkeypatch):
+        import czo.operator as op
+
+        kernel = get_kernel("hilbert")
+        f = grid_function(B8, 64, lambda X: np.exp(-X[:, 0] ** 2))
+        quiet_apply(kernel, f, 0.5)
+        builds = []
+        build = op._build_matrices
+        monkeypatch.setattr(op, "_build_matrices",
+                            lambda *a: builds.append(1) or build(*a))
+        quiet_apply(kernel, f, 0.25)
+        assert builds == []
+        quiet_apply(get_kernel("hilbert"), f, 0.25)
+        assert builds == [1]
 
 
 class TestEstimateT0:
