@@ -14,10 +14,9 @@ from .geometry import (Box, CurveBranch, DyadicCube, HyperCurve, Region, box,
 from .kernels import KERNEL_NAMES, KernelSpec, get_kernel
 from .metric import (check_equivalence, check_qtheta, enlarged_cube, rho,
                      rho_tilde, rho_tilde_star, rho_values)
-from .operator import (GridFunction, MultiplierField, OperatorHandle,
-                       apply_multiplier, apply_truncated, estimate_T0,
-                       grid_function, multiplier_bound_check,
-                       recover_multipliers)
+from .operator import (GridFunction, MultiplierField, apply_multiplier,
+                       apply_truncated, estimate_T0, grid_function,
+                       multiplier_bound_check, recover_multipliers)
 from .partition import (BranchDisjointPartition, build_partition,
                         disjoint_preimage_test, induced_map_lookup)
 from .decomposition import (DecompositionResult, cz_decompose, lp_norm,

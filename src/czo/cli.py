@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .curves import CURVE_NAMES, get_curve
-from .decomposition import (cz_decompose, lp_norm, weak_type_experiment,
+from .decomposition import (cz_decompose, weak_type_experiment,
                             weak_l1_quasinorm)
 from .errors import CzoError, RegistryError, RejectedInputError
-from .geometry import Box, box
+from .geometry import Box
 from .kernels import (KERNEL_NAMES, audit_regularity, audit_size, get_kernel,
                       hormander_constant)
 from .metric import check_equivalence, check_qtheta

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import RegistryError
-from .geometry import Box, CurveBranch, HyperCurve, Region, box, region, whole_space
+from .geometry import Box, CurveBranch, HyperCurve, box, region, whole_space
 from .util import BOUNDING_HALF_WIDTH
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .geometry import Box
-from .kernels import KernelSpec, _RHO_FLOOR
-from .metric import enlarged_cube, rho_values
+from .kernels import KernelSpec
+from .metric import enlarged_cube
 from .operator import (GridFunction, _masked_apply, _matrices_for,
                        grid_nodes)
 

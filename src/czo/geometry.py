@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,14 +139,11 @@ class Region:
         X = as_points(X, self.dim)
         cands = np.stack([b.clamp(X) for b in self.boxes])        # (k, m, n)
         dists = np.stack([b.distance(X) for b in self.boxes])     # (k, m)
-        best = np.min(dists, axis=0)
-        out = np.empty_like(X)
-        for j in range(len(X)):
-            tied = [cands[k, j] for k in range(len(self.boxes))
-                    if dists[k, j] == best[j]]
-            tied.sort(key=tuple)
-            out[j] = tied[0]
-        return out
+        tied = dists == np.min(dists, axis=0)
+        for axis in range(self.dim):
+            coord = cands[:, :, axis]
+            tied &= coord == np.min(np.where(tied, coord, np.inf), axis=0)
+        return cands[np.argmax(tied, axis=0), np.arange(len(X))]
 
     def distance(self, X) -> np.ndarray:
         X = as_points(X, self.dim)
@@ -296,6 +293,18 @@ class CurveBranch:
             return self.preimage_nearest(Y, X)
         return self.inv(Y)
 
+    def nearest_range(self, Y) -> np.ndarray:
+        """eta: the point of gamma_i(D_i) closest to each y.
+
+        Exact clamp when ``range_region`` is declared; otherwise dense
+        parameter sampling plus golden-section refinement, ties resolved to
+        the smallest parameter.
+        """
+        Y = as_points(Y, self.dim)
+        if self.range_region is not None:
+            return self.range_region.clamp(Y)
+        return _sampled_nearest_range(self, Y)
+
 
 @dataclass
 class HyperCurve:
@@ -373,68 +382,67 @@ def nearest_domain_point(curve: HyperCurve, i: int, x) -> np.ndarray:
 
 
 def nearest_range_point(curve: HyperCurve, i: int, y) -> np.ndarray:
-    """The point of gamma_i(D_i) closest to y.
-
-    Exact clamp when the range is declared as boxes; otherwise dense
-    parameter sampling plus golden-section refinement, ties resolved to the
-    lexicographically smallest parameter.
-    """
-    b = curve.branch(i)
-    Y = as_points(y, curve.dim)
-    if b.range_region is not None:
-        out = b.range_region.clamp(Y)
-    else:
-        out = _sampled_nearest_range(b, Y)
+    """The point of gamma_i(D_i) closest to y."""
+    out = curve.branch(i).nearest_range(as_points(y, curve.dim))
     return out[0] if np.ndim(y) <= 1 else out
 
 
-def _sampled_nearest_range(b: CurveBranch, Y: np.ndarray,
-                           samples_per_axis: int = 4096,
-                           refine_iters: int = 40) -> np.ndarray:
+_RANGE_SAMPLES = 4096
+_RANGE_CHUNK = 256           # queries per block of the sample argmin
+_GOLDEN_ITERS = 64
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_vec(g, a: np.ndarray, b: np.ndarray, iters: int = _GOLDEN_ITERS):
+    """Minimize g over [a, b] elementwise; returns (t_best, g_best)."""
+    c = b - _PHI * (b - a)
+    d = a + _PHI * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(iters):
+        left = gc < gd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        span = b - a
+        c_new = np.where(left, b - _PHI * span, d)
+        d_new = np.where(left, c, a + _PHI * span)
+        probe = np.where(left, c_new, d_new)
+        gp = g(probe)
+        gc_old = gc
+        gc = np.where(left, gp, gd)
+        gd = np.where(left, gc_old, gp)
+        c, d = c_new, d_new
+    use_c = gc <= gd
+    return np.where(use_c, c, d), np.where(use_c, gc, gd)
+
+
+def _sampled_nearest_range(b: CurveBranch, Y: np.ndarray) -> np.ndarray:
     if b.dim != 1:
         raise NotImplementedError(
             "sampled range projection is implemented for 1-d parameters; "
             "declare range_region for higher dimensions")
-    out = np.empty_like(Y)
     boxes = b.domain.clipped()
-    ts, lows, highs = [], [], []
-    for bb in boxes:
-        t = np.linspace(bb.lo[0], bb.hi[0], samples_per_axis)
-        ts.append(t)
-        lows.append(np.full_like(t, bb.lo[0]))
-        highs.append(np.full_like(t, bb.hi[0]))
-    t_all = np.concatenate(ts)
-    lo_all = np.concatenate(lows)
-    hi_all = np.concatenate(highs)
-    vals = b.forward(t_all.reshape(-1, 1))
-    for j, y in enumerate(Y):
-        d2 = np.sum((vals - y) ** 2, axis=1)
-        k = int(np.argmin(d2))
-        spacing = (hi_all[k] - lo_all[k]) / (samples_per_axis - 1)
-        a = max(lo_all[k], t_all[k] - spacing)
-        c = min(hi_all[k], t_all[k] + spacing)
-        g = lambda t: float(np.sum((b.forward(np.array([[t]]))[0] - y) ** 2))
-        t_best, _ = _golden_scalar(g, a, c, refine_iters)
-        cand = sorted([(g(t_all[k]), t_all[k]), (g(t_best), t_best)])
-        out[j] = b.forward(np.array([[cand[0][1]]]))[0]
-    return out
+    t = np.concatenate([np.linspace(bb.lo[0], bb.hi[0], _RANGE_SAMPLES)
+                        for bb in boxes])
+    lo = np.repeat([bb.lo[0] for bb in boxes], _RANGE_SAMPLES)
+    hi = np.repeat([bb.hi[0] for bb in boxes], _RANGE_SAMPLES)
+    # Sorted by parameter, argmin's first hit is the smallest tied parameter.
+    order = np.argsort(t, kind="stable")
+    t, lo, hi = t[order], lo[order], hi[order]
+    vals = b.forward(t.reshape(-1, 1))
+    k = np.empty(len(Y), dtype=int)
+    for s in range(0, len(Y), _RANGE_CHUNK):
+        d2 = np.sum((vals - Y[s:s + _RANGE_CHUNK, None]) ** 2, axis=2)
+        k[s:s + _RANGE_CHUNK] = np.argmin(d2, axis=1)
 
+    def g(p):
+        return np.sum((b.forward(p[:, None]) - Y) ** 2, axis=1)
 
-def _golden_scalar(g, a: float, c: float, iters: int):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = c - phi * (c - a)
-    x2 = a + phi * (c - a)
-    g1, g2 = g(x1), g(x2)
-    for _ in range(iters):
-        if g1 < g2:
-            c, x2, g2 = x2, x1, g1
-            x1 = c - phi * (c - a)
-            g1 = g(x1)
-        else:
-            a, x1, g1 = x1, x2, g2
-            x2 = a + phi * (c - a)
-            g2 = g(x2)
-    return (x1, g1) if g1 < g2 else (x2, g2)
+    spacing = (hi[k] - lo[k]) / (_RANGE_SAMPLES - 1)
+    t_best, g_best = _golden_vec(g, np.maximum(lo[k], t[k] - spacing),
+                                 np.minimum(hi[k], t[k] + spacing))
+    g_k = g(t[k])
+    refined = (g_best < g_k) | ((g_best == g_k) & (t_best < t[k]))
+    return b.forward(np.where(refined, t_best, t[k])[:, None])
 
 
 def branch_jacobian(curve: HyperCurve, i: int, x) -> float:

@@ -64,6 +64,16 @@ def kernel_eval(kernel: KernelSpec, x, y, rho: Optional[np.ndarray] = None,
     return kernel.fn(X, Y, rho)
 
 
+def _rho_and_kernel(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray,
+                    threads: int = 1):
+    """rho(x, y) and K(x, y) on point arrays, K set to 0 where rho falls
+    below the singular-set floor."""
+    R, _ = rho_values(kernel.curve, X, Y, threads)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = kernel.fn(X, Y, np.maximum(R, _RHO_FLOOR))
+    return R, np.where(R >= _RHO_FLOOR, K, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Built-in kernels
 # ---------------------------------------------------------------------------
@@ -140,15 +150,10 @@ def audit_size(kernel: KernelSpec, sample_count: int = 20000, seed: int = 0,
         raise RejectedInputError("sample_count too small")
     rng = np.random.default_rng(seed)
     n = kernel.dim
-    curve = kernel.curve
 
     def score(X, Y):
-        r, _ = rho_values(curve, X, Y, threads)
-        ok = r >= _RHO_FLOOR
-        vals = np.zeros(len(X))
-        if np.any(ok):
-            vals[ok] = np.abs(kernel.fn(X[ok], Y[ok], r[ok])) * r[ok] ** n
-        return vals
+        r, K = _rho_and_kernel(kernel, X, Y, threads)
+        return np.abs(K) * r ** n
 
     X = rng.uniform(-half_width, half_width, size=(sample_count, n))
     Y = rng.uniform(-half_width, half_width, size=(sample_count, n))
@@ -268,23 +273,16 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
     sep = abs(z - y)
     if sep <= 0:
         raise RejectedInputError("y and z must be distinct")
-    curve = kernel.curve
     ya = np.array([[float(y)]])
     za = np.array([[float(z)]])
-
-    def rho_and_kernel(A: np.ndarray, B: np.ndarray):
-        r, _ = rho_values(curve, A, B, threads)
-        return r, np.where(r >= _RHO_FLOOR,
-                           kernel.fn(A, B, np.maximum(r, _RHO_FLOOR)), 0.0)
 
     def diff(xs: np.ndarray) -> np.ndarray:
         X = xs.reshape(-1, 1)
         Yv = np.broadcast_to(ya, X.shape)
         Zv = np.broadcast_to(za, X.shape)
-        if transpose:
-            (r1, k1), (_, k2) = rho_and_kernel(Yv, X), rho_and_kernel(Zv, X)
-        else:
-            (r1, k1), (_, k2) = rho_and_kernel(X, Yv), rho_and_kernel(X, Zv)
+        pairs = ((Yv, X), (Zv, X)) if transpose else ((X, Yv), (X, Zv))
+        (r1, k1), (_, k2) = (_rho_and_kernel(kernel, A, B, threads)
+                             for A, B in pairs)
         mask = r1 >= 2.0 * sep
         return np.where(mask, np.abs(k1 - k2), 0.0)
 

@@ -17,19 +17,17 @@ declared non-smooth parameter values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import Box, CurveBranch, HyperCurve, box
+from .geometry import Box, CurveBranch, HyperCurve, _golden_vec
 from .util import BOUNDING_HALF_WIDTH, as_points, pmap_chunks
 
 _SAMPLES_PER_AXIS = 4096
-_GOLDEN_ITERS = 64
 _CHUNK = 1 << 14
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -92,32 +90,6 @@ def _get_sampler(branch: CurveBranch, extent: float) -> _BranchSampler:
     if extent not in branch._samplers:
         branch._samplers[extent] = _BranchSampler(branch, extent)
     return branch._samplers[extent]
-
-
-# ---------------------------------------------------------------------------
-# Golden-section refinement (vectorized)
-# ---------------------------------------------------------------------------
-
-def _golden_vec(g, a: np.ndarray, b: np.ndarray, iters: int = _GOLDEN_ITERS):
-    """Minimize g over [a, b] elementwise; returns (t_best, g_best)."""
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        left = gc < gd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        span = b - a
-        c_new = np.where(left, b - _PHI * span, d)
-        d_new = np.where(left, c, a + _PHI * span)
-        probe = np.where(left, c_new, d_new)
-        gp = g(probe)
-        gc_old = gc
-        gc = np.where(left, gp, gd)
-        gd = np.where(left, gc_old, gp)
-        c, d = c_new, d_new
-    use_c = gc <= gd
-    return np.where(use_c, c, d), np.where(use_c, gc, gd)
 
 
 def _solve_chunk_1d(branch: CurveBranch, sampler: _BranchSampler,
@@ -241,13 +213,6 @@ def rho_tilde_values(curve: HyperCurve, X, Y):
     return _min_over_branches(rho_tilde_branch_values, curve, X, Y)
 
 
-def _eta_values(b: CurveBranch, Y: np.ndarray) -> np.ndarray:
-    if b.range_region is not None:
-        return b.range_region.clamp(Y)
-    from .geometry import _sampled_nearest_range
-    return _sampled_nearest_range(b, Y)
-
-
 def rho_tilde_star_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     """|y - eta_{i,y}| + |x - gamma_i^{-1}(eta_{i,y})|.
 
@@ -258,7 +223,7 @@ def rho_tilde_star_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     b = curve.branch(i)
     X = as_points(X, curve.dim)
     Y = as_points(Y, curve.dim)
-    eta = _eta_values(b, Y)
+    eta = b.nearest_range(Y)
     pre = b.nearest_preimage(eta, X)
     return (np.sqrt(np.sum((Y - eta) ** 2, axis=1))
             + np.sqrt(np.sum((X - pre) ** 2, axis=1)))
@@ -392,8 +357,7 @@ def _sampled_piece_distance(branch: CurveBranch, Q: Box, X: np.ndarray,
     if y_samples is None:
         y_samples = _cube_y_samples(Q)
     best = np.full(len(X), math.inf)
-    for y in y_samples:
-        eta = _eta_values(branch, y.reshape(1, -1))
+    for eta in branch.nearest_range(y_samples):
         eta_rep = np.broadcast_to(eta, X.shape)
         pre = branch.nearest_preimage(eta_rep, X)
         d = np.sqrt(np.sum((X - pre) ** 2, axis=1))
@@ -440,7 +404,7 @@ class EnlargedCube:
                 # Fall back to the covering-ball extent from the measure proof.
                 br = self.curve.branch(p.branch)
                 ys = _cube_y_samples(self.base, per_axis=16)
-                eta = _eta_values(br, ys)
+                eta = br.nearest_range(ys)
                 pre = br.nearest_preimage(eta, ys)
                 rad = p.radius if p.radius > 0 else self.theta * ell * 2.0
                 lo = np.minimum(lo, np.min(pre, axis=0) - rad)
@@ -454,7 +418,7 @@ def _range_distance(branch: CurveBranch, Q: Box) -> float:
     if branch.range_region is not None:
         return branch.range_region.box_distance(Q)
     ys = _cube_y_samples(Q, per_axis=64)
-    eta = _eta_values(branch, ys)
+    eta = branch.nearest_range(ys)
     return float(np.min(np.sqrt(np.sum((ys - eta) ** 2, axis=1))))
 
 

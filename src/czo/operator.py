@@ -1,5 +1,9 @@
 """Grid functions, truncated singular operators, and branch multipliers.
 
+An operator is a plain callable ``GridFunction -> GridFunction``;
+``truncated_handle``, ``multiplier_handle``, ``sum_handle`` and
+``black_box_handle`` build them.
+
 ``apply_truncated`` realizes T_eps f(x) = sum over cells with
 rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule.  The kernel
 and rho matrices for an (output geometry, input geometry) pair are cached on
@@ -19,8 +23,7 @@ import numpy as np
 
 from .errors import ConsistencyError, RejectedInputError
 from .geometry import Box, HyperCurve
-from .kernels import KernelSpec, _RHO_FLOOR
-from .metric import rho_values
+from .kernels import KernelSpec, _rho_and_kernel
 from .partition import BranchDisjointPartition
 from .util import as_points, fold_mirror_sum, pmap_chunks
 
@@ -196,10 +199,7 @@ def _build_matrices(kernel: KernelSpec, Xout: np.ndarray,
     def rows(s, e):
         Xrep = np.repeat(Xout[s:e], m_in, axis=0)
         Ytil = np.tile(Yin, (e - s, 1))
-        R, _ = rho_values(kernel.curve, Xrep, Ytil, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = kernel.fn(Xrep, Ytil, np.maximum(R, _RHO_FLOOR))
-        K = np.where(R >= _RHO_FLOOR, K, 0.0)
+        R, K = _rho_and_kernel(kernel, Xrep, Ytil)
         return np.stack([R.reshape(e - s, m_in), K.reshape(e - s, m_in)],
                         axis=1)
 
@@ -349,63 +349,40 @@ def apply_multiplier(curve: HyperCurve, b: MultiplierField,
 
 
 # ---------------------------------------------------------------------------
-# Operator handles
+# Operators: plain callables GridFunction -> GridFunction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OperatorHandle:
-    """A composable linear map GridFunction -> GridFunction.
-
-    kind is one of 'truncated', 'multiplier', 'sum', 'black-box'.
-    """
-
-    kind: str
-    kernel: Optional[KernelSpec] = None
-    epsilon: float = 0.0
-    curve: Optional[HyperCurve] = None
-    field_: Optional[MultiplierField] = None
-    parts: tuple = ()
-    fn: Optional[Callable[[GridFunction], GridFunction]] = None
-    threads: int = 1
-
-    def __call__(self, f: GridFunction) -> GridFunction:
-        if self.kind == "truncated":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return apply_truncated(self.kernel, f, self.epsilon,
-                                       threads=self.threads)
-        if self.kind == "multiplier":
-            return apply_multiplier(self.curve, self.field_, f)
-        if self.kind == "sum":
-            outs = [p(f) for p in self.parts]
-            acc = outs[0]
-            for o in outs[1:]:
-                if not acc.same_geometry(o):
-                    raise ConsistencyError("summed handles disagree on "
-                                           "output geometry")
-                acc = acc.with_values(acc.values + o.values)
-            return acc
-        if self.kind == "black-box":
-            return self.fn(f)
-        raise RejectedInputError(f"unknown handle kind {self.kind!r}")
+_Operator = Callable[[GridFunction], GridFunction]
 
 
 def truncated_handle(kernel: KernelSpec, epsilon: float,
-                     threads: int = 1) -> OperatorHandle:
-    return OperatorHandle("truncated", kernel=kernel, epsilon=epsilon,
-                          threads=threads)
+                     threads: int = 1) -> _Operator:
+    def apply(f: GridFunction) -> GridFunction:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return apply_truncated(kernel, f, epsilon, threads=threads)
+    return apply
 
 
-def multiplier_handle(curve: HyperCurve, b: MultiplierField) -> OperatorHandle:
-    return OperatorHandle("multiplier", curve=curve, field_=b)
+def multiplier_handle(curve: HyperCurve, b: MultiplierField) -> _Operator:
+    return lambda f: apply_multiplier(curve, b, f)
 
 
-def sum_handle(*parts: OperatorHandle) -> OperatorHandle:
-    return OperatorHandle("sum", parts=tuple(parts))
+def sum_handle(*parts: _Operator) -> _Operator:
+    def apply(f: GridFunction) -> GridFunction:
+        outs = [p(f) for p in parts]
+        acc = outs[0]
+        for o in outs[1:]:
+            if not acc.same_geometry(o):
+                raise ConsistencyError("summed handles disagree on "
+                                       "output geometry")
+            acc = acc.with_values(acc.values + o.values)
+        return acc
+    return apply
 
 
-def black_box_handle(fn) -> OperatorHandle:
-    return OperatorHandle("black-box", fn=fn)
+def black_box_handle(fn: _Operator) -> _Operator:
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +396,7 @@ def _cube_indicator(gf_box: Box, n_cells: int, cube_box: Box) -> GridFunction:
     return GridFunction(gf_box, n_cells, inside.astype(float))
 
 
-def recover_multipliers(difference: OperatorHandle, curve: HyperCurve,
+def recover_multipliers(difference: _Operator, curve: HyperCurve,
                         partition: BranchDisjointPartition,
                         out_box: Box, n_cells: int) -> MultiplierField:
     """Reconstruct the branch multipliers of a difference operator.
@@ -439,13 +416,13 @@ def recover_multipliers(difference: OperatorHandle, curve: HyperCurve,
             img = br.forward(nodes[mask])
             cube_of[i][mask] = partition.locate(img)
     # Branch-disjointness says two branches never share a cube at one node.
-    for j in range(m):
-        hits = cube_of[:, j]
-        used = hits[hits >= 0]
-        if len(used) != len(set(used)):
-            raise ConsistencyError(
-                f"two branches map node {tuple(nodes[j])} into the same "
-                "partition cube")
+    hits = np.sort(cube_of, axis=0)
+    shared = np.any((hits[1:] == hits[:-1]) & (hits[:-1] >= 0), axis=0)
+    if np.any(shared):
+        j = int(np.argmax(shared))
+        raise ConsistencyError(
+            f"two branches map node {tuple(nodes[j])} into the same "
+            "partition cube")
     fields = np.zeros((curve.r, m))
     covered = np.zeros((curve.r, m), dtype=bool)
     needed = sorted(set(cube_of[cube_of >= 0].tolist()))

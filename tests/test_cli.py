@@ -140,6 +140,34 @@ class TestExperiments:
         assert (a / "metric_equivalence.csv").read_text() == \
             (b / "metric_equivalence.csv").read_text()
 
+    @pytest.mark.parametrize("kind,overrides", [
+        ("metric-equivalence", ["pairs=200", "seed=3"]),
+        ("partition", ["curve=diamond", "max_depth=5"]),
+        ("kernel-audit", ["samples=500", "seed=3"]),
+        ("hormander", ["hormander_grid=4096"]),
+        # Large enough that the R/K build splits into two row chunks.
+        ("apply", ["n=4096", "out_n=1024"]),
+        ("t0-convergence", ["n=128"]),
+        ("recover", ["n=64", "max_depth=5"]),
+        ("decompose", ["n=128"]),
+        ("weaktype", ["n=64", "out_n=32"]),
+        ("qtheta", ["mc_samples=20000", "probes=200", "seed=3"]),
+    ])
+    def test_determinism_across_threads_all_kinds(self, tmp_path, kind,
+                                                  overrides):
+        # Every report body but the manifest (which records wall time and
+        # the thread count) and the exit code agree at 1 and 2 threads.
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            code = main([kind, *overrides, "--threads", threads,
+                         "--out", str(out)])
+            bodies = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "manifest.csv"}
+            runs.append((code, bodies))
+        assert runs[0][1]
+        assert runs[0] == runs[1]
+
     def test_apply_emits_rows(self, tmp_path):
         code = main(["apply", "n=256", "out_n=32", "--out", str(tmp_path)])
         assert code == 0

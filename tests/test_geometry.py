@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from czo.curves import get_curve
 from czo.errors import CurveValidityError, RegistryError, RejectedInputError
-from czo.geometry import (Box, DyadicCube, box, branch_eval, branch_inverse,
-                          branch_jacobian, dyadic_relation,
-                          nearest_domain_point, nearest_range_point, region,
-                          validate_curve, whole_space)
+from czo.geometry import (Box, CurveBranch, DyadicCube, HyperCurve, box,
+                          branch_eval, branch_inverse, branch_jacobian,
+                          dyadic_relation, nearest_domain_point,
+                          nearest_range_point, region, validate_curve,
+                          whole_space)
 
 
 class TestBox:
@@ -53,6 +55,31 @@ class TestRegion:
     def test_clamp_tie_lexicographic(self):
         r = region(box(1.0, 2.0), box(-2.0, -1.0))
         assert r.clamp(np.array([[0.0]]))[0, 0] == -1.0
+
+    def test_clamp_tie_lexicographic_2d(self):
+        # Ties decided by the first coordinate, then by the second.
+        r = region(box((1.0, 0.0), (2.0, 1.0)), box((-2.0, 0.0), (-1.0, 1.0)))
+        assert r.clamp(np.array([[0.0, 0.5]])).tolist() == [[-1.0, 0.5]]
+        r = region(box((0.0, 1.0), (1.0, 2.0)), box((0.0, -2.0), (1.0, -1.0)))
+        assert r.clamp(np.array([[0.5, 0.0]])).tolist() == [[0.5, -1.0]]
+
+    def test_clamp_matches_pointwise_tie_rule(self):
+        # Integer data makes exact ties common; the reference takes, per
+        # point, the lexicographically smallest of the nearest box clamps.
+        rng = np.random.default_rng(0)
+        boxes = []
+        for _ in range(5):
+            lo = rng.integers(-4, 4, size=2).astype(float)
+            boxes.append(Box(tuple(lo), tuple(lo + rng.integers(0, 3, 2))))
+        r = region(*boxes)
+        X = rng.integers(-6, 7, size=(400, 2)).astype(float)
+        cands = [b.clamp(X) for b in boxes]
+        dists = np.stack([b.distance(X) for b in boxes])
+        best = dists.min(axis=0)
+        want = [min((tuple(c[j]) for c, d in zip(cands, dists)
+                     if d[j] == best[j]))
+                for j in range(len(X))]
+        assert r.clamp(X).tolist() == [list(w) for w in want]
 
     def test_box_distance(self):
         r = region(box(1.0, 2.0))
@@ -127,6 +154,32 @@ class TestCurveOps:
         assert nearest_domain_point(c, 0, 3.0)[0] == 1.0
         assert nearest_range_point(c, 0, 2.0)[0] == 1.0
         assert nearest_range_point(c, 1, 2.0)[0] == 0.0
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_sampled_range_tie_takes_smallest_parameter(self, order):
+        # Without a declared range, y = 0 is equally far from gamma(1) = 1
+        # and gamma(-1) = -1; the smaller parameter wins whatever the box
+        # order, as it does for Region.clamp.
+        boxes = (box(1.0, 3.0), box(-3.0, -1.0))[::order]
+        br = CurveBranch(index=0, domain=region(*boxes),
+                         forward=lambda X: X.copy(),
+                         inverse=lambda Y: Y.copy(),
+                         jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
+        c = HyperCurve("split", [br])
+        assert nearest_range_point(c, 0, 0.0)[0] == -1.0
+        assert region(*boxes).clamp(np.array([[0.0]]))[0, 0] == -1.0
+
+    @pytest.mark.parametrize("name,i", [("diagonal", 0), ("two-lines", 0),
+                                        ("two-lines", 1), ("diamond", 0),
+                                        ("diamond", 1), ("diamond", 2)])
+    def test_sampled_range_matches_declared_clamp(self, name, i):
+        declared = get_curve(name).branch(i)
+        sampled = dataclasses.replace(declared, range_region=None)
+        Y = np.linspace(-30.0, 30.0, 601).reshape(-1, 1)
+        want = declared.range_region.clamp(Y)
+        assert np.max(np.abs(sampled.nearest_range(Y) - want)) <= 1e-12
+        c = HyperCurve("stripped", [sampled])
+        assert np.max(np.abs(nearest_range_point(c, 0, Y) - want)) <= 1e-12
 
     def test_bad_branch_index(self):
         c = get_curve("diagonal")

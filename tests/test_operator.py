@@ -6,7 +6,7 @@ import pytest
 
 from czo.curves import get_curve
 from czo.errors import ConsistencyError, RejectedInputError
-from czo.geometry import box
+from czo.geometry import CurveBranch, DyadicCube, HyperCurve, box, whole_space
 from czo.kernels import KernelSpec, get_kernel
 from czo.metric import rho_values
 from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
@@ -16,7 +16,7 @@ from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
                           multiplier_handle, read_grid_csv,
                           recover_multipliers, sum_handle, truncated_handle,
                           write_grid_csv, zeros_like)
-from czo.partition import build_partition
+from czo.partition import BranchDisjointPartition, build_partition
 
 B8 = box(-8.0, 8.0)
 
@@ -272,6 +272,30 @@ class TestRecovery:
                        multiplier_handle(curve, mf))
         f = grid_function(B8, 128, lambda X: np.cos(X[:, 0]))
         assert np.allclose(h(f).values, 2.0 * f.values)
+
+    def test_sum_handle_rejects_mismatched_grids(self):
+        f = grid_function(B8, 64, lambda X: np.cos(X[:, 0]))
+        coarse = black_box_handle(
+            lambda g: grid_function(g.box, 32, np.ones(32)))
+        with pytest.raises(ConsistencyError, match="output geometry"):
+            sum_handle(black_box_handle(zeros_like), coarse)(f)
+
+    def test_overlapping_branches_rejected(self):
+        # Two identity branches send every node into the one cube [0, 1].
+        def identity(index):
+            return CurveBranch(index=index, domain=whole_space(1),
+                               forward=lambda X: X.copy(),
+                               inverse=lambda Y: Y.copy(),
+                               jacobian=lambda X: np.ones(len(X)),
+                               lipschitz=1.0)
+        curve = HyperCurve("double", [identity(0), identity(1)])
+        part = BranchDisjointPartition(curve, [DyadicCube(0, (0,))], [],
+                                       max_depth=0, half_width=32.0,
+                                       probabilistic=False)
+        with pytest.raises(ConsistencyError,
+                           match=r"node \(.*0\.125.*\) into the same "):
+            recover_multipliers(black_box_handle(zeros_like), curve, part,
+                                box(0.0, 1.0), 4)
 
     def test_truncated_handle_matches_direct(self):
         k = get_kernel("two-line-hilbert")
