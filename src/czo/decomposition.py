@@ -2,9 +2,12 @@
 
 ``cz_decompose`` splits a grid function at height lambda into a good part
 bounded by 2^n lambda and mean-zero bad parts supported on disjoint dyadic
-cubes.  Root and grid are required to align (cube boundaries on cell
-boundaries, power-of-two cell counts), which turns every decomposition
-invariant into an exact floating-point identity for dyadic-rational data.
+cubes, chosen by a stopping time that visits one dyadic level per array pass.
+Root and grid are required to align (cube boundaries on cell boundaries,
+power-of-two cell counts), which turns every decomposition invariant into an
+exact floating-point identity for dyadic-rational data.  Every cube average
+is summed in the order ``np.mean`` uses on that cube alone, so on any data
+the selection equals the cube-by-cube recursion bit for bit.
 """
 
 from __future__ import annotations
@@ -72,10 +75,13 @@ def cz_decompose(f: GridFunction, lam: float,
 
     A child cube is selected the first time its |f|-average exceeds lam;
     selection stops above single cells, so |f| <= lam at every unselected
-    cell.  Averages over aligned power-of-two cubes are exact grid sums.
+    cell.  One array pass per side s = m/2, ..., 1 averages every side-s
+    cube and selects the live ones (inside no selected cube) above lam.
+    Each cube is summed as one contiguous row-major block, the order
+    ``np.mean`` uses on the cube alone, so the averages are bit-identical.
     """
-    if lam <= 0:
-        raise RejectedInputError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise RejectedInputError(f"lambda must be finite and positive: {lam}")
     if root is None:
         root = f.box
     start, m = _root_cells(f, root)
@@ -83,28 +89,25 @@ def cz_decompose(f: GridFunction, lam: float,
     N = f.cells_per_axis
     grid = f.values.reshape((N,) * n)
     sl = tuple(slice(int(s), int(s) + m) for s in start)
-    root_avg = float(np.mean(np.abs(grid[sl])))
+    absf = np.abs(grid[sl])
+    root_avg = float(np.mean(absf))
     if root_avg > lam:
         raise RejectedInputError(
             f"average of |f| over the root is {root_avg} > lambda={lam}")
 
     h = f.h
+    live = np.ones((1,) * n, dtype=bool)
     selected: list[tuple[np.ndarray, int]] = []
+    for size in (m >> j for j in range(1, m.bit_length())):
+        for k in range(n):
+            live = np.repeat(live, 2, axis=k)
+        blocks = absf.reshape((m // size, size) * n).transpose(
+            (*range(0, 2 * n, 2), *range(1, 2 * n, 2)))
+        avg = np.ascontiguousarray(blocks).reshape(live.shape + (-1,)).mean(-1)
+        hit = live & (avg > lam)
+        selected += [(start + idx * size, size) for idx in np.argwhere(hit)]
+        live &= ~hit
 
-    def recurse(s: np.ndarray, size: int):
-        if size == 1:
-            return
-        half = size // 2
-        for bits in range(2 ** n):
-            off = np.array([(bits >> k) & 1 for k in range(n)]) * half
-            cs = s + off
-            csl = tuple(slice(int(a), int(a) + half) for a in cs)
-            if float(np.mean(np.abs(grid[csl]))) > lam:
-                selected.append((cs, half))
-            else:
-                recurse(cs, half)
-
-    recurse(start, m)
     good_vals = f.values.copy()
     cubes = []
     bad = []

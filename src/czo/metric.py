@@ -356,12 +356,15 @@ def _sampled_piece_distance(branch: CurveBranch, Q: Box, X: np.ndarray,
                             y_samples: Optional[np.ndarray]) -> np.ndarray:
     if y_samples is None:
         y_samples = _cube_y_samples(Q)
+    eta = branch.nearest_range(y_samples)
     best = np.full(len(X), math.inf)
-    for eta in branch.nearest_range(y_samples):
-        eta_rep = np.broadcast_to(eta, X.shape)
-        pre = branch.nearest_preimage(eta_rep, X)
-        d = np.sqrt(np.sum((X - pre) ** 2, axis=1))
-        best = np.minimum(best, d)
+    step = max(1, _CHUNK // max(len(X), 1))
+    for chunk in np.array_split(eta, range(step, len(eta), step)):
+        # All (eta, x) pairs of ~_CHUNK in one call, then the min over eta.
+        E = np.repeat(chunk, len(X), axis=0)
+        XX = np.tile(X, (len(chunk), 1))
+        d = np.sqrt(np.sum((XX - branch.nearest_preimage(E, XX)) ** 2, axis=1))
+        best = np.minimum(best, d.reshape(len(chunk), len(X)).min(axis=0))
     return best
 
 

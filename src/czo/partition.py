@@ -111,30 +111,38 @@ class BranchDisjointPartition:
     max_depth: int
     half_width: float
     probabilistic: bool
-    _index: dict = field(default_factory=dict, repr=False)
+    _levels: list = field(init=False, repr=False, compare=False)
 
     @property
     def leftover_measure(self) -> float:
         return float(sum(c.as_box().measure() for c in self.leftover))
 
     def __post_init__(self):
-        self._index = {(c.level, c.corner): j
-                       for j, c in enumerate(self.cubes)}
+        # Per level, coarsest first: the sorted keys of corner - min corner.
+        self._levels = []
+        for lev in sorted({c.level for c in self.cubes}):
+            idx = np.array([j for j, c in enumerate(self.cubes)
+                            if c.level == lev])
+            corners = np.array([self.cubes[j].corner for j in idx])
+            lo = corners.min(axis=0)
+            span = corners.max(axis=0) - lo + 1
+            keys = np.ravel_multi_index(tuple((corners - lo).T), span)
+            order = np.argsort(keys, kind="stable")
+            self._levels.append((lev, lo, span, keys[order], idx[order]))
 
     def locate(self, Y) -> np.ndarray:
         """Index of the accepted cube containing each y (half-open
         convention), or -1 for leftover / uncovered points."""
         Y = as_points(Y, self.curve.dim)
         out = np.full(len(Y), -1, dtype=int)
-        levels = sorted({c.level for c in self.cubes})
-        for lev in levels:
-            scale = 2.0 ** lev
-            corners = np.floor(Y * scale).astype(int)
-            for j, corner in enumerate(map(tuple, corners)):
-                if out[j] < 0:
-                    hit = self._index.get((lev, corner))
-                    if hit is not None:
-                        out[j] = hit
+        for lev, lo, span, keys, idx in self._levels:
+            rel = np.floor(Y * 2.0 ** lev) - lo
+            todo = np.flatnonzero((out < 0)
+                                  & np.all((rel >= 0) & (rel < span), axis=1))
+            key = np.ravel_multi_index(tuple(rel[todo].astype(int).T), span)
+            pos = np.searchsorted(keys, key, side="right") - 1
+            hit = (pos >= 0) & (keys[pos] == key)
+            out[todo[hit]] = idx[pos[hit]]
         return out
 
 

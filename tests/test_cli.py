@@ -89,6 +89,12 @@ class TestExitCodes:
         code = main(["apply", "--config", str(p), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, lam):
+        code = main(["decompose", f"lambda={lam}", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "decompose_cubes.csv").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["apply", "--config", str(tmp_path / "nope"),
                      "--out", str(tmp_path)])

@@ -54,6 +54,13 @@ class TestCzDecompose:
         with pytest.raises(RejectedInputError):
             cz_decompose(f, 0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0,
+                                     -1.0])
+    def test_rejects_lambda_not_finite_positive(self, lam):
+        f = GridFunction(B8, 64, np.zeros(64))
+        with pytest.raises(RejectedInputError, match="lambda"):
+            cz_decompose(f, lam)
+
     def test_rejects_misaligned_root(self):
         f = GridFunction(B8, 64, np.zeros(64))
         with pytest.raises(RejectedInputError):
@@ -87,6 +94,114 @@ class TestCzDecompose:
                 recon = recon + b.values
             assert np.array_equal(recon, f.values)      # exact f = g + sum b
             assert dec.total_cube_measure <= lp_norm(f, 1.0) / lam + 1e-12
+
+
+def recursive_cz(f, lam, root):
+    """Reference: the cube-by-cube stopping time, then f split on its cubes."""
+    n, N, h = f.dim, f.cells_per_axis, f.h
+    grid = f.values.reshape((N,) * n)
+    start = np.rint((root.lo_a - f.box.lo_a) / h).astype(int)
+    selected = []
+
+    def recurse(s, size):
+        half = size // 2
+        for bits in range(2 ** n if size > 1 else 0):
+            cs = s + np.array([(bits >> k) & 1 for k in range(n)]) * half
+            csl = tuple(slice(a, a + half) for a in cs)
+            if float(np.mean(np.abs(grid[csl]))) > lam:
+                selected.append((half, tuple(int(a) for a in cs)))
+            else:
+                recurse(cs, half)
+
+    recurse(start, int(round(root.side() / h)))
+    good, cubes, bad = grid.copy(), [], []
+    for size, cs in sorted(selected):
+        csl = tuple(slice(a, a + size) for a in cs)
+        sub = grid[csl]
+        avg = float(np.mean(sub))
+        cubes.append((tuple(f.box.lo[k] + cs[k] * h for k in range(n)),
+                      tuple(f.box.lo[k] + (cs[k] + size) * h
+                            for k in range(n)),
+                      avg, float(np.mean(np.abs(sub)))))
+        b = np.zeros_like(grid)
+        b[csl] = sub - avg
+        bad.append(b.reshape(-1))
+        good[csl] = avg
+    return cubes, good.reshape(-1), bad
+
+
+def assert_matches_recursion(f, lam, root=None):
+    root = f.box if root is None else root
+    dec = cz_decompose(f, lam, root)
+    cubes, good, bad = recursive_cz(f, lam, root)
+    assert [(c.box.lo, c.box.hi, c.average, c.abs_average)
+            for c in dec.cubes] == cubes
+    assert dec.good.values.tobytes() == good.tobytes()
+    assert [b.values.tobytes() for b in dec.bad] == [b.tobytes() for b in bad]
+    return dec
+
+
+def attained_block_average(rng, grid, start, m, floor):
+    """|f|-average of a random dyadic block of the root that is >= floor."""
+    n = grid.ndim
+    while True:
+        size = m >> int(rng.integers(1, int(math.log2(m)) + 1))
+        cs = start + rng.integers(0, m // size, size=n) * size
+        avg = float(np.mean(np.abs(grid[tuple(slice(a, a + size)
+                                              for a in cs)])))
+        if avg >= floor:
+            return avg
+
+
+class TestLevelPassMatchesRecursion:
+    @pytest.mark.parametrize("dim,cells", [(1, 4096), (2, 64), (3, 16)])
+    def test_random_data_tie_at_attained_average(self, dim, cells):
+        rng = np.random.default_rng(dim)
+        bx = box((-8.0,) * dim, (8.0,) * dim)
+        for _ in range(10):
+            vals = rng.lognormal(0.0, 1.5, size=cells ** dim)
+            vals *= rng.choice([-1.0, 1.0], size=vals.size)
+            f = GridFunction(bx, cells, vals)
+            grid = vals.reshape((cells,) * dim)
+            root_avg = float(np.mean(np.abs(vals)))
+            lam = attained_block_average(rng, grid, np.zeros(dim, int),
+                                         cells, root_avg)
+            dec = assert_matches_recursion(f, lam)
+            # The tie: a block averaging exactly lam is never selected.
+            assert all(c.abs_average > lam for c in dec.cubes)
+
+    @pytest.mark.parametrize("dim,cells,lo", [(1, 256, (-6.0,)),
+                                              (2, 64, (-6.0, 2.0)),
+                                              (3, 32, (-4.0, 0.0, 1.0))])
+    def test_offset_sub_cube_root(self, dim, cells, lo):
+        rng = np.random.default_rng(7 + dim)
+        f = GridFunction(box((-8.0,) * dim, (8.0,) * dim), cells,
+                         rng.standard_normal(cells ** dim) ** 3)
+        root = box(lo, tuple(a + 4.0 for a in lo))
+        start = np.rint((root.lo_a + 8.0) / f.h).astype(int)
+        m = int(round(4.0 / f.h))
+        grid = f.values.reshape((cells,) * dim)
+        sl = tuple(slice(a, a + m) for a in start)
+        lam = attained_block_average(rng, grid, start, m,
+                                     float(np.mean(np.abs(grid[sl]))))
+        dec = assert_matches_recursion(f, lam, root)
+        assert dec.cubes
+        for c in dec.cubes:
+            assert np.all(c.box.lo_a >= root.lo_a)
+            assert np.all(c.box.hi_a <= root.hi_a)
+
+    def test_spikes_select_24_cubes_of_side_16(self):
+        # One spike of mass 512 cells per chosen 32x32 block: its 16x16
+        # cube averages > 2 > lam = 1, the 32x32 block < 0.51.
+        rng = np.random.default_rng(24)
+        vals = rng.uniform(0.0, 0.01, size=(256, 256))
+        for b in rng.choice(64, size=24, replace=False):
+            r, c = divmod(int(b), 8)
+            vals[32 * r + rng.integers(32), 32 * c + rng.integers(32)] = 512.0
+        f = GridFunction(box((0.0, 0.0), (16.0, 16.0)), 256, vals.reshape(-1))
+        dec = assert_matches_recursion(f, 1.0)
+        assert len(dec.cubes) == 24
+        assert all(c.box.side() == 16 * f.h for c in dec.cubes)
 
 
 class TestNorms:

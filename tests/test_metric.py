@@ -163,6 +163,27 @@ class TestEnlargedCube:
         sampled = ec.contains(X)
         assert np.array_equal(exact, sampled)
 
+    def test_sampled_path_matches_per_eta_loop_2d(self):
+        curve = get_curve("diagonal", 2)
+        Q = box((0.5, -1.0), (1.0, -0.5))
+        ec = enlarged_cube(curve, Q, 3.0)
+        X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))
+        exact = ec.contains(X)
+        for p in ec.pieces:
+            p.preimage_boxes = None
+        assert np.array_equal(ec.contains(X), exact)
+        # Reference: one nearest_preimage call per eta, min-reduced in turn.
+        branch = curve.branch(0)
+        axes = np.linspace(0.5, 1.0, 48), np.linspace(-1.0, -0.5, 48)
+        ys = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+        want = np.full(len(X), math.inf)
+        for eta in branch.nearest_range(ys):
+            pre = branch.nearest_preimage(np.broadcast_to(eta, X.shape), X)
+            want = np.minimum(want, np.sqrt(np.sum((X - pre) ** 2, axis=1)))
+        for m in (len(X), 7, 0):
+            got = ec.pieces[0].distance(branch, Q, X[:m], ys)
+            assert got.tobytes() == want[:m].tobytes()
+
 
 class TestQTheta:
     def test_measure_and_separation(self):

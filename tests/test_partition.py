@@ -4,8 +4,9 @@ import pytest
 from czo.curves import get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import DyadicCube, box
-from czo.partition import (build_partition, critical_values,
-                           disjoint_preimage_test, induced_map_lookup)
+from czo.partition import (BranchDisjointPartition, build_partition,
+                           critical_values, disjoint_preimage_test,
+                           induced_map_lookup)
 
 
 class TestCriticalValues:
@@ -86,6 +87,64 @@ class TestBuildPartition:
             hits = assignments[:, j]
             used = hits[hits >= 0].tolist()
             assert len(used) == len(set(used))
+
+
+def locate_reference(p, Y):
+    """Per-point dict lookup of each level's corner, coarsest level first."""
+    index = {(c.level, c.corner): j for j, c in enumerate(p.cubes)}
+    out = np.full(len(Y), -1, dtype=int)
+    for lev in sorted({c.level for c in p.cubes}):
+        corners = np.floor(Y * 2.0 ** lev).astype(int)
+        for j, corner in enumerate(map(tuple, corners)):
+            if out[j] < 0:
+                out[j] = index.get((lev, corner), -1)
+    return out
+
+
+def probe_points(rng, dim, count=4000):
+    """Points inside and outside the [-32, 32]^dim span, half of them on
+    dyadic boundaries k 2^-d (d = 0..10)."""
+    Y = rng.uniform(-40.0, 40.0, size=(count, dim))
+    d = rng.integers(0, 11, size=(count // 2, 1))
+    Y[: count // 2] = np.rint(Y[: count // 2] * 2.0 ** d) / 2.0 ** d
+    return Y
+
+
+class TestLocate:
+    @pytest.mark.parametrize("name,dim,depth", [("two-lines", 1, 8),
+                                                ("diamond", 1, 8),
+                                                ("diagonal", 2, 4)])
+    def test_matches_dict_lookup(self, name, dim, depth):
+        p = build_partition(get_curve(name, dim), max_depth=depth)
+        Y = probe_points(np.random.default_rng(dim + depth), dim)
+        got = p.locate(Y)
+        assert np.array_equal(got, locate_reference(p, Y))
+        assert np.any(got < 0) and np.any(got >= 0)
+
+    def test_mixed_levels_2d(self):
+        # A hand-made tiling of [-4, 4)^2 refined at random down to level 3.
+        rng = np.random.default_rng(5)
+        cubes, stack = [], [DyadicCube(0, (a, b)) for a in range(-4, 4)
+                            for b in range(-4, 4)]
+        while stack:
+            c = stack.pop()
+            if c.level < 3 and rng.uniform() < 0.5:
+                stack.extend(c.children())
+            else:
+                cubes.append(c)
+        p = BranchDisjointPartition(get_curve("diagonal", 2), sorted(cubes),
+                                    [], 3, 32.0, False)
+        Y = probe_points(rng, 2) / 8.0
+        got = p.locate(Y)
+        assert np.array_equal(got, locate_reference(p, Y))
+        assert np.all(got[np.all(np.abs(Y) < 4.0, axis=1)] >= 0)
+
+    def test_empty_partition_and_no_points(self):
+        p = BranchDisjointPartition(get_curve("two-lines"), [], [], 0, 32.0,
+                                    False)
+        assert p.locate(np.array([[0.5], [-3.0]])).tolist() == [-1, -1]
+        q = build_partition(get_curve("two-lines"), max_depth=4)
+        assert q.locate(np.empty((0, 1))).shape == (0,)
 
 
 class TestInducedMapLookup:
