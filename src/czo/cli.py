@@ -21,23 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .curves import CURVE_NAMES, get_curve
+from .curves import get_curve
 from .decomposition import (cz_decompose, weak_type_experiment,
                             weak_l1_quasinorm)
 from .errors import CzoError, RegistryError, RejectedInputError
-from .geometry import Box
-from .kernels import (KERNEL_NAMES, audit_regularity, audit_size, get_kernel,
+from .geometry import Box, parse_box
+from .kernels import (audit_regularity, audit_size, get_kernel,
                       hormander_constant)
 from .metric import check_equivalence, check_qtheta
 from .operator import (GridFunction, apply_truncated_at, estimate_T0,
                        grid_nodes, multiplier_field, multiplier_handle,
                        read_grid_csv, recover_multipliers, write_grid_csv)
 from .partition import build_partition
-from .util import get_threads
-
-KINDS = ("metric-equivalence", "partition", "kernel-audit", "hormander",
-         "apply", "t0-convergence", "recover", "decompose", "weaktype",
-         "qtheta")
 
 DEFAULTS = {
     "curve": "two-lines",
@@ -56,7 +51,6 @@ DEFAULTS = {
     "function": "indicator:-1,1",
     "family": "indicator:-1,1;bump",
     "b": "1,0",
-    "x": "2.0",
     "a_list": "0.1,1,10",
     "hormander_grid": str(1 << 20),
     "probes": "1000",
@@ -64,7 +58,7 @@ DEFAULTS = {
     "cube": "2..3",
     "root": "",
     "out": "czo-out",
-    "threads": "0",
+    "threads": "1",
 }
 
 
@@ -81,11 +75,7 @@ class ExperimentConfig:
                 f"{sorted(DEFAULTS)}")
 
     def get(self, key: str) -> str:
-        if key in self.options:
-            return self.options[key]
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        raise RejectedInputError(f"missing config key {key!r}")
+        return self.options.get(key, DEFAULTS[key])
 
     def get_float(self, key: str) -> float:
         return float(self.get(key))
@@ -94,13 +84,13 @@ class ExperimentConfig:
         return int(self.get(key))
 
     def get_floats(self, key: str) -> list[float]:
-        return [float(v) for v in self.get(key).split(",") if v.strip()]
+        vals = [float(v) for v in self.get(key).split(",") if v.strip()]
+        if not vals:
+            raise RejectedInputError(f"{key} must list at least one number")
+        return vals
 
     def get_box(self, key: str = "box") -> Box:
-        spans = self.get(key).split(",")
-        lo = tuple(float(s.split("..")[0]) for s in spans)
-        hi = tuple(float(s.split("..")[1]) for s in spans)
-        return Box(lo, hi)
+        return parse_box(self.get(key))
 
 
 def parse_config_file(path: str) -> dict:
@@ -115,15 +105,6 @@ def parse_config_file(path: str) -> dict:
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out
-
-
-def builtin_registry(name: str):
-    """Look up a built-in curve or kernel by name."""
-    if name in CURVE_NAMES:
-        return get_curve(name)
-    if name in KERNEL_NAMES:
-        return get_kernel(name)
-    raise RegistryError(f"unknown builtin {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +246,7 @@ def _run_hormander(cfg, out_dir, threads) -> int:
         totals.append(rep.value_total)
     _write_csv(os.path.join(out_dir, "hormander.csv"),
                ["separation", "value_box", "tail", "value_total"], rows)
-    spread = (max(totals) - min(totals)) / max(totals) if totals else 0.0
+    spread = (max(totals) - min(totals)) / max(totals)
     return 0 if spread <= 0.01 else 1
 
 
@@ -391,14 +372,18 @@ _RUNNERS = {
     "qtheta": _run_qtheta,
 }
 
+KINDS = tuple(_RUNNERS)
+
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment kind; returns the process exit code."""
     if cfg.kind not in _RUNNERS:
         raise RejectedInputError(f"unknown experiment kind {cfg.kind!r}")
+    threads = cfg.get_int("threads")
+    if threads < 1:
+        raise RejectedInputError(f"threads must be at least 1: {threads}")
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
-    threads = get_threads(cfg.get_int("threads") or None)
     start = time.time()
     code = _RUNNERS[cfg.kind](cfg, out_dir, threads)
     _write_manifest(out_dir, cfg, time.time() - start)

@@ -22,8 +22,8 @@ from .errors import RejectedInputError
 from .geometry import Box
 from .kernels import KernelSpec
 from .metric import enlarged_cube
-from .operator import (GridFunction, _masked_apply, _matrices_for,
-                       grid_nodes)
+from .operator import GridFunction, _matrices_for, grid_nodes
+from .util import fold_mirror_sum
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +79,7 @@ def cz_decompose(f: GridFunction, lam: float,
     cube and selects the live ones (inside no selected cube) above lam.
     Each cube is summed as one contiguous row-major block, the order
     ``np.mean`` uses on the cube alone, so the averages are bit-identical.
+    Cubes are listed smallest side first, each side in row-major order.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise RejectedInputError(f"lambda must be finite and positive: {lam}")
@@ -97,7 +98,7 @@ def cz_decompose(f: GridFunction, lam: float,
 
     h = f.h
     live = np.ones((1,) * n, dtype=bool)
-    selected: list[tuple[np.ndarray, int]] = []
+    levels = []                  # (side, corners, |f|-averages), coarse first
     for size in (m >> j for j in range(1, m.bit_length())):
         for k in range(n):
             live = np.repeat(live, 2, axis=k)
@@ -105,29 +106,26 @@ def cz_decompose(f: GridFunction, lam: float,
             (*range(0, 2 * n, 2), *range(1, 2 * n, 2)))
         avg = np.ascontiguousarray(blocks).reshape(live.shape + (-1,)).mean(-1)
         hit = live & (avg > lam)
-        selected += [(start + idx * size, size) for idx in np.argwhere(hit)]
+        levels.append((size, start + np.argwhere(hit) * size, avg[hit]))
         live &= ~hit
 
-    good_vals = f.values.copy()
+    good = grid.copy()
     cubes = []
     bad = []
-    for cs, size in sorted(selected, key=lambda t: (t[1], tuple(t[0]))):
-        csl = tuple(slice(int(a), int(a) + size) for a in cs)
-        sub = grid[csl]
-        avg = float(np.mean(sub))
-        abs_avg = float(np.mean(np.abs(sub)))
-        lo = tuple(f.box.lo[k] + cs[k] * h for k in range(n))
-        hi = tuple(f.box.lo[k] + (cs[k] + size) * h for k in range(n))
-        cube_box = Box(lo, hi)
-        cubes.append(SelectedCube(cube_box, avg, abs_avg))
-        b_grid = np.zeros((N,) * n)
-        b_grid[csl] = sub - avg
-        bad.append(GridFunction(f.box, N, b_grid.reshape(-1)))
-        gg = good_vals.reshape((N,) * n)
-        gg[csl] = avg
-        good_vals = gg.reshape(-1)
-    good = GridFunction(f.box, N, good_vals)
-    return DecompositionResult(lam, root, cubes, good, bad)
+    for size, corners, abs_avgs in reversed(levels):
+        for cs, abs_avg in zip(corners, abs_avgs):
+            csl = tuple(slice(a, a + size) for a in cs)
+            sub = grid[csl]
+            avg = float(np.mean(sub))
+            lo = tuple(f.box.lo[k] + cs[k] * h for k in range(n))
+            hi = tuple(f.box.lo[k] + (cs[k] + size) * h for k in range(n))
+            cubes.append(SelectedCube(Box(lo, hi), avg, float(abs_avg)))
+            b_grid = np.zeros((N,) * n)
+            b_grid[csl] = sub - avg
+            bad.append(GridFunction(f.box, N, b_grid.reshape(-1)))
+            good[csl] = avg
+    return DecompositionResult(lam, root, cubes,
+                               GridFunction(f.box, N, good.reshape(-1)), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +194,11 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
     rows = []
     for fi, f in enumerate(family):
         l1 = lp_norm(f, 1.0)
-        out_box = f.box
-        Xout = grid_nodes(out_box, out_cells)
-        out_cell = (out_box.side() / out_cells) ** n
-        R, K = _matrices_for(kernel, Xout,
-                             (out_box.lo, out_box.hi, out_cells), f, threads)
+        Xout = grid_nodes(f.box, out_cells)
+        out_cell = (f.box.side() / out_cells) ** n
+        R, K = _matrices_for(kernel, f.box, out_cells, f, threads)
         M = np.where(R >= epsilon, K, 0.0)
-        Tf = _masked_apply(R, K, f, epsilon)
+        Tf = fold_mirror_sum(M * f.values, axis=1) * f.h ** n
         if l1 == 0.0:
             for j in range(ladder_max + 1):
                 rows.append(WeakTypeRow(fi, 0.0, 0, 0.0, 0.0, 0.0, 0.0))

@@ -65,9 +65,6 @@ class Box:
         """Side length; for non-cubic boxes, the maximum edge."""
         return max(b - a for a, b in zip(self.lo, self.hi))
 
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo_a + self.hi_a)
-
     def contains(self, X, tol: float = 0.0) -> np.ndarray:
         X = as_points(X, self.dim)
         return np.all((X >= self.lo_a - tol) & (X <= self.hi_a + tol), axis=1)
@@ -108,6 +105,17 @@ def box(lo, hi) -> Box:
     lo_t = (float(lo),) if np.isscalar(lo) else tuple(float(v) for v in lo)
     hi_t = (float(hi),) if np.isscalar(hi) else tuple(float(v) for v in hi)
     return Box(lo_t, hi_t)
+
+
+def parse_box(text: str) -> Box:
+    """The box written as ``lo..hi`` per axis, axes joined by commas."""
+    try:
+        ends = [(float(a), float(b)) for a, b in
+                (span.split("..") for span in text.split(","))]
+    except ValueError:
+        raise RejectedInputError(
+            f"box {text!r} is not lo..hi per axis, joined by commas") from None
+    return Box(*zip(*ends))
 
 
 @dataclass(frozen=True)
@@ -273,9 +281,6 @@ class CurveBranch:
     def dim(self) -> int:
         return self.domain.dim
 
-    def eval(self, X) -> np.ndarray:
-        return self.forward(as_points(X, self.dim))
-
     def inv(self, Y) -> np.ndarray:
         if self.inverse is None:
             raise CurveValidityError(
@@ -371,20 +376,6 @@ def branch_inverse(curve: HyperCurve, i: int, y) -> np.ndarray:
     if not bool(np.all(b.domain.contains(X, tol=1e-9))):
         raise RejectedInputError(f"point {y} outside range of branch {i}")
     return X[0] if np.ndim(y) <= 1 else X
-
-
-def nearest_domain_point(curve: HyperCurve, i: int, x) -> np.ndarray:
-    """The domain point closest to x (coordinate-wise clamp, exact)."""
-    b = curve.branch(i)
-    X = as_points(x, curve.dim)
-    out = b.domain.clamp(X)
-    return out[0] if np.ndim(x) <= 1 else out
-
-
-def nearest_range_point(curve: HyperCurve, i: int, y) -> np.ndarray:
-    """The point of gamma_i(D_i) closest to y."""
-    out = curve.branch(i).nearest_range(as_points(y, curve.dim))
-    return out[0] if np.ndim(y) <= 1 else out
 
 
 _RANGE_SAMPLES = 4096

@@ -21,9 +21,11 @@ from .curves import get_curve
 from .errors import RegistryError, RejectedInputError, SingularityError
 from .geometry import HyperCurve
 from .metric import rho_values
-from .util import as_points
+from .util import AUDIT_HALF_WIDTH, as_points, audit_pairs
 
 _RHO_FLOOR = 1e-12
+_SIZE_ROUNDS = 40            # shrinking-neighbourhood rounds of audit_size
+_BOX_FACTOR = 64.0           # hormander_constant's box [-H, H], H / |y - z|
 
 
 @dataclass
@@ -78,7 +80,7 @@ def _rho_and_kernel(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray,
 # Built-in kernels
 # ---------------------------------------------------------------------------
 
-def _hilbert(dim: int = 1) -> KernelSpec:
+def _hilbert() -> KernelSpec:
     curve = get_curve("diagonal", 1)
 
     def fn(X, Y, rho):
@@ -142,7 +144,6 @@ class SizeReport:
 
 
 def audit_size(kernel: KernelSpec, sample_count: int = 20000, seed: int = 0,
-               half_width: float = 8.0, rounds: int = 40,
                threads: int = 1) -> SizeReport:
     """Estimate sup |K(x,y)| rho(x,y)^n by random sampling followed by
     shrinking-neighborhood refinement of the best candidates."""
@@ -155,13 +156,12 @@ def audit_size(kernel: KernelSpec, sample_count: int = 20000, seed: int = 0,
         r, K = _rho_and_kernel(kernel, X, Y, threads)
         return np.abs(K) * r ** n
 
-    X = rng.uniform(-half_width, half_width, size=(sample_count, n))
-    Y = rng.uniform(-half_width, half_width, size=(sample_count, n))
+    X, Y = audit_pairs(rng, sample_count, n)
     v = score(X, Y)
     top = np.argsort(v)[-32:]
     Xc, Yc, vc = X[top], Y[top], v[top]
-    sigma = half_width / 4.0
-    for _ in range(rounds):
+    sigma = AUDIT_HALF_WIDTH / 4.0
+    for _ in range(_SIZE_ROUNDS):
         for _ in range(4):
             Xp = Xc + rng.normal(0.0, sigma, size=Xc.shape)
             Yp = Yc + rng.normal(0.0, sigma, size=Yc.shape)
@@ -192,8 +192,7 @@ class RegularityReport:
 
 
 def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
-                     seed: int = 0, half_width: float = 8.0,
-                     threads: int = 1) -> RegularityReport:
+                     seed: int = 0, threads: int = 1) -> RegularityReport:
     """Estimate the Hoelder constants
 
         sup |K(x,y) - K(x,y')| rho(x,y)^{n+delta} / |y-y'|^delta
@@ -206,8 +205,7 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
     n = kernel.dim
     d = kernel.delta
     curve = kernel.curve
-    X = rng.uniform(-half_width, half_width, size=(sample_count, n))
-    Y = rng.uniform(-half_width, half_width, size=(sample_count, n))
+    X, Y = audit_pairs(rng, sample_count, n)
     r, _ = rho_values(curve, X, Y, threads)
     ok = r >= 1e-6
     X, Y, r = X[ok], Y[ok], r[ok]
@@ -215,29 +213,20 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
     dirs = rng.normal(size=X.shape)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    sup_y = 0.0
-    sup_x = 0.0
+    sups = [0.0, 0.0]            # displacing y, then x
     for frac in (0.5, 0.25, 0.125, 0.03125):
         h = (frac * r)[:, None] * dirs
         step = frac * r
-        Yp = Y + h
-        rp, _ = rho_values(curve, X, Yp, threads)
-        good = rp >= _RHO_FLOOR
-        if np.any(good):
-            kp = kernel.fn(X[good], Yp[good], rp[good])
-            ratio = (np.abs(base[good] - kp) * r[good] ** (n + d)
-                     / step[good] ** d)
-            sup_y = max(sup_y, float(np.max(ratio)))
-        Xp = X + h
-        rp, _ = rho_values(curve, Xp, Y, threads)
-        good = rp >= _RHO_FLOOR
-        if np.any(good):
-            kp = kernel.fn(Xp[good], Y[good], rp[good])
-            ratio = (np.abs(base[good] - kp) * r[good] ** (n + d)
-                     / step[good] ** d)
-            sup_x = max(sup_x, float(np.max(ratio)))
-    sup = max(sup_y, sup_x)
-    return RegularityReport(sup, sup_y, sup_x, kernel.size_constant, d,
+        for side, (Xp, Yp) in enumerate(((X, Y + h), (X + h, Y))):
+            rp, _ = rho_values(curve, Xp, Yp, threads)
+            good = rp >= _RHO_FLOOR
+            if np.any(good):
+                kp = kernel.fn(Xp[good], Yp[good], rp[good])
+                ratio = (np.abs(base[good] - kp) * r[good] ** (n + d)
+                         / step[good] ** d)
+                sups[side] = max(sups[side], float(np.max(ratio)))
+    sup = max(sups)
+    return RegularityReport(sup, *sups, kernel.size_constant, d,
                             sup <= kernel.size_constant * (1.0 + 1e-6),
                             sample_count)
 
@@ -256,13 +245,12 @@ class HormanderReport:
 
 
 def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
-                       grid_points: int = 1 << 19, box_factor: float = 64.0,
-                       transpose: bool = False,
+                       grid_points: int = 1 << 19, transpose: bool = False,
                        threads: int = 1) -> HormanderReport:
     """Midpoint-quadrature estimate of
     ``int_{rho(x,y) >= 2|y-z|} |K(x,y) - K(x,z)| dx`` for n = 1.
 
-    The integration variable runs over [-H, H] with H = box_factor * |y-z|;
+    The integration variable runs over [-H, H] with H = 64 |y-z|;
     the two unbounded tails are transformed by x -> 1/u and integrated by
     midpoint quadrature in u, which is accurate because the transformed
     integrand is smooth.  With ``transpose`` the roles of the arguments are
@@ -270,6 +258,8 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
     """
     if kernel.dim != 1:
         raise RejectedInputError("hormander_constant is implemented for n=1")
+    if grid_points < 1:
+        raise RejectedInputError("grid_points must be positive")
     sep = abs(z - y)
     if sep <= 0:
         raise RejectedInputError("y and z must be distinct")
@@ -286,7 +276,7 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
         mask = r1 >= 2.0 * sep
         return np.where(mask, np.abs(k1 - k2), 0.0)
 
-    H = box_factor * sep
+    H = _BOX_FACTOR * sep
     h = 2.0 * H / grid_points
     xs = -H + h * (np.arange(grid_points) + 0.5)
     value_box = float(np.sum(diff(xs)) * h)

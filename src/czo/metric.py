@@ -24,10 +24,12 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .geometry import Box, CurveBranch, HyperCurve, _golden_vec
-from .util import BOUNDING_HALF_WIDTH, as_points, pmap_chunks
+from .util import BOUNDING_HALF_WIDTH, as_points, audit_pairs, pmap_chunks
 
 _SAMPLES_PER_AXIS = 4096
 _CHUNK = 1 << 14
+_SWEEPS = 6                  # coordinate sweeps of the n-d solver
+_CONTAINS_TOL = 1e-7         # Q_theta boundary tolerance, relative to side(Q)
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def _solve_chunk_1d(branch: CurveBranch, sampler: _BranchSampler,
 
 
 def _solve_chunk_nd(branch: CurveBranch, sampler: _BranchSampler,
-                    X: np.ndarray, Y: np.ndarray, sweeps: int = 6) -> np.ndarray:
+                    X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     dim = branch.dim
 
     def g_full(T):
@@ -142,7 +144,7 @@ def _solve_chunk_nd(branch: CurveBranch, sampler: _BranchSampler,
     lo = sampler.lo[idx0]
     hi = sampler.hi[idx0]
     s = sampler.spacing[idx0]
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         for axis in range(dim):
             a = np.maximum(lo[:, axis], T[:, axis] - s[:, axis])
             b = np.minimum(hi[:, axis], T[:, axis] + s[:, axis])
@@ -251,23 +253,6 @@ def rho_tilde_star(curve: HyperCurve, x, y) -> MetricValue:
 
 
 # ---------------------------------------------------------------------------
-# Declared closed forms (test oracles and cross-checks)
-# ---------------------------------------------------------------------------
-
-def closed_form_rho_branch(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
-    """The declared exact rho_i; raises for a branch that declares none."""
-    b = curve.branch(i)
-    if b.distance is None:
-        raise RejectedInputError(
-            f"no closed-form rho for branch {i} of curve {curve.name!r}")
-    return b.distance(as_points(X, curve.dim), as_points(Y, curve.dim))
-
-
-def closed_form_rho(curve: HyperCurve, X, Y) -> np.ndarray:
-    return _min_over_branches(closed_form_rho_branch, curve, X, Y)[0]
-
-
-# ---------------------------------------------------------------------------
 # Equivalence audit
 # ---------------------------------------------------------------------------
 
@@ -282,16 +267,12 @@ class EquivalenceReport:
 
 
 def check_equivalence(curve: HyperCurve, pair_count: int, seed: int,
-                      half_width: float = 8.0,
                       threads: int = 1) -> EquivalenceReport:
     """Sample random (x, y) and verify rho <= rho~ <= 2(c+1) rho per branch
     and globally, with multiplicative slack 1 + 1e-5 for solver error."""
     if pair_count < 1:
         raise RejectedInputError("pair_count must be positive")
-    rng = np.random.default_rng(seed)
-    n = curve.dim
-    X = rng.uniform(-half_width, half_width, size=(pair_count, n))
-    Y = rng.uniform(-half_width, half_width, size=(pair_count, n))
+    X, Y = audit_pairs(np.random.default_rng(seed), pair_count, curve.dim)
     bound = 2.0 * (curve.c_gamma + 1.0)
     slack = 1.0 + 1e-5
     abs_tol = 1e-12
@@ -374,14 +355,14 @@ class EnlargedCube:
     theta: float
     curve: HyperCurve
     pieces: list[CubePiece]
-    measure_upper_bound: float
     exact: bool
 
-    def contains(self, X, tol_factor: float = 1e-7) -> np.ndarray:
+    def contains(self, X) -> np.ndarray:
         """Membership in Q_theta; boundary tolerance 1e-7 * side(Q)."""
         X = as_points(X, self.curve.dim)
         ell = self.base.side()
-        thresh = self.theta * ell * (1.0 + tol_factor) + tol_factor * ell
+        thresh = (self.theta * ell * (1.0 + _CONTAINS_TOL)
+                  + _CONTAINS_TOL * ell)
         out = np.zeros(len(X), dtype=bool)
         for p in self.pieces:
             if p.empty:
@@ -409,9 +390,8 @@ class EnlargedCube:
                 ys = _cube_y_samples(self.base, per_axis=16)
                 eta = br.nearest_range(ys)
                 pre = br.nearest_preimage(eta, ys)
-                rad = p.radius if p.radius > 0 else self.theta * ell * 2.0
-                lo = np.minimum(lo, np.min(pre, axis=0) - rad)
-                hi = np.maximum(hi, np.max(pre, axis=0) + rad)
+                lo = np.minimum(lo, np.min(pre, axis=0) - p.radius)
+                hi = np.maximum(hi, np.max(pre, axis=0) + p.radius)
         if not np.all(np.isfinite(lo)):
             return self.base
         return Box(tuple(lo), tuple(hi))
@@ -445,9 +425,7 @@ def enlarged_cube(curve: HyperCurve, Q: Box, theta: float) -> EnlargedCube:
     ell = Q.side()
     cutoff = 2.0 * math.sqrt(n) * ell
     radius = (theta + 6.0 * math.sqrt(n) * curve.c_gamma) * ell
-    omega = _unit_ball_volume(n)
     pieces = []
-    measure_ub = 0.0
     exact = True
     for i, b in enumerate(curve.branches):
         if _range_distance(b, Q) >= cutoff:
@@ -455,15 +433,13 @@ def enlarged_cube(curve: HyperCurve, Q: Box, theta: float) -> EnlargedCube:
             continue
         eb = _eta_box(b, Q)
         if eb is not None and b.preimage_boxes is not None:
-            boxes = b.preimage_boxes(eb)
-            pieces.append(CubePiece(i, empty=False, preimage_boxes=boxes,
+            pieces.append(CubePiece(i, empty=False,
+                                    preimage_boxes=b.preimage_boxes(eb),
                                     radius=radius))
-            measure_ub += max(1, len(boxes)) * omega * radius ** n
         else:
             exact = False
             pieces.append(CubePiece(i, empty=False, radius=radius))
-            measure_ub += omega * radius ** n
-    return EnlargedCube(Q, theta, curve, pieces, measure_ub, exact)
+    return EnlargedCube(Q, theta, curve, pieces, exact)
 
 
 @dataclass
@@ -494,6 +470,8 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     if theta <= hypo:
         raise RejectedInputError(
             f"theta={theta} violates the separation hypothesis (> {hypo})")
+    if check_measure and mc_samples < 1:
+        raise RejectedInputError("mc_samples must be positive")
     ec = enlarged_cube(curve, Q, theta)
     ell = Q.side()
     rng = np.random.default_rng(seed)

@@ -1,8 +1,8 @@
 """Grid functions, truncated singular operators, and branch multipliers.
 
 An operator is a plain callable ``GridFunction -> GridFunction``;
-``truncated_handle``, ``multiplier_handle``, ``sum_handle`` and
-``black_box_handle`` build them.
+``truncated_handle``, ``multiplier_handle`` and ``sum_handle`` build them,
+and any other such callable serves as one.
 
 ``apply_truncated`` realizes T_eps f(x) = sum over cells with
 rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule.  The kernel
@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, RejectedInputError
-from .geometry import Box, HyperCurve
+from .geometry import Box, HyperCurve, parse_box
 from .kernels import KernelSpec, _rho_and_kernel
 from .partition import BranchDisjointPartition
 from .util import as_points, fold_mirror_sum, pmap_chunks
@@ -46,6 +46,8 @@ def _axis_nodes(lo: float, hi: float, n_cells: int) -> np.ndarray:
 
 def grid_nodes(bx: Box, n_cells: int) -> np.ndarray:
     """Midpoint nodes of the N^n grid on bx, shape (N^n, n), row-major."""
+    if n_cells < 1:
+        raise RejectedInputError(f"a grid needs at least one cell: {n_cells}")
     axes = [_axis_nodes(bx.lo[k], bx.hi[k], n_cells) for k in range(bx.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return grid.reshape(-1, bx.dim)
@@ -142,14 +144,12 @@ def read_grid_csv(path: str) -> GridFunction:
                     header = line
                 continue
             vals.append(float(line))
-    if header is None:
+    fields = dict(part.partition("=")[::2]
+                  for part in (header or "").lstrip("#").split())
+    if not {"box", "n"} <= fields.keys():
         raise RejectedInputError(f"{path}: missing '# box=... n=...' header")
-    body = header.lstrip("#").strip()
-    fields = dict(part.split("=", 1) for part in body.split())
-    spans = fields["box"].split(",")
-    lo = tuple(float(s.split("..")[0]) for s in spans)
-    hi = tuple(float(s.split("..")[1]) for s in spans)
-    return GridFunction(Box(lo, hi), int(fields["n"]), np.array(vals))
+    return GridFunction(parse_box(fields["box"]), int(fields["n"]),
+                        np.array(vals))
 
 
 # Interpolation --------------------------------------------------------------
@@ -208,13 +208,14 @@ def _build_matrices(kernel: KernelSpec, Xout: np.ndarray,
     return np.ascontiguousarray(RK[:, 0]), np.ascontiguousarray(RK[:, 1])
 
 
-def _matrices_for(kernel: KernelSpec, Xout: np.ndarray, out_key,
+def _matrices_for(kernel: KernelSpec, out_box: Box, out_n: int,
                   gf: GridFunction, threads: int):
-    key = (out_key, gf.geometry())
+    """(R, K) from the output grid (out_box, out_n) to gf's grid, cached."""
+    key = ((out_box.lo, out_box.hi, out_n), gf.geometry())
     hit = kernel._matrices.get(key)
     if hit is not None:
         return hit
-    R, K = _build_matrices(kernel, Xout, gf, threads)
+    R, K = _build_matrices(kernel, grid_nodes(out_box, out_n), gf, threads)
     if R.size <= _CACHE_ENTRY_LIMIT:
         kernel._matrices[key] = (R, K)
     return R, K
@@ -239,9 +240,7 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
         out_box, out_n = f.box, f.cells_per_axis
     else:
         out_box, out_n = out_geometry
-    Xout = grid_nodes(out_box, out_n)
-    R, K = _matrices_for(kernel, Xout, (out_box.lo, out_box.hi, out_n),
-                         f, threads)
+    R, K = _matrices_for(kernel, out_box, out_n, f, threads)
     return GridFunction(out_box, out_n, _masked_apply(R, K, f, epsilon))
 
 
@@ -379,10 +378,6 @@ def sum_handle(*parts: _Operator) -> _Operator:
             acc = acc.with_values(acc.values + o.values)
         return acc
     return apply
-
-
-def black_box_handle(fn: _Operator) -> _Operator:
-    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,21 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 # Sampling truncation for unbounded domains.
 BOUNDING_HALF_WIDTH = 32.0
+# The random audits draw x and y from [-AUDIT_HALF_WIDTH, AUDIT_HALF_WIDTH]^n.
+AUDIT_HALF_WIDTH = 8.0
 
 
-def get_threads(threads: int | None = None) -> int:
-    if threads is not None and threads > 0:
-        return threads
-    env = os.environ.get("CZO_THREADS", "")
-    if env.strip().isdigit() and int(env) > 0:
-        return int(env)
-    return 1
+def audit_pairs(rng: np.random.Generator, count: int, dim: int):
+    """count uniform random (x, y) pairs of the audit box, as (X, Y)."""
+    w = AUDIT_HALF_WIDTH
+    return (rng.uniform(-w, w, size=(count, dim)),
+            rng.uniform(-w, w, size=(count, dim)))
 
 
 def chunk_ranges(total: int, chunk: int):

@@ -3,11 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from czo.cli import (ExperimentConfig, builtin_function, builtin_registry,
-                     main, parse_config_file, run_experiment)
+from czo.cli import (ExperimentConfig, builtin_function, main,
+                     parse_config_file, run_experiment)
+from czo.curves import get_curve
 from czo.errors import RegistryError, RejectedInputError
 from czo.geometry import HyperCurve, box
-from czo.kernels import KernelSpec
+from czo.kernels import KernelSpec, get_kernel
 from czo.operator import grid_function, write_grid_csv
 
 
@@ -37,12 +38,14 @@ class TestConfig:
 
 class TestRegistry:
     def test_curve_and_kernel_lookup(self):
-        assert isinstance(builtin_registry("two-lines"), HyperCurve)
-        assert isinstance(builtin_registry("hilbert"), KernelSpec)
+        assert isinstance(get_curve("two-lines"), HyperCurve)
+        assert isinstance(get_kernel("hilbert"), KernelSpec)
 
     def test_miss(self):
         with pytest.raises(RegistryError):
-            builtin_registry("bogus")
+            get_curve("bogus")
+        with pytest.raises(RegistryError):
+            get_kernel("bogus")
 
 
 class TestBuiltinFunctions:
@@ -94,6 +97,32 @@ class TestExitCodes:
         code = main(["decompose", f"lambda={lam}", "--out", str(tmp_path)])
         assert code == 2
         assert not (tmp_path / "decompose_cubes.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "box=3"],
+        ["decompose", "root=1"],
+        ["qtheta", "cube=5"],
+        ["decompose", "box=-8..8..9"],
+        ["apply", "n=0"],
+        ["weaktype", "out_n=0"],
+        ["partition", "--threads", "-1"],
+        ["partition", "threads=-4"],
+        ["partition", "threads=0"],
+        ["hormander", "a_list="],
+        ["hormander", "hormander_grid=0"],
+        ["qtheta", "mc_samples=0"],
+    ], ids=" ".join)
+    def test_bad_value_exits_2(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_custom_csv_without_n_exits_2(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("# box=0.0..1.0\n1.0\n2.0\n")
+        out = tmp_path / "out"
+        assert main(["decompose", f"function=custom:{p}",
+                     "--out", str(out)]) == 2
+        assert not any(out.iterdir())
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["apply", "--config", str(tmp_path / "nope"),

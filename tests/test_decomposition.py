@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from czo.errors import RejectedInputError
 from czo.geometry import box
 from czo.kernels import get_kernel
 from czo.metric import enlarged_cube, rho_values
-from czo.operator import GridFunction, grid_function, grid_nodes
+from czo.operator import (GridFunction, apply_truncated, grid_function,
+                          grid_nodes)
 
 B8 = box(-8.0, 8.0)
 
@@ -296,6 +298,37 @@ class TestWeakType:
         for row in rep.rows:
             assert row.bad_integral >= 0.0
             assert row.b_star_measure >= 0.0
+
+    def test_rows_match_apply_truncated(self):
+        # The experiment's own eps-mask agrees with the public apply path.
+        k = get_kernel("two-line-hilbert")
+        nodes = grid_nodes(B8, 128)[:, 0]
+        family = [GridFunction(B8, 128,
+                               ((nodes >= -1) & (nodes <= 1)).astype(float)),
+                  GridFunction(B8, 128, np.exp(-nodes ** 2))]
+        eps, theta, out_cells = 0.1, 8.1, 64
+        rep = weak_type_experiment(k, family, eps, theta,
+                                   out_cells=out_cells, ladder_max=4)
+        Xout = grid_nodes(B8, out_cells)
+        cell = B8.side() / out_cells
+
+        def T(g):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return apply_truncated(k, g, eps, (g.box, out_cells)).values
+
+        assert any(row.bad_integral > 0.0 for row in rep.rows)
+        for row in rep.rows:
+            f = family[row.function_index]
+            assert row.superlevel_measure == float(
+                np.count_nonzero(np.abs(T(f)) >= row.lam) * cell)
+            dec = cz_decompose(f, row.lam)
+            in_bstar = np.zeros(len(Xout), dtype=bool)
+            for c in dec.cubes:
+                in_bstar |= enlarged_cube(k.curve, c.box, theta).contains(Xout)
+            want = sum(float(np.sum(np.abs(T(b)[~in_bstar])) * cell)
+                       for b in dec.bad)
+            assert abs(row.bad_integral - want) <= 1e-12 * want
 
     def test_separation_inheritance(self):
         # Every selected cube's enlargement keeps outsiders rho-far from it.

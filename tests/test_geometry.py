@@ -9,8 +9,7 @@ from czo.curves import get_curve
 from czo.errors import CurveValidityError, RegistryError, RejectedInputError
 from czo.geometry import (Box, CurveBranch, DyadicCube, HyperCurve, box,
                           branch_eval, branch_inverse, branch_jacobian,
-                          dyadic_relation, nearest_domain_point,
-                          nearest_range_point, region, validate_curve,
+                          dyadic_relation, region, validate_curve,
                           whole_space)
 
 
@@ -151,9 +150,9 @@ class TestCurveOps:
 
     def test_nearest_points(self):
         c = get_curve("diamond")
-        assert nearest_domain_point(c, 0, 3.0)[0] == 1.0
-        assert nearest_range_point(c, 0, 2.0)[0] == 1.0
-        assert nearest_range_point(c, 1, 2.0)[0] == 0.0
+        assert c.branch(0).domain.clamp(3.0)[0, 0] == 1.0
+        assert c.branch(0).nearest_range(2.0)[0, 0] == 1.0
+        assert c.branch(1).nearest_range(2.0)[0, 0] == 0.0
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_sampled_range_tie_takes_smallest_parameter(self, order):
@@ -165,8 +164,7 @@ class TestCurveOps:
                          forward=lambda X: X.copy(),
                          inverse=lambda Y: Y.copy(),
                          jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
-        c = HyperCurve("split", [br])
-        assert nearest_range_point(c, 0, 0.0)[0] == -1.0
+        assert br.nearest_range(0.0)[0, 0] == -1.0
         assert region(*boxes).clamp(np.array([[0.0]]))[0, 0] == -1.0
 
     @pytest.mark.parametrize("name,i", [("diagonal", 0), ("two-lines", 0),
@@ -178,8 +176,6 @@ class TestCurveOps:
         Y = np.linspace(-30.0, 30.0, 601).reshape(-1, 1)
         want = declared.range_region.clamp(Y)
         assert np.max(np.abs(sampled.nearest_range(Y) - want)) <= 1e-12
-        c = HyperCurve("stripped", [sampled])
-        assert np.max(np.abs(nearest_range_point(c, 0, Y) - want)) <= 1e-12
 
     def test_bad_branch_index(self):
         c = get_curve("diagonal")

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from czo.curves import CURVE_NAMES, diagonal, get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import CurveBranch, HyperCurve, box, whole_space
-from czo.metric import (check_equivalence, check_qtheta, closed_form_rho,
-                        closed_form_rho_branch, enlarged_cube, rho,
+from czo.metric import (check_equivalence, check_qtheta, enlarged_cube, rho,
                         rho_branch_values, rho_tilde, rho_tilde_star,
                         rho_tilde_star_branch_values, rho_tilde_values,
                         rho_values, sampled_rho_branch_values)
@@ -48,16 +47,6 @@ def brute_wavy_rho(x: float, y: float) -> float:
 
 
 class TestSolverAgainstClosedForms:
-    @pytest.mark.parametrize("name", ["diagonal", "two-lines", "diamond"])
-    def test_solver_matches_closed_form(self, name):
-        curve = get_curve(name)
-        rng = np.random.default_rng(11)
-        X = rng.uniform(-8, 8, size=(500, 1))
-        Y = rng.uniform(-8, 8, size=(500, 1))
-        got, _ = rho_values(curve, X, Y)
-        want = closed_form_rho(curve, X, Y)
-        assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) < 1e-9
-
     def test_far_queries_trigger_extent_growth(self):
         curve = get_curve("diagonal")
         X = np.array([[500.0]])
@@ -85,9 +74,9 @@ class TestWorkedValues:
 
     def test_two_lines_branch_values(self):
         curve = get_curve("two-lines")
-        assert closed_form_rho_branch(curve, 0, [[1.0]], [[3.0]])[0] == \
+        assert rho_branch_values(curve, 0, [[1.0]], [[3.0]])[0] == \
             pytest.approx(2.0 / SQ2)
-        assert closed_form_rho_branch(curve, 1, [[1.0]], [[3.0]])[0] == \
+        assert rho_branch_values(curve, 1, [[1.0]], [[3.0]])[0] == \
             pytest.approx(4.0 / SQ2)
 
     def test_tilde_on_diagonal(self):
@@ -259,7 +248,3 @@ class TestDeclaredDistancePath:
         per_branch = np.stack([b.distance(X, Y) for b in curve.branches])
         assert np.array_equal(got, np.min(per_branch, axis=0))
         assert np.array_equal(branch, np.argmin(per_branch, axis=0))
-
-    def test_closed_form_needs_a_declared_distance(self):
-        with pytest.raises(RejectedInputError):
-            closed_form_rho(wavy_curve(), [[0.0]], [[1.0]])

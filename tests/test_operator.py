@@ -10,7 +10,7 @@ from czo.geometry import CurveBranch, DyadicCube, HyperCurve, box, whole_space
 from czo.kernels import KernelSpec, get_kernel
 from czo.metric import rho_values
 from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
-                          apply_truncated_at, black_box_handle, estimate_T0,
+                          apply_truncated_at, estimate_T0,
                           grid_function, grid_nodes, interpolate,
                           multiplier_bound_check, multiplier_field,
                           multiplier_handle, read_grid_csv,
@@ -61,6 +61,20 @@ class TestGridFunction:
         p.write_text("1.0\n2.0\n")
         with pytest.raises(RejectedInputError):
             read_grid_csv(str(p))
+
+    @pytest.mark.parametrize("header", ["# box=0.0..1.0",
+                                        "# box=0.0 n=2",
+                                        "# box=0.0..1.0..2.0 n=2",
+                                        "# box=0.0..1.0, n=2"])
+    def test_csv_malformed_header(self, tmp_path, header):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"{header}\n1.0\n2.0\n")
+        with pytest.raises(RejectedInputError):
+            read_grid_csv(str(p))
+
+    def test_grid_nodes_rejects_empty_grid(self):
+        with pytest.raises(RejectedInputError):
+            grid_nodes(B8, 0)
 
 
 class TestInterpolation:
@@ -261,7 +275,7 @@ class TestRecovery:
     def test_zero_operator_recovers_zero(self):
         curve = get_curve("two-lines")
         part = build_partition(curve, max_depth=6)
-        rec = recover_multipliers(black_box_handle(zeros_like), curve, part,
+        rec = recover_multipliers(zeros_like, curve, part,
                                   B8, 128)
         assert np.all(rec.fields == 0.0)
 
@@ -275,10 +289,10 @@ class TestRecovery:
 
     def test_sum_handle_rejects_mismatched_grids(self):
         f = grid_function(B8, 64, lambda X: np.cos(X[:, 0]))
-        coarse = black_box_handle(
-            lambda g: grid_function(g.box, 32, np.ones(32)))
+        def coarse(g):
+            return grid_function(g.box, 32, np.ones(32))
         with pytest.raises(ConsistencyError, match="output geometry"):
-            sum_handle(black_box_handle(zeros_like), coarse)(f)
+            sum_handle(zeros_like, coarse)(f)
 
     def test_overlapping_branches_rejected(self):
         # Two identity branches send every node into the one cube [0, 1].
@@ -294,7 +308,7 @@ class TestRecovery:
                                        probabilistic=False)
         with pytest.raises(ConsistencyError,
                            match=r"node \(.*0\.125.*\) into the same "):
-            recover_multipliers(black_box_handle(zeros_like), curve, part,
+            recover_multipliers(zeros_like, curve, part,
                                 box(0.0, 1.0), 4)
 
     def test_truncated_handle_matches_direct(self):
