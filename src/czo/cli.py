@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .geometry import Box, parse_box
 from .kernels import (audit_regularity, audit_size, get_kernel,
                       hormander_constant)
 from .metric import check_equivalence, check_qtheta
-from .operator import (GridFunction, apply_truncated_at, estimate_T0,
+from .operator import (GridFunction, apply_truncated, estimate_T0,
                        grid_nodes, multiplier_field, multiplier_handle,
                        read_grid_csv, recover_multipliers, write_grid_csv)
 from .partition import build_partition
@@ -224,10 +225,12 @@ def _run_kernel_audit(cfg, out_dir, threads) -> int:
                       threads=threads)
     rows = [("size", size.supremum, size.bound, int(size.passed))]
     code = 0 if size.passed else 1
-    if kernel.regularity_audited:
+    if kernel.regularity_constant is not None:
         reg = audit_regularity(kernel, cfg.get_int("samples"),
                                cfg.get_int("seed"), threads=threads)
         rows.append(("regularity", reg.supremum, reg.bound, int(reg.passed)))
+        if not reg.passed:
+            code = 1
     _write_csv(os.path.join(out_dir, "kernel_audit.csv"),
                ["audit", "supremum", "bound", "passed"], rows,
                comments=[f"kernel={kernel.name}"])
@@ -255,11 +258,12 @@ def _run_apply(cfg, out_dir, threads) -> int:
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
     eps = cfg.get_float("eps")
-    out_n = cfg.get_int("out_n")
-    X = grid_nodes(bx, out_n)
-    vals = apply_truncated_at(kernel, f, X, eps, threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = apply_truncated(kernel, f, eps, (bx, cfg.get_int("out_n")),
+                              threads)
     _write_csv(os.path.join(out_dir, "apply.csv"), ["x", "value"],
-               list(zip(X[:, 0].tolist(), vals.tolist())),
+               list(zip(out.nodes()[:, 0].tolist(), out.values.tolist())),
                comments=[f"kernel={kernel.name} eps={eps!r}"])
     return 0
 

@@ -34,7 +34,11 @@ class KernelSpec:
 
     ``fn(X, Y, rho)`` evaluates K on point arrays given the precomputed
     curve distances, so repeated applications can reuse cached rho values.
-    ``size_constant`` is the declared bound for sup |K| rho^n.
+    ``size_constant`` is the declared bound for sup |K| rho^n, and
+    ``regularity_constant`` the declared Hoelder constant that
+    ``audit_regularity`` checks (None: not audited).
+    ``translation_invariant`` declares that K(x, y) and rho(x, y) depend on
+    x - y alone, which lets ``apply_truncated`` sum by lattice convolution.
     """
 
     name: str
@@ -42,9 +46,11 @@ class KernelSpec:
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     size_constant: float
     delta: float
-    regularity_audited: bool = True
-    # apply_truncated's (R, K) matrices, keyed on the output and input grids;
-    # held per kernel, so kernels that share a name never share matrices.
+    regularity_constant: Optional[float] = None
+    translation_invariant: bool = False
+    # apply_truncated's dense (R, K) matrices or lattice (R, K) vectors,
+    # keyed on the grids; held per kernel, so kernels that share a name
+    # never share them.
     _matrices: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -80,14 +86,21 @@ def _rho_and_kernel(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray,
 # Built-in kernels
 # ---------------------------------------------------------------------------
 
+_HILBERT_REGULARITY = 1.0 / (2.0 - 1.0 / math.sqrt(2.0))
+
+
 def _hilbert() -> KernelSpec:
     curve = get_curve("diagonal", 1)
 
     def fn(X, Y, rho):
         return 1.0 / (X[:, 0] - Y[:, 0])
 
+    # With rho = |x-y|/sqrt(2) and |y-y'| <= rho/2, the Hoelder quotient is
+    # rho^2 / (|x-y| |x-y'|) <= 1/(2 - 1/sqrt(2)); the same holds in x.
     return KernelSpec("hilbert", curve, fn,
-                      size_constant=1.0 / math.sqrt(2.0) + 1e-3, delta=1.0)
+                      size_constant=1.0 / math.sqrt(2.0) + 1e-3, delta=1.0,
+                      regularity_constant=_HILBERT_REGULARITY,
+                      translation_invariant=True)
 
 
 def _two_line_hilbert() -> KernelSpec:
@@ -98,8 +111,10 @@ def _two_line_hilbert() -> KernelSpec:
         y = Y[:, 0]
         return 1.0 / (x - y) + 1.0 / (x + y)
 
+    # Each term obeys the hilbert bound against its own line.
     return KernelSpec("two-line-hilbert", curve, fn,
-                      size_constant=math.sqrt(2.0) + 1e-3, delta=1.0)
+                      size_constant=math.sqrt(2.0) + 1e-3, delta=1.0,
+                      regularity_constant=2.0 * _HILBERT_REGULARITY)
 
 
 def _diamond_model() -> KernelSpec:
@@ -108,11 +123,10 @@ def _diamond_model() -> KernelSpec:
     def fn(X, Y, rho):
         return np.sign(X[:, 0] - Y[:, 0]) / rho
 
-    # The sign factor is discontinuous across x = y, so the Hoelder audit is
-    # not expected to hold; the size bound still is.
+    # The sign factor is discontinuous across x = y, so no Hoelder constant
+    # is declared; the size bound still holds.
     return KernelSpec("diamond-model", curve, fn,
-                      size_constant=1.0 + 1e-3, delta=1.0,
-                      regularity_audited=False)
+                      size_constant=1.0 + 1e-3, delta=1.0)
 
 
 _BUILDERS = {
@@ -198,9 +212,14 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
         sup |K(x,y) - K(x,y')| rho(x,y)^{n+delta} / |y-y'|^delta
 
     over displacements |y-y'| <= rho(x,y)/2, and the analogous supremum in
-    the first argument.  Displacements are sampled at dyadic fractions of
-    the allowance, so the estimate is stable under resampling.
+    the first argument, and compare it with the declared
+    ``regularity_constant``.  Displacements are sampled at dyadic fractions
+    of the allowance, so the estimate is stable under resampling.
     """
+    bound = kernel.regularity_constant
+    if bound is None:
+        raise RejectedInputError(
+            f"kernel {kernel.name!r} declares no regularity constant")
     rng = np.random.default_rng(seed)
     n = kernel.dim
     d = kernel.delta
@@ -226,9 +245,8 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
                          / step[good] ** d)
                 sups[side] = max(sups[side], float(np.max(ratio)))
     sup = max(sups)
-    return RegularityReport(sup, *sups, kernel.size_constant, d,
-                            sup <= kernel.size_constant * (1.0 + 1e-6),
-                            sample_count)
+    return RegularityReport(sup, *sups, bound, d,
+                            sup <= bound * (1.0 + 1e-6), sample_count)
 
 
 # ---------------------------------------------------------------------------

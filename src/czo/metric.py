@@ -465,6 +465,9 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     C = omega_n * r * (1 + 6 sqrt(n) c_gamma / theta)^n visible in the
     covering-ball argument.
     """
+    if probe_count < 1:
+        raise RejectedInputError(
+            f"probe_count must be at least 1: {probe_count}")
     n = curve.dim
     hypo = 2.0 * math.sqrt(n) + 5.0 * math.sqrt(n) * curve.c_gamma
     if theta <= hypo:

@@ -5,11 +5,27 @@ An operator is a plain callable ``GridFunction -> GridFunction``;
 and any other such callable serves as one.
 
 ``apply_truncated`` realizes T_eps f(x) = sum over cells with
-rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule.  The kernel
-and rho matrices for an (output geometry, input geometry) pair are cached on
-the kernel object, so sweeping eps only changes the mask.  Inner sums pair
-each cell with its mirror cell before accumulating, so integrands that are
-exactly antisymmetric on a symmetric grid cancel bitwise.
+rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule, on one of
+two paths chosen from what it can observe:
+
+- Lattice path: the kernel declares ``translation_invariant``, n = 1, the
+  output grid lies on f's box and its cell count divides f's (s = N_in /
+  N_out).  Every x_i - y_j is then one of the 2 N_in - s lattice offsets
+  (s i + (s-1)/2 - j) h, so rho and K are evaluated once on those offsets,
+  cached on the kernel (O(N) memory), masked per eps and summed directly
+  in fixed chunks of at most ``_TAP_CHUNK`` taps.
+- Dense path, everything else: the rho and K matrices of the (output grid,
+  input grid) pair are cached on the kernel, so sweeping eps only changes
+  the mask.  Inner sums pair each cell with its mirror cell before
+  accumulating, so integrands that are exactly antisymmetric on a
+  symmetric grid cancel bitwise.
+
+Both paths sum directly rather than by FFT.  An FFT leaves a residue of
+about 1e-16 |k| |f| at every point, even where every unmasked term is 0;
+direct summation gives exactly 0 there, and across an eps ladder it keeps
+T_eps f bit-identical at points whose distance from supp f exceeds eps.
+The fixed chunks keep each dot product below the length at which BLAS
+splits it over threads, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -227,6 +243,66 @@ def _masked_apply(R: np.ndarray, K: np.ndarray, gf: GridFunction,
     return fold_mirror_sum(W, axis=1) * gf.h ** gf.dim
 
 
+# Taps per dot product, and output rows per task, on the lattice path.
+# BLAS may split longer dot products over threads, which would make the
+# bits depend on the thread count; below this length each one runs on a
+# single thread.
+_TAP_CHUNK = 4096
+
+
+def _lattice_step(kernel: KernelSpec, out_box: Box, out_n: int,
+                  f: GridFunction) -> int:
+    """s = N_in / N_out when T_eps f can be summed by lattice convolution
+    (a translation-invariant 1-D kernel, the output grid on f's box with a
+    cell count dividing f's), else 0."""
+    n_in = f.cells_per_axis
+    if (kernel.translation_invariant and kernel.dim == 1
+            and out_box == f.box and 0 < out_n and n_in % out_n == 0):
+        return n_in // out_n
+    return 0
+
+
+def _lattice_for(kernel: KernelSpec, f: GridFunction, step: int,
+                 threads: int):
+    """(rho, K) at the offsets x_i - y_j = (step*i + (step-1)/2 - j) h,
+    indexed by step*i - j + N_in - 1; cached on the kernel."""
+    key = ("lattice", f.geometry(), step)
+    hit = kernel._matrices.get(key)
+    if hit is None:
+        n_in = f.cells_per_axis
+        d = (np.arange(1 - n_in, n_in - step + 1) + (step - 1) / 2) * f.h
+        hit = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)),
+                              threads)
+        kernel._matrices[key] = hit
+    return hit
+
+
+def _lattice_apply(R: np.ndarray, K: np.ndarray, f: GridFunction,
+                   step: int, epsilon: float, threads: int) -> np.ndarray:
+    """out_i = h sum_j taps[step*i - j + N_in - 1] f_j.
+
+    The masked taps and the reversed f are split by residue mod step, so
+    out_i = sum over r and v of taps_r[i + v] g_r[v], summed in the same
+    fixed chunks of v for every i; splitting the outputs over threads
+    therefore leaves every bit unchanged."""
+    taps = np.where(R >= epsilon, K, 0.0)
+    g = f.values[::-1]
+    n_out = len(g) // step
+    phases = [(np.ascontiguousarray(taps[r::step]),
+               np.ascontiguousarray(g[r::step])) for r in range(step)]
+
+    def rows(i0, i1):
+        out = np.zeros(i1 - i0)
+        for a, b in phases:
+            for v0 in range(0, n_out, _TAP_CHUNK):
+                v1 = min(v0 + _TAP_CHUNK, n_out)
+                out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
+                                    "valid")
+        return out
+
+    return pmap_chunks(rows, n_out, _TAP_CHUNK, threads) * f.h
+
+
 def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
                     out_geometry: Optional[tuple[Box, int]] = None,
                     threads: int = 1) -> GridFunction:
@@ -240,8 +316,14 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
         out_box, out_n = f.box, f.cells_per_axis
     else:
         out_box, out_n = out_geometry
-    R, K = _matrices_for(kernel, out_box, out_n, f, threads)
-    return GridFunction(out_box, out_n, _masked_apply(R, K, f, epsilon))
+    step = _lattice_step(kernel, out_box, out_n, f)
+    if step:
+        R, K = _lattice_for(kernel, f, step, threads)
+        vals = _lattice_apply(R, K, f, step, epsilon, threads)
+    else:
+        R, K = _matrices_for(kernel, out_box, out_n, f, threads)
+        vals = _masked_apply(R, K, f, epsilon)
+    return GridFunction(out_box, out_n, vals)
 
 
 def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -115,6 +116,31 @@ class TestExitCodes:
     def test_bad_value_exits_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("probes", ["0", "-3"])
+    def test_qtheta_names_bad_probe_count(self, tmp_path, capsys, probes):
+        assert main(["qtheta", f"probes={probes}", "mc_samples=100",
+                     "--out", str(tmp_path)]) == 2
+        assert "probe_count" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_kernel_audit_regularity_row_sets_exit_code(self, tmp_path,
+                                                        monkeypatch):
+        import czo.cli as cli
+
+        assert main(["kernel-audit", "samples=2000",
+                     "--out", str(tmp_path / "ok")]) == 0
+        rows = (tmp_path / "ok" / "kernel_audit.csv").read_text()
+        assert rows.splitlines()[-1].endswith(",1")
+        k = get_kernel("two-line-hilbert")
+        small = dataclasses.replace(
+            k, regularity_constant=0.5 * k.regularity_constant)
+        monkeypatch.setattr(cli, "get_kernel", lambda name: small)
+        assert main(["kernel-audit", "samples=2000",
+                     "--out", str(tmp_path / "bad")]) == 1
+        rows = (tmp_path / "bad" / "kernel_audit.csv").read_text()
+        assert rows.splitlines()[-1].startswith("regularity,")
+        assert rows.splitlines()[-1].endswith(",0")
 
     def test_custom_csv_without_n_exits_2(self, tmp_path):
         p = tmp_path / "g.csv"

@@ -193,6 +193,12 @@ class TestQTheta:
         with pytest.raises(RejectedInputError):
             check_qtheta(get_curve("two-lines"), box(0.0, 1.0), 5.0)
 
+    @pytest.mark.parametrize("probes", [0, -3])
+    def test_probe_count_must_be_positive(self, probes):
+        with pytest.raises(RejectedInputError, match="probe_count"):
+            check_qtheta(get_curve("two-lines"), box(2.0, 3.0), 8.1,
+                         probe_count=probes, check_measure=False)
+
 
 class TestSampledSolverAgainstDeclaredDistances:
     """The sampled solver is the fallback for branches without a declared

@@ -189,7 +189,7 @@ class TestMatrixCache:
     def test_new_epsilon_reuses_the_kernel_matrices(self, monkeypatch):
         import czo.operator as op
 
-        kernel = get_kernel("hilbert")
+        kernel = get_kernel("two-line-hilbert")
         f = grid_function(B8, 64, lambda X: np.exp(-X[:, 0] ** 2))
         quiet_apply(kernel, f, 0.5)
         builds = []
@@ -198,7 +198,7 @@ class TestMatrixCache:
                             lambda *a: builds.append(1) or build(*a))
         quiet_apply(kernel, f, 0.25)
         assert builds == []
-        quiet_apply(get_kernel("hilbert"), f, 0.25)
+        quiet_apply(get_kernel("two-line-hilbert"), f, 0.25)
         assert builds == [1]
 
 
