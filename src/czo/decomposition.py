@@ -21,8 +21,9 @@ import numpy as np
 from .errors import RejectedInputError
 from .geometry import Box
 from .kernels import KernelSpec
-from .metric import enlarged_cube
-from .operator import GridFunction, _matrices_for, grid_nodes
+from .metric import _require_separation, enlarged_cube
+from .operator import (GridFunction, _matrices_for, _require_epsilon,
+                       grid_nodes)
 from .util import fold_mirror_sum
 
 
@@ -187,10 +188,9 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
     quantities (exceptional-set measure, bad-part integral off it)."""
     if len(family) == 0:
         raise RejectedInputError("family must be nonempty")
+    _require_epsilon(epsilon)
+    _require_separation(kernel.curve, theta)
     n = kernel.dim
-    hypo = (2.0 + 5.0 * kernel.curve.c_gamma) * math.sqrt(n)
-    if theta <= hypo:
-        raise RejectedInputError(f"theta must exceed {hypo}")
     rows = []
     for fi, f in enumerate(family):
         l1 = lp_norm(f, 1.0)

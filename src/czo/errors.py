@@ -13,10 +13,6 @@ class CurveValidityError(CzoError):
     """A curve declaration is inconsistent (e.g. vanishing Jacobian)."""
 
 
-class SingularityError(CzoError):
-    """A kernel was evaluated on (or too close to) its singular set."""
-
-
 class ConsistencyError(CzoError):
     """An internal invariant that should be unbreakable was broken."""
 

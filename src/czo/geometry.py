@@ -212,21 +212,6 @@ class DyadicCube:
                                   tuple(b + o for b, o in zip(base, off))))
         return out
 
-    def contains(self, X, tol: float = 0.0) -> np.ndarray:
-        return self.as_box().contains(X, tol)
-
-
-def dyadic_relation(a: DyadicCube, b: DyadicCube) -> str:
-    """Classify a pair: 'disjoint' (disjoint interiors), 'nested', or 'equal'."""
-    if a == b:
-        return "equal"
-    lo, hi = (a, b) if a.level <= b.level else (b, a)
-    shift = hi.level - lo.level
-    ancestor = tuple(c >> shift for c in hi.corner)
-    if ancestor == lo.corner:
-        return "nested"
-    return "disjoint"
-
 
 # ---------------------------------------------------------------------------
 # Curve branches and hyper curves
@@ -353,31 +338,6 @@ class HyperCurve:
 # Operations
 # ---------------------------------------------------------------------------
 
-_DOMAIN_TOL = 1e-12
-
-
-def branch_eval(curve: HyperCurve, i: int, x) -> np.ndarray:
-    """Evaluate gamma_i(x); x must lie in D_i."""
-    b = curve.branch(i)
-    X = as_points(x, curve.dim)
-    if not bool(np.all(b.domain.contains(X, tol=_DOMAIN_TOL))):
-        raise RejectedInputError(f"point {x} outside domain of branch {i}")
-    return b.forward(X)[0] if np.ndim(x) <= 1 else b.forward(X)
-
-
-def branch_inverse(curve: HyperCurve, i: int, y) -> np.ndarray:
-    """Evaluate gamma_i^{-1}(y); y must lie in the branch range."""
-    b = curve.branch(i)
-    Y = as_points(y, curve.dim)
-    if b.range_region is not None:
-        if not bool(np.all(b.range_region.contains(Y, tol=1e-9))):
-            raise RejectedInputError(f"point {y} outside range of branch {i}")
-    X = b.inv(Y)
-    if not bool(np.all(b.domain.contains(X, tol=1e-9))):
-        raise RejectedInputError(f"point {y} outside range of branch {i}")
-    return X[0] if np.ndim(y) <= 1 else X
-
-
 _RANGE_SAMPLES = 4096
 _RANGE_CHUNK = 256           # queries per block of the sample argmin
 _GOLDEN_ITERS = 64
@@ -434,21 +394,6 @@ def _sampled_nearest_range(b: CurveBranch, Y: np.ndarray) -> np.ndarray:
     g_k = g(t[k])
     refined = (g_best < g_k) | ((g_best == g_k) & (t_best < t[k]))
     return b.forward(np.where(refined, t_best, t[k])[:, None])
-
-
-def branch_jacobian(curve: HyperCurve, i: int, x) -> float:
-    """det J_{gamma_i}(x) for x in the interior of D_i."""
-    b = curve.branch(i)
-    X = as_points(x, curve.dim)
-    inside = b.domain.contains(X, tol=-1e-12)
-    if not bool(np.all(inside)):
-        raise RejectedInputError(
-            f"point {x} not in the interior of the domain of branch {i}")
-    J = b.jac(X)
-    if np.any(J == 0.0):
-        raise CurveValidityError(
-            f"branch {i} has vanishing Jacobian at {x}")
-    return float(J[0]) if np.ndim(x) <= 1 else J
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curves import get_curve
-from .errors import RegistryError, RejectedInputError, SingularityError
+from .errors import RegistryError, RejectedInputError
 from .geometry import HyperCurve
 from .metric import rho_values
-from .util import AUDIT_HALF_WIDTH, as_points, audit_pairs
+from .util import AUDIT_HALF_WIDTH, audit_pairs
 
 _RHO_FLOOR = 1e-12
 _SIZE_ROUNDS = 40            # shrinking-neighbourhood rounds of audit_size
@@ -57,19 +57,6 @@ class KernelSpec:
     @property
     def dim(self) -> int:
         return self.curve.dim
-
-
-def kernel_eval(kernel: KernelSpec, x, y, rho: Optional[np.ndarray] = None,
-                threads: int = 1) -> np.ndarray:
-    """Evaluate K pointwise; rejects evaluation on the singular set."""
-    X = as_points(x, kernel.dim)
-    Y = as_points(y, kernel.dim)
-    if rho is None:
-        rho, _ = rho_values(kernel.curve, X, Y, threads)
-    if np.any(rho < _RHO_FLOOR):
-        raise SingularityError("kernel evaluated on (or within 1e-12 of) "
-                               "the singular curve")
-    return kernel.fn(X, Y, rho)
 
 
 def _rho_and_kernel(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray,

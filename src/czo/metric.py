@@ -1,10 +1,11 @@
 """Curve distances and enlarged cubes.
 
-``rho`` is the Euclidean distance from a point (x, y) in R^{2n} to the curve;
-``rho_tilde`` and ``rho_tilde_star`` are the cheap projection-based
-surrogates built from nearest domain / range points.  All three are
-equivalent up to the factor 2(c_gamma + 1), which check_equivalence verifies
-empirically.
+``rho_values`` is the Euclidean distance from each point (x, y) in R^{2n} to
+the curve, the minimum over branches of ``rho_branch_values``;
+``rho_tilde_branch_values`` and ``rho_tilde_star_branch_values`` are the
+cheap projection-based surrogates per branch, built from nearest domain /
+range points.  All three are equivalent up to the factor 2(c_gamma + 1),
+which check_equivalence verifies empirically.
 
 rho takes one of two paths per branch.  A branch that declares its exact
 ``distance`` (every branch of the built-in curves does) is evaluated in
@@ -30,14 +31,6 @@ _SAMPLES_PER_AXIS = 4096
 _CHUNK = 1 << 14
 _SWEEPS = 6                  # coordinate sweeps of the n-d solver
 _CONTAINS_TOL = 1e-7         # Q_theta boundary tolerance, relative to side(Q)
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    """A nonnegative distance plus the branch index attaining it."""
-
-    value: float
-    branch: int
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +182,11 @@ def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y,
     return pmap_chunks(run, len(X), _CHUNK, threads)
 
 
-def _min_over_branches(branch_values, curve: HyperCurve, X, Y, *args):
-    """Min and argmin over i of branch_values(curve, i, X, Y, *args)."""
-    stacked = np.stack([branch_values(curve, i, X, Y, *args)
-                        for i in range(curve.r)])
-    return np.min(stacked, axis=0), np.argmin(stacked, axis=0)
-
-
 def rho_values(curve: HyperCurve, X, Y, threads: int = 1):
     """min over branches of rho_i; returns (values, attaining branch indices)."""
-    return _min_over_branches(rho_branch_values, curve, X, Y, threads)
+    stacked = np.stack([rho_branch_values(curve, i, X, Y, threads)
+                        for i in range(curve.r)])
+    return np.min(stacked, axis=0), np.argmin(stacked, axis=0)
 
 
 def rho_tilde_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
@@ -209,10 +197,6 @@ def rho_tilde_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     xi = b.domain.clamp(X)
     return (np.sqrt(np.sum((X - xi) ** 2, axis=1))
             + np.sqrt(np.sum((Y - b.forward(xi)) ** 2, axis=1)))
-
-
-def rho_tilde_values(curve: HyperCurve, X, Y):
-    return _min_over_branches(rho_tilde_branch_values, curve, X, Y)
 
 
 def rho_tilde_star_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
@@ -229,27 +213,6 @@ def rho_tilde_star_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     pre = b.nearest_preimage(eta, X)
     return (np.sqrt(np.sum((Y - eta) ** 2, axis=1))
             + np.sqrt(np.sum((X - pre) ** 2, axis=1)))
-
-
-def rho_tilde_star_values(curve: HyperCurve, X, Y):
-    return _min_over_branches(rho_tilde_star_branch_values, curve, X, Y)
-
-
-# Scalar wrappers ------------------------------------------------------------
-
-def rho(curve: HyperCurve, x, y) -> MetricValue:
-    v, b = rho_values(curve, x, y)
-    return MetricValue(float(v[0]), int(b[0]))
-
-
-def rho_tilde(curve: HyperCurve, x, y) -> MetricValue:
-    v, b = rho_tilde_values(curve, x, y)
-    return MetricValue(float(v[0]), int(b[0]))
-
-
-def rho_tilde_star(curve: HyperCurve, x, y) -> MetricValue:
-    v, b = rho_tilde_star_values(curve, x, y)
-    return MetricValue(float(v[0]), int(b[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +382,11 @@ def enlarged_cube(curve: HyperCurve, Q: Box, theta: float) -> EnlargedCube:
     """Build Q_theta = union over branches of {x : d(x, gamma_i^{-1}(eta_{i,Q}))
     <= theta * side(Q)}, with each piece empty when the branch range is at
     distance >= 2 sqrt(n) side(Q) from Q."""
-    if theta <= 1.0:
-        raise RejectedInputError("theta must exceed 1")
+    if not (math.isfinite(theta) and theta > 1.0):
+        raise RejectedInputError(f"theta must be finite and exceed 1: {theta}")
+    if not Q.is_bounded or min(Q.hi_a - Q.lo_a) <= 0.0:
+        raise RejectedInputError(
+            f"cube Q must be bounded with positive edges: {Q}")
     n = curve.dim
     ell = Q.side()
     cutoff = 2.0 * math.sqrt(n) * ell
@@ -440,6 +406,16 @@ def enlarged_cube(curve: HyperCurve, Q: Box, theta: float) -> EnlargedCube:
             exact = False
             pieces.append(CubePiece(i, empty=False, radius=radius))
     return EnlargedCube(Q, theta, curve, pieces, exact)
+
+
+def _require_separation(curve: HyperCurve, theta: float) -> None:
+    """Reject theta unless it is finite and exceeds the separation
+    hypothesis bound 2 sqrt(n) + 5 sqrt(n) c_gamma."""
+    n = curve.dim
+    hypo = 2.0 * math.sqrt(n) + 5.0 * math.sqrt(n) * curve.c_gamma
+    if not (math.isfinite(theta) and theta > hypo):
+        raise RejectedInputError(f"theta={theta} violates the separation "
+                                 f"hypothesis (finite, > {hypo})")
 
 
 @dataclass
@@ -468,14 +444,11 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     if probe_count < 1:
         raise RejectedInputError(
             f"probe_count must be at least 1: {probe_count}")
-    n = curve.dim
-    hypo = 2.0 * math.sqrt(n) + 5.0 * math.sqrt(n) * curve.c_gamma
-    if theta <= hypo:
-        raise RejectedInputError(
-            f"theta={theta} violates the separation hypothesis (> {hypo})")
+    _require_separation(curve, theta)
     if check_measure and mc_samples < 1:
         raise RejectedInputError("mc_samples must be positive")
     ec = enlarged_cube(curve, Q, theta)
+    n = curve.dim
     ell = Q.side()
     rng = np.random.default_rng(seed)
 

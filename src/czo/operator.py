@@ -303,12 +303,17 @@ def _lattice_apply(R: np.ndarray, K: np.ndarray, f: GridFunction,
     return pmap_chunks(rows, n_out, _TAP_CHUNK, threads) * f.h
 
 
+def _require_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise RejectedInputError(
+            f"epsilon must be finite and positive: {epsilon}")
+
+
 def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
                     out_geometry: Optional[tuple[Box, int]] = None,
                     threads: int = 1) -> GridFunction:
     """T_eps f on the output grid (defaults to f's own grid)."""
-    if epsilon <= 0.0:
-        raise RejectedInputError("epsilon must be positive")
+    _require_epsilon(epsilon)
     if epsilon < 4.0 * f.h:
         warnings.warn("epsilon below 4 cell widths: quadrature near the "
                       "truncation boundary is unreliable", stacklevel=2)
@@ -329,8 +334,7 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
 def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,
                        epsilon: float, threads: int = 1) -> np.ndarray:
     """T_eps f at explicit points (no caching)."""
-    if epsilon <= 0.0:
-        raise RejectedInputError("epsilon must be positive")
+    _require_epsilon(epsilon)
     X = as_points(x, kernel.dim)
     R, K = _build_matrices(kernel, X, f, threads)
     return _masked_apply(R, K, f, epsilon)
@@ -355,8 +359,10 @@ def estimate_T0(kernel: KernelSpec, f: GridFunction,
     """Approximate the vanishing-truncation limit along a decreasing eps
     sequence; convergence is diagnosed, never assumed."""
     eps = [float(e) for e in epsilons]
-    if len(eps) < 1 or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise RejectedInputError("epsilons must be strictly decreasing")
+    # Written as a > b so that a NaN fails it.
+    if not eps or not all(a > b for a, b in zip(eps, eps[1:])):
+        raise RejectedInputError(
+            f"epsilons must be strictly decreasing: {eps}")
     outs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

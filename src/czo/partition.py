@@ -191,18 +191,3 @@ def build_partition(curve: HyperCurve, max_depth: int = 8,
     leftover.sort()
     return BranchDisjointPartition(curve, accepted, leftover,
                                    max_depth, half_width, probabilistic)
-
-
-def induced_map_lookup(partition: BranchDisjointPartition, i: int,
-                       x) -> Optional[tuple[int, DyadicCube]]:
-    """The accepted cube containing gamma_i(x), or None if x is outside the
-    branch domain or gamma_i(x) falls in the leftover set."""
-    curve = partition.curve
-    b = curve.branch(i)
-    X = as_points(x, curve.dim)
-    if not bool(np.all(b.domain.contains(X, tol=1e-12))):
-        return None
-    j = int(partition.locate(b.forward(X))[0])
-    if j < 0:
-        return None
-    return j, partition.cubes[j]

@@ -124,6 +124,23 @@ class TestExitCodes:
         assert "probe_count" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, name", [
+        (["apply", "eps=nan"], "epsilon"),
+        (["t0-convergence", "eps_list=0.5,nan,0.1"], "epsilons"),
+        (["weaktype", "theta=nan"], "theta"),
+        (["weaktype", "eps=nan"], "epsilon"),
+        (["weaktype", "theta=inf"], "theta"),
+        (["qtheta", "theta=inf"], "theta"),
+        (["qtheta", "theta=nan"], "theta"),
+        (["qtheta", "cube=2..2"], "cube"),
+        (["qtheta", "cube=0..inf"], "cube"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_non_finite_or_degenerate_exits_2(self, tmp_path, capsys, argv,
+                                              name):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_kernel_audit_regularity_row_sets_exit_code(self, tmp_path,
                                                         monkeypatch):
         import czo.cli as cli

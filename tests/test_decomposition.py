@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from czo.curves import get_curve
 from czo.decomposition import (cz_decompose, lp_norm, weak_l1_quasinorm,
                                weak_type_experiment)
 from czo.errors import RejectedInputError
 from czo.geometry import box
 from czo.kernels import get_kernel
-from czo.metric import enlarged_cube, rho_values
-from czo.operator import (GridFunction, apply_truncated, grid_function,
-                          grid_nodes)
+from czo.metric import check_qtheta, enlarged_cube, rho_values
+from czo.operator import (GridFunction, apply_truncated, apply_truncated_at,
+                          estimate_T0, grid_function, grid_nodes)
 
 B8 = box(-8.0, 8.0)
 
@@ -347,3 +348,45 @@ class TestWeakType:
             r, _ = rho_values(k.curve, X, Y)
             ell = c.box.side()
             assert np.all(r >= 2.0 * ell * (1 - 1e-5))
+
+
+# Each entry point that takes epsilon or theta, called with one bad value v.
+NON_FINITE_CALLS = {
+    "apply_truncated": ("epsilon", lambda k, f, v: apply_truncated(k, f, v)),
+    "apply_truncated_at": (
+        "epsilon", lambda k, f, v: apply_truncated_at(k, f, [[0.0]], v)),
+    "estimate_T0": (
+        "epsilons", lambda k, f, v: estimate_T0(k, f, [0.5, v, 0.1])),
+    "weak_type_experiment-epsilon": (
+        "epsilon", lambda k, f, v: weak_type_experiment(
+            k, [f], v, 8.1, out_cells=32, ladder_max=2)),
+    "weak_type_experiment-theta": (
+        "theta", lambda k, f, v: weak_type_experiment(
+            k, [f], 0.5, v, out_cells=32, ladder_max=2)),
+    "enlarged_cube": (
+        "theta", lambda k, f, v: enlarged_cube(k.curve, box(2.0, 3.0), v)),
+    "check_qtheta": (
+        "theta", lambda k, f, v: check_qtheta(k.curve, box(2.0, 3.0), v,
+                                              mc_samples=100)),
+}
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+    def test_rejected_by_name(self, call, value):
+        name, run = NON_FINITE_CALLS[call]
+        k = get_kernel("two-line-hilbert")
+        nodes = grid_nodes(B8, 64)[:, 0]
+        f = GridFunction(B8, 64, ((nodes >= -1) & (nodes <= 1)).astype(float))
+        with pytest.raises(RejectedInputError, match=name):
+            run(k, f, value)
+
+    @pytest.mark.parametrize("Q", [box(2.0, 2.0), box((0.0, 1.0), (1.0, 1.0))],
+                             ids=["point", "flat-square"])
+    def test_degenerate_cube_rejected(self, Q):
+        curve = get_curve("diagonal", Q.dim)
+        with pytest.raises(RejectedInputError, match="cube"):
+            enlarged_cube(curve, Q, 40.0)
+        with pytest.raises(RejectedInputError, match="cube"):
+            check_qtheta(curve, Q, 40.0, mc_samples=100)

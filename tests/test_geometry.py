@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from czo.curves import get_curve
 from czo.errors import CurveValidityError, RegistryError, RejectedInputError
 from czo.geometry import (Box, CurveBranch, DyadicCube, HyperCurve, box,
-                          branch_eval, branch_inverse, branch_jacobian,
-                          dyadic_relation, region, validate_curve,
+                          region, validate_curve,
                           whole_space)
 
 
@@ -106,42 +105,13 @@ class TestDyadicCube:
         kids = c.children()
         assert [k.as_box() for k in kids] == [box(0.5, 0.75), box(0.75, 1.0)]
 
-    def test_relation_cases(self):
-        a = DyadicCube(0, (0,))
-        assert dyadic_relation(a, a) == "equal"
-        assert dyadic_relation(a, DyadicCube(2, (3,))) == "nested"
-        assert dyadic_relation(a, DyadicCube(2, (4,))) == "disjoint"
-        assert dyadic_relation(DyadicCube(3, (5,)), a) == "nested"
-
-    @given(st.integers(0, 4), st.integers(-8, 8),
-           st.integers(0, 4), st.integers(-8, 8))
-    @settings(max_examples=200, deadline=None)
-    def test_relation_matches_interval_overlap(self, la, ca, lb, cb):
-        a, b = DyadicCube(la, (ca,)), DyadicCube(lb, (cb,))
-        rel = dyadic_relation(a, b)
-        ab, bb = a.as_box(), b.as_box()
-        lo = max(ab.lo[0], bb.lo[0])
-        hi = min(ab.hi[0], bb.hi[0])
-        overlap = hi - lo
-        if rel == "disjoint":
-            assert overlap <= 1e-12
-        else:
-            assert overlap >= min(ab.side(), bb.side()) - 1e-12
-
 
 class TestCurveOps:
     def test_branch_eval_and_inverse(self):
-        c = get_curve("two-lines")
-        assert branch_eval(c, 1, 2.0)[0] == -2.0
-        assert branch_inverse(c, 1, -2.0)[0] == 2.0
-        assert branch_jacobian(c, 1, 1.0) == -1.0
-
-    def test_domain_rejection(self):
-        c = get_curve("diamond")
-        with pytest.raises(RejectedInputError):
-            branch_eval(c, 0, 2.0)       # slant domain is [-1, 1]
-        with pytest.raises(RejectedInputError):
-            branch_inverse(c, 0, 2.0)    # range is [0, 1]
+        b = get_curve("two-lines").branch(1)
+        assert b.forward(np.array([[2.0]]))[0, 0] == -2.0
+        assert b.inv(-2.0)[0, 0] == 2.0
+        assert b.jac(1.0)[0] == -1.0
 
     def test_flat_branch_has_no_pointwise_inverse(self):
         c = get_curve("diamond")

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from czo.errors import RegistryError, RejectedInputError, SingularityError
+from czo.errors import RegistryError, RejectedInputError
 from czo.kernels import (KERNEL_NAMES, audit_regularity, audit_size,
-                         get_kernel, hormander_constant, kernel_eval)
+                         _rho_and_kernel, get_kernel, hormander_constant)
 
 SQ2 = math.sqrt(2.0)
 # Closed-form value of the smoothness integral for the 1/(x-y) kernel with
@@ -24,22 +24,25 @@ class TestRegistry:
             get_kernel("bogus")
 
 
+def rho_and_kernel_at(name, x, y):
+    return _rho_and_kernel(get_kernel(name), np.array([[x]]), np.array([[y]]))
+
+
 class TestEvaluation:
     def test_hilbert_value(self):
-        k = get_kernel("hilbert")
-        assert kernel_eval(k, 2.0, 1.0)[0] == 1.0
+        assert rho_and_kernel_at("hilbert", 2.0, 1.0)[1][0] == 1.0
 
     def test_two_line_value(self):
-        k = get_kernel("two-line-hilbert")
-        assert kernel_eval(k, 2.0, 1.0)[0] == pytest.approx(1.0 + 1.0 / 3.0)
+        assert rho_and_kernel_at("two-line-hilbert", 2.0, 1.0)[1][0] == \
+            pytest.approx(1.0 + 1.0 / 3.0)
 
-    def test_singular_evaluation_rejected(self):
-        k = get_kernel("hilbert")
-        with pytest.raises(SingularityError):
-            kernel_eval(k, 1.0, 1.0)
-        k2 = get_kernel("two-line-hilbert")
-        with pytest.raises(SingularityError):
-            kernel_eval(k2, 1.0, -1.0)   # on the second line
+    @pytest.mark.parametrize("name, y", [("hilbert", 1.0),
+                                         ("two-line-hilbert", -1.0)])
+    def test_kernel_is_zero_on_the_curve(self, name, y):
+        # (1, -1) lies on the second line of two-line-hilbert's curve.
+        R, K = rho_and_kernel_at(name, 1.0, y)
+        assert R[0] < 1e-12
+        assert K[0] == 0.0
 
 
 class TestSizeAudit:

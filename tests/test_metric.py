@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from czo.curves import CURVE_NAMES, diagonal, get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import CurveBranch, HyperCurve, box, whole_space
-from czo.metric import (check_equivalence, check_qtheta, enlarged_cube, rho,
-                        rho_branch_values, rho_tilde, rho_tilde_star,
-                        rho_tilde_star_branch_values, rho_tilde_values,
-                        rho_values, sampled_rho_branch_values)
+from czo.metric import (check_equivalence, check_qtheta, enlarged_cube,
+                        rho_branch_values, rho_tilde_branch_values,
+                        rho_tilde_star_branch_values, rho_values,
+                        sampled_rho_branch_values)
 
 SQ2 = math.sqrt(2.0)
 WAVE = 0.3
@@ -64,13 +64,15 @@ class TestSolverAgainstClosedForms:
 class TestWorkedValues:
     def test_diamond_center(self):
         # Distance from (0,0) to the nearest slanted edge.
-        assert rho(get_curve("diamond"), 0.0, 0.0).value == \
+        assert rho_values(get_curve("diamond"), 0.0, 0.0)[0][0] == \
             pytest.approx(1.0 / SQ2, rel=1e-12)
 
     def test_diamond_tilde_star_above_apex(self):
         # y=2 clamps to the top of the upper range; preimage nearest 0 is 1.
-        mv = rho_tilde_star(get_curve("diamond"), 0.0, 2.0)
-        assert mv.value == pytest.approx(1.0, rel=1e-12)
+        curve = get_curve("diamond")
+        v = min(rho_tilde_star_branch_values(curve, i, 0.0, 2.0)[0]
+                for i in range(curve.r))
+        assert v == pytest.approx(1.0, rel=1e-12)
 
     def test_two_lines_branch_values(self):
         curve = get_curve("two-lines")
@@ -81,8 +83,8 @@ class TestWorkedValues:
 
     def test_tilde_on_diagonal(self):
         # xi = x, so rho~ = |y - x|; exactly sqrt(2) times rho.
-        mv = rho_tilde(get_curve("diagonal"), 1.0, 4.0)
-        assert mv.value == pytest.approx(3.0)
+        v = rho_tilde_branch_values(get_curve("diagonal"), 0, 1.0, 4.0)
+        assert v[0] == pytest.approx(3.0)
 
 
 class TestEquivalence:

@@ -5,8 +5,7 @@ from czo.curves import get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import DyadicCube, box
 from czo.partition import (BranchDisjointPartition, build_partition,
-                           critical_values, disjoint_preimage_test,
-                           induced_map_lookup)
+                           critical_values, disjoint_preimage_test)
 
 
 class TestCriticalValues:
@@ -151,19 +150,13 @@ class TestInducedMapLookup:
     def test_lookup_resolves_branch_image(self):
         curve = get_curve("two-lines")
         p = build_partition(curve, max_depth=6)
-        hit = induced_map_lookup(p, 1, 1.5)
-        assert hit is not None
-        j, cube = hit
-        assert cube.as_box().contains([[-1.5]])[0]
-        assert p.cubes[j] == cube
-
-    def test_lookup_outside_domain_is_none(self):
-        curve = get_curve("diamond")
-        p = build_partition(curve, max_depth=6)
-        assert induced_map_lookup(p, 0, 5.0) is None
+        j = int(p.locate(curve.branch(1).forward(np.array([[1.5]])))[0])
+        assert j >= 0
+        assert p.cubes[j].as_box().contains([[-1.5]])[0]
 
     def test_lookup_into_leftover_is_none(self):
         curve = get_curve("diamond")
         p = build_partition(curve, max_depth=6)
-        # The flat branch maps everything to the critical value 0.
-        assert induced_map_lookup(p, 2, 5.0) is None
+        # The flat branch maps everything to the critical value 0, which
+        # lies in no accepted cube.
+        assert p.locate(curve.branch(2).forward(np.array([[5.0]])))[0] == -1
