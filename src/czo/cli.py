@@ -112,6 +112,24 @@ def parse_config_file(path: str) -> dict:
 # Built-in function families
 # ---------------------------------------------------------------------------
 
+def _spec_numbers(spec: str, arg: str, defaults: tuple) -> tuple:
+    """The comma-separated numbers after 'name:' in spec, or the defaults."""
+    if not arg:
+        return defaults
+    vals = tuple(float(v) for v in arg.split(","))
+    if len(vals) != len(defaults):
+        raise RejectedInputError(
+            f"{spec!r} needs {len(defaults)} comma-separated numbers")
+    return vals
+
+
+def _bump_width(w: float, spec: str) -> float:
+    if not (math.isfinite(w) and w > 0):
+        raise RejectedInputError(
+            f"bump width must be finite and positive: {spec!r}")
+    return w
+
+
 def builtin_function(spec: str, bx: Box, n_cells: int) -> GridFunction:
     """Parse 'indicator:a,b' | 'bump[:center,width]' | 'odd-bump' |
     'custom:path.csv' into a grid function."""
@@ -119,13 +137,19 @@ def builtin_function(spec: str, bx: Box, n_cells: int) -> GridFunction:
     nodes = grid_nodes(bx, n_cells)
     x = nodes[:, 0]
     if name == "indicator":
-        a, b = (float(v) for v in arg.split(",")) if arg else (-1.0, 1.0)
+        a, b = _spec_numbers(spec, arg, (-1.0, 1.0))
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise RejectedInputError(
+                f"indicator:a,b needs finite a < b: {spec!r}")
         vals = ((x >= a) & (x <= b)).astype(float)
     elif name == "bump":
-        c, w = (float(v) for v in arg.split(",")) if arg else (0.0, 1.0)
-        vals = np.exp(-((x - c) / w) ** 2)
+        c, w = _spec_numbers(spec, arg, (0.0, 1.0))
+        if not math.isfinite(c):
+            raise RejectedInputError(f"bump center must be finite: {spec!r}")
+        vals = np.exp(-((x - c) / _bump_width(w, spec)) ** 2)
     elif name == "odd-bump":
-        w = float(arg) if arg else 1.0
+        (w,) = _spec_numbers(spec, arg, (1.0,))
+        w = _bump_width(w, spec)
         vals = (x / w) * np.exp(-(x / w) ** 2)
     elif name == "custom":
         return read_grid_csv(arg)
@@ -321,9 +345,11 @@ def _run_decompose(cfg, out_dir, threads) -> int:
                comments=[f"lambda={dec.lam!r}",
                          f"weak_l1_good={weak_l1_quasinorm(dec.good)!r}"])
     write_grid_csv(dec.good, os.path.join(out_dir, "decompose_good.csv"))
-    bad_sum = dec.good.with_values(
-        sum((b.values for b in dec.bad), np.zeros_like(dec.good.values)))
-    write_grid_csv(bad_sum, os.path.join(out_dir, "decompose_bad.csv"))
+    bad_sum = np.zeros((f.cells_per_axis,) * f.dim)
+    for cells, block in dec.blocks:
+        bad_sum[cells] = block
+    write_grid_csv(dec.good.with_values(bad_sum.reshape(-1)),
+                   os.path.join(out_dir, "decompose_bad.csv"))
     return 0
 
 

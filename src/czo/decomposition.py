@@ -8,12 +8,20 @@ power-of-two cell counts), which turns every decomposition invariant into an
 exact floating-point identity for dyadic-rational data.  Every cube average
 is summed in the order ``np.mean`` uses on that cube alone, so on any data
 the selection equals the cube-by-cube recursion bit for bit.
+
+The level pass ends early: a cube can only average above lambda if it holds
+a "hot" cell with |f| >= lambda (1 - HOT_MARGIN), so once every hot cell
+lies in a selected cube no finer level is visited.  Each bad part is kept
+cube-local, as the cube's cell slices and its block f - avg
+(``DecompositionResult.blocks``); the dense N^n ``bad`` functions are built
+only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +39,14 @@ from .util import fold_mirror_sum
 # Calderon-Zygmund decomposition
 # ---------------------------------------------------------------------------
 
+# A cell is hot when |f| >= lam (1 - HOT_MARGIN).  np.mean can round a
+# cube's average above every value in it (128 cells of 0.1 average
+# 0.10000000000000002), but the pairwise sum of a power-of-two block errs
+# by less than 1e-14 relative, so a cube without a hot cell never averages
+# above lam and the level pass may stop once no live hot cell is left.
+HOT_MARGIN = 2.0 ** -40
+
+
 @dataclass
 class SelectedCube:
     box: Box
@@ -44,11 +60,24 @@ class DecompositionResult:
     root: Box
     cubes: list[SelectedCube]
     good: GridFunction
-    bad: list[GridFunction]      # same grid as f, each supported in its cube
+    # Per cube, in cube order: its cell slices in f's grid and f - average
+    # on those cells.  Bad part k is blocks[k][1] on blocks[k][0], 0 elsewhere.
+    blocks: list[tuple[tuple[slice, ...], np.ndarray]]
 
     @property
     def total_cube_measure(self) -> float:
         return float(sum(c.box.measure() for c in self.cubes))
+
+    @cached_property
+    def bad(self) -> list[GridFunction]:
+        """The bad parts as dense functions on f's grid, built on first read."""
+        g = self.good
+        out = []
+        for cells, block in self.blocks:
+            b = np.zeros((g.cells_per_axis,) * g.dim)
+            b[cells] = block
+            out.append(GridFunction(g.box, g.cells_per_axis, b.reshape(-1)))
+        return out
 
 
 def _root_cells(f: GridFunction, root: Box) -> tuple[np.ndarray, int]:
@@ -80,7 +109,12 @@ def cz_decompose(f: GridFunction, lam: float,
     cube and selects the live ones (inside no selected cube) above lam.
     Each cube is summed as one contiguous row-major block, the order
     ``np.mean`` uses on the cube alone, so the averages are bit-identical.
-    Cubes are listed smallest side first, each side in row-major order.
+    The pass stops at the first level after which no hot cell
+    (|f| >= lam (1 - HOT_MARGIN)) is live; the margin covers the rounding
+    of ``np.mean``, so the selection is the same as without the stop.
+    Cubes are listed smallest side first, each side in row-major order;
+    ``blocks`` holds each cube's cell slices and f - average on them, and
+    the dense ``bad`` list is built from it on first access.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise RejectedInputError(f"lambda must be finite and positive: {lam}")
@@ -98,9 +132,12 @@ def cz_decompose(f: GridFunction, lam: float,
             f"average of |f| over the root is {root_avg} > lambda={lam}")
 
     h = f.h
+    hot = np.argwhere(absf >= lam * (1.0 - HOT_MARGIN))
     live = np.ones((1,) * n, dtype=bool)
     levels = []                  # (side, corners, |f|-averages), coarse first
     for size in (m >> j for j in range(1, m.bit_length())):
+        if len(hot) == 0:
+            break
         for k in range(n):
             live = np.repeat(live, 2, axis=k)
         blocks = absf.reshape((m // size, size) * n).transpose(
@@ -109,10 +146,11 @@ def cz_decompose(f: GridFunction, lam: float,
         hit = live & (avg > lam)
         levels.append((size, start + np.argwhere(hit) * size, avg[hit]))
         live &= ~hit
+        hot = hot[live[tuple((hot // size).T)]]
 
     good = grid.copy()
     cubes = []
-    bad = []
+    bad_blocks = []
     for size, corners, abs_avgs in reversed(levels):
         for cs, abs_avg in zip(corners, abs_avgs):
             csl = tuple(slice(a, a + size) for a in cs)
@@ -121,12 +159,11 @@ def cz_decompose(f: GridFunction, lam: float,
             lo = tuple(f.box.lo[k] + cs[k] * h for k in range(n))
             hi = tuple(f.box.lo[k] + (cs[k] + size) * h for k in range(n))
             cubes.append(SelectedCube(Box(lo, hi), avg, float(abs_avg)))
-            b_grid = np.zeros((N,) * n)
-            b_grid[csl] = sub - avg
-            bad.append(GridFunction(f.box, N, b_grid.reshape(-1)))
+            bad_blocks.append((csl, sub - avg))
             good[csl] = avg
     return DecompositionResult(lam, root, cubes,
-                               GridFunction(f.box, N, good.reshape(-1)), bad)
+                               GridFunction(f.box, N, good.reshape(-1)),
+                               bad_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +172,13 @@ def cz_decompose(f: GridFunction, lam: float,
 
 def weak_l1_quasinorm(g: GridFunction) -> float:
     """sup over attained values lam of lam * |{|g| >= lam}| (exact on grids)."""
-    v = np.abs(g.values)
-    cell = g.h ** g.dim
-    levels = np.unique(v[v > 0])
-    if len(levels) == 0:
+    s = np.sort(np.abs(g.values))
+    # First position of each distinct value: |{|g| >= s[i]}| = len(s) - i.
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    first = first[s[first] > 0]
+    if len(first) == 0:
         return 0.0
-    # |{|g| >= lam}| for every attained lam, counted from one sort.
-    counts = len(v) - np.searchsorted(np.sort(v), levels, side="left")
-    return float(np.max(levels * counts * cell))
+    return float(np.max(s[first] * (len(s) - first) * g.h ** g.dim))
 
 
 def lp_norm(g: GridFunction, p: float) -> float:
@@ -215,9 +251,14 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
                 in_bstar |= ec.contains(Xout)
             b_star = float(np.count_nonzero(in_bstar) * out_cell)
             bad_int = 0.0
-            if dec.bad:
-                Bmat = np.stack([b.values for b in dec.bad], axis=1)
-                Tb = (M @ Bmat) * f.h ** n        # (m_out, K)
+            if dec.blocks:
+                # Column k of T_eps b sums only over the cells of cube k.
+                Mg = M.reshape((len(M),) + (f.cells_per_axis,) * n)
+                Tb = np.empty((len(M), len(dec.blocks)))   # (m_out, K)
+                for k, (cells, block) in enumerate(dec.blocks):
+                    Tb[:, k] = (Mg[(slice(None),) + cells].reshape(len(M), -1)
+                                @ block.reshape(-1))
+                Tb *= f.h ** n
                 outside = ~in_bstar
                 bad_int = float(np.sum(np.abs(Tb[outside])) * out_cell)
             rows.append(WeakTypeRow(fi, lam, len(dec.cubes), level, ratio,

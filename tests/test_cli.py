@@ -141,6 +141,32 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("spec, name", [
+        ("bump:0,0", "width"),
+        ("bump:0,-1", "width"),
+        ("bump:0,nan", "width"),
+        ("bump:0,inf", "width"),
+        ("bump:inf,1", "center"),
+        ("odd-bump:0", "width"),
+        ("odd-bump:-2", "width"),
+        ("odd-bump:inf", "width"),
+        ("indicator:2,1", "indicator"),
+        ("indicator:1,1", "indicator"),
+        ("indicator:nan,1", "indicator"),
+        ("indicator:-inf,1", "indicator"),
+        ("bump:1", "'bump:1' needs 2"),
+        ("indicator:0,1,2", "'indicator:0,1,2' needs 2"),
+        ("odd-bump:1,2", "'odd-bump:1,2' needs 1"),
+    ])
+    def test_malformed_function_spec_exits_2(self, tmp_path, capsys, spec,
+                                             name):
+        # Each of these once ran to exit 0 on an all-zero f, or failed
+        # through a NaN or an unpacking error that named no parameter.
+        assert main(["decompose", f"function={spec}",
+                     "--out", str(tmp_path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_kernel_audit_regularity_row_sets_exit_code(self, tmp_path,
                                                         monkeypatch):
         import czo.cli as cli

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from czo.curves import get_curve
 from czo.decomposition import (cz_decompose, lp_norm, weak_l1_quasinorm,
@@ -207,6 +207,97 @@ class TestLevelPassMatchesRecursion:
         assert all(c.box.side() == 16 * f.h for c in dec.cubes)
 
 
+# Plateau heights as multiples of lambda: at lambda, about an ulp either
+# side, and 2^-40 either side (the margin of the early stop).
+PLATEAU_FACTORS = (0.0, 1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -53,
+                   1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52,
+                   1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40)
+
+
+class TestEarlyStopNearLambda:
+    def test_mean_rounding_above_lambda_selects(self):
+        # No cell exceeds lambda = 0.1, yet np.mean of the 128 cells of 0.1
+        # rounds to 0.10000000000000002 > lambda: a strict |f| > lambda
+        # prune would stop before this cube.
+        vals = np.zeros(4096)
+        vals[1024:1152] = 0.1
+        f = GridFunction(B8, 4096, vals)
+        dec = assert_matches_recursion(f, 0.1)
+        assert len(dec.cubes) == 1
+        assert dec.cubes[0].box.side() == 128 * f.h
+        assert dec.cubes[0].abs_average == 0.10000000000000002
+
+    @given(dim=st.sampled_from([1, 2]),
+           lam=st.sampled_from([0.1, 0.7, 1.0 / 3.0, 1.0, 7.3e-5, 2.0 ** 30]),
+           plateaus=st.lists(st.tuples(st.integers(1, 128),
+                                       st.sampled_from(PLATEAU_FACTORS),
+                                       st.sampled_from([-1.0, 1.0])),
+                             min_size=1, max_size=12),
+           zero_quarter=st.integers(0, 3))
+    # 128 cells of 0.1 (1 - 2^-53) < 0.1 average 0.10000000000000002.
+    @example(dim=1, lam=0.1, plateaus=[(128, 1.0 - 2.0 ** -53, -1.0)],
+             zero_quarter=3)
+    @settings(max_examples=150, deadline=None)
+    def test_plateaus_at_lambda_match_recursion(self, dim, lam, plateaus,
+                                                zero_quarter):
+        cells = 256 if dim == 1 else 16
+        vals = np.concatenate([np.full(width, sign * factor * lam)
+                               for width, factor, sign in plateaus])
+        vals = np.resize(vals, cells ** dim)
+        # A zero quarter keeps the root average below lambda.
+        q = vals.size // 4
+        vals[zero_quarter * q:(zero_quarter + 1) * q] = 0.0
+        f = GridFunction(box((-8.0,) * dim, (8.0,) * dim), cells, vals)
+        assert_matches_recursion(f, lam)
+
+
+class TestCubeLocalBlocks:
+    def test_blocks_hold_only_cube_cells(self):
+        rng = np.random.default_rng(3)
+        vals = rng.lognormal(0.0, 1.5, size=64 * 64)
+        vals *= rng.choice([-1.0, 1.0], size=vals.size)
+        f = GridFunction(box((0.0, 0.0), (4.0, 4.0)), 64, vals)
+        lam = 4.0 * float(np.mean(np.abs(vals)))
+        dec = cz_decompose(f, lam)
+        assert "bad" not in dec.__dict__
+        assert len(dec.blocks) == len(dec.cubes) > 100
+        cells = sum(round(c.box.side() / f.h) ** 2 for c in dec.cubes)
+        assert sum(b.nbytes for _, b in dec.blocks) == 8 * cells
+        # The dense parts, built on first read, are the blocks scattered.
+        bad = assert_matches_recursion(f, lam).bad
+        for (sl, block), b in zip(dec.blocks, bad):
+            dense = b.values.reshape(64, 64)
+            assert np.array_equal(dense[sl], block)
+            assert np.count_nonzero(dense) == np.count_nonzero(block)
+
+    def test_weak_type_never_builds_dense_bad(self, monkeypatch):
+        import czo.decomposition as decomposition
+
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(cz_decompose(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(decomposition, "cz_decompose", recording)
+        nodes = grid_nodes(B8, 128)[:, 0]
+        f = GridFunction(B8, 128, np.exp(-nodes ** 2))
+        weak_type_experiment(get_kernel("two-line-hilbert"), [f], 0.1, 8.1,
+                             out_cells=64, ladder_max=6)
+        assert any(dec.blocks for dec in seen)
+        assert all("bad" not in dec.__dict__ for dec in seen)
+
+
+def unique_weak_l1(g):
+    """Reference: distinct levels from np.unique, counts by searchsorted."""
+    v = np.abs(g.values)
+    levels = np.unique(v[v > 0])
+    if len(levels) == 0:
+        return 0.0
+    counts = len(v) - np.searchsorted(np.sort(v), levels, side="left")
+    return float(np.max(levels * counts * g.h ** g.dim))
+
+
 class TestNorms:
     def test_weak_l1_indicator(self):
         nodes = grid_nodes(box(-2.0, 2.0), 256)[:, 0]
@@ -240,6 +331,16 @@ class TestNorms:
         counts = np.array([np.count_nonzero(v >= lam) for lam in levels])
         want = float(np.max(levels * counts * g.h ** 2))
         assert weak_l1_quasinorm(g) == want
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0,
+                                     1e-300, -7.25, 0.1]),
+                    min_size=64, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_weak_l1_matches_unique_reference(self, vals):
+        g = GridFunction(box(0.0, 3.0), 64, np.array(vals))
+        assert weak_l1_quasinorm(g) == unique_weak_l1(g)
+        zero = g.with_values(np.zeros(64))
+        assert weak_l1_quasinorm(zero) == unique_weak_l1(zero) == 0.0
 
     def test_lp_examples(self):
         nodes = grid_nodes(box(-2.0, 2.0), 256)[:, 0]
@@ -390,3 +491,4 @@ class TestNonFiniteParameters:
             enlarged_cube(curve, Q, 40.0)
         with pytest.raises(RejectedInputError, match="cube"):
             check_qtheta(curve, Q, 40.0, mc_samples=100)
+
