@@ -5,8 +5,10 @@ Usage: ``czo <kind> [--config FILE] [--out DIR] [--threads K] [key=value ...]``
 Configuration is a flat key=value text file; command-line pairs override
 file values; a key that ``DEFAULTS`` does not list is rejected.  Every
 experiment writes fixed-name CSV files plus a ``manifest.csv`` (config
-echo, seed, library versions, wall time) into the output directory.  Exit
-codes: 0 pass, 1 numerical assertion failure, 2 configuration error.
+echo, seed, library versions, wall time) into the output directory.  The
+thread count reaches only the T_eps kinds (apply, t0-convergence,
+weaktype).  Exit codes: 0 pass, 1 numerical assertion failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -194,6 +196,8 @@ def _write_csv(path: str, header_cols: list[str], rows: list[tuple],
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
@@ -215,10 +219,9 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig,
 # Experiment kinds
 # ---------------------------------------------------------------------------
 
-def _run_metric_equivalence(cfg, out_dir, threads) -> int:
+def _run_metric_equivalence(cfg, out_dir) -> int:
     curve = get_curve(cfg.get("curve"))
-    rep = check_equivalence(curve, cfg.get_int("pairs"), cfg.get_int("seed"),
-                            threads=threads)
+    rep = check_equivalence(curve, cfg.get_int("pairs"), cfg.get_int("seed"))
     rows = [(curve.name, rep.pair_count, rep.max_ratio_tilde,
              rep.max_ratio_star, rep.bound, int(rep.passed))]
     if rep.witness is not None:
@@ -229,7 +232,7 @@ def _run_metric_equivalence(cfg, out_dir, threads) -> int:
     return 0 if rep.passed else 1
 
 
-def _run_partition(cfg, out_dir, threads) -> int:
+def _run_partition(cfg, out_dir) -> int:
     curve = get_curve(cfg.get("curve"))
     part = build_partition(curve, cfg.get_int("max_depth"))
     rows = [("cube", c.level, " ".join(map(str, c.corner)),
@@ -243,15 +246,14 @@ def _run_partition(cfg, out_dir, threads) -> int:
     return 0
 
 
-def _run_kernel_audit(cfg, out_dir, threads) -> int:
+def _run_kernel_audit(cfg, out_dir) -> int:
     kernel = get_kernel(cfg.get("kernel"))
-    size = audit_size(kernel, cfg.get_int("samples"), cfg.get_int("seed"),
-                      threads=threads)
+    size = audit_size(kernel, cfg.get_int("samples"), cfg.get_int("seed"))
     rows = [("size", size.supremum, size.bound, int(size.passed))]
     code = 0 if size.passed else 1
     if kernel.regularity_constant is not None:
         reg = audit_regularity(kernel, cfg.get_int("samples"),
-                               cfg.get_int("seed"), threads=threads)
+                               cfg.get_int("seed"))
         rows.append(("regularity", reg.supremum, reg.bound, int(reg.passed)))
         if not reg.passed:
             code = 1
@@ -261,14 +263,13 @@ def _run_kernel_audit(cfg, out_dir, threads) -> int:
     return code
 
 
-def _run_hormander(cfg, out_dir, threads) -> int:
+def _run_hormander(cfg, out_dir) -> int:
     kernel = get_kernel(cfg.get("kernel"))
     rows = []
     totals = []
     for a in cfg.get_floats("a_list"):
         rep = hormander_constant(kernel, z=a,
-                                 grid_points=cfg.get_int("hormander_grid"),
-                                 threads=threads)
+                                 grid_points=cfg.get_int("hormander_grid"))
         rows.append((a, rep.value_box, rep.tail, rep.value_total))
         totals.append(rep.value_total)
     _write_csv(os.path.join(out_dir, "hormander.csv"),
@@ -277,7 +278,7 @@ def _run_hormander(cfg, out_dir, threads) -> int:
     return 0 if spread <= 0.01 else 1
 
 
-def _run_apply(cfg, out_dir, threads) -> int:
+def _run_apply(cfg, out_dir) -> int:
     kernel = get_kernel(cfg.get("kernel"))
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
@@ -285,19 +286,19 @@ def _run_apply(cfg, out_dir, threads) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = apply_truncated(kernel, f, eps, (bx, cfg.get_int("out_n")),
-                              threads)
+                              cfg.get_int("threads"))
     _write_csv(os.path.join(out_dir, "apply.csv"), ["x", "value"],
                list(zip(out.nodes()[:, 0].tolist(), out.values.tolist())),
                comments=[f"kernel={kernel.name} eps={eps!r}"])
     return 0
 
 
-def _run_t0(cfg, out_dir, threads) -> int:
+def _run_t0(cfg, out_dir) -> int:
     kernel = get_kernel(cfg.get("kernel"))
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
     limit, rep = estimate_T0(kernel, f, cfg.get_floats("eps_list"),
-                             threads=threads)
+                             threads=cfg.get_int("threads"))
     rows = [(e, (rep.sup_diffs[i] if i < len(rep.sup_diffs) else ""),
              int(rep.unreliable[i]))
             for i, e in enumerate(rep.epsilons)]
@@ -307,7 +308,7 @@ def _run_t0(cfg, out_dir, threads) -> int:
     return 0
 
 
-def _run_recover(cfg, out_dir, threads) -> int:
+def _run_recover(cfg, out_dir) -> int:
     curve = get_curve(cfg.get("curve"))
     bx = cfg.get_box()
     n = cfg.get_int("n")
@@ -333,7 +334,7 @@ def _run_recover(cfg, out_dir, threads) -> int:
     return code
 
 
-def _run_decompose(cfg, out_dir, threads) -> int:
+def _run_decompose(cfg, out_dir) -> int:
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
     root = cfg.get_box("root") if cfg.get("root") else None
@@ -353,7 +354,7 @@ def _run_decompose(cfg, out_dir, threads) -> int:
     return 0
 
 
-def _run_weaktype(cfg, out_dir, threads) -> int:
+def _run_weaktype(cfg, out_dir) -> int:
     kernel = get_kernel(cfg.get("kernel"))
     bx = cfg.get_box()
     n = cfg.get_int("n")
@@ -362,7 +363,7 @@ def _run_weaktype(cfg, out_dir, threads) -> int:
     rep = weak_type_experiment(kernel, family, cfg.get_float("eps"),
                                cfg.get_float("theta"),
                                out_cells=cfg.get_int("out_n"),
-                               threads=threads)
+                               threads=cfg.get_int("threads"))
     rows = [(r.function_index, r.lam, r.cube_count, r.superlevel_measure,
              r.ratio, r.b_star_measure, r.bad_integral) for r in rep.rows]
     _write_csv(os.path.join(out_dir, "weaktype.csv"),
@@ -372,13 +373,12 @@ def _run_weaktype(cfg, out_dir, threads) -> int:
     return 0 if math.isfinite(rep.max_ratio) else 1
 
 
-def _run_qtheta(cfg, out_dir, threads) -> int:
+def _run_qtheta(cfg, out_dir) -> int:
     curve = get_curve(cfg.get("curve"))
     rep = check_qtheta(curve, cfg.get_box("cube"), cfg.get_float("theta"),
                        probe_count=cfg.get_int("probes"),
                        seed=cfg.get_int("seed"),
-                       mc_samples=cfg.get_int("mc_samples"),
-                       threads=threads)
+                       mc_samples=cfg.get_int("mc_samples"))
     rows = [(curve.name, rep.measure_estimate, rep.measure_halfwidth,
              rep.measure_bound, rep.min_probe_rho, rep.separation_bound,
              int(rep.passed))]
@@ -415,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
-    code = _RUNNERS[cfg.kind](cfg, out_dir, threads)
+    code = _RUNNERS[cfg.kind](cfg, out_dir)
     _write_manifest(out_dir, cfg, time.time() - start)
     return code
 

@@ -97,7 +97,7 @@ def diamond() -> HyperCurve:
     """gamma(x) = +-(1 - |x|) for |x| <= 1 and 0 for |x| >= 1 (n = 1).
 
     The two slanted branches are two-to-one (set-valued preimages resolved
-    per query); the flat branch is constant and therefore marked degenerate.
+    per query); the flat branch is constant, so it declares no inverse.
     """
     L = BOUNDING_HALF_WIDTH
     slant_dom = region(box(-1.0, 1.0))
@@ -164,7 +164,6 @@ def diamond() -> HyperCurve:
         range_region=region(box(0.0, 0.0)),
         preimage_boxes=flat_pre_boxes,
         preimage_nearest=lambda Y, X: flat_dom.clamp(X),
-        invertible=False,
         name="flat",
         distance=lambda X, Y: np.sqrt(flat_dom.distance(X) ** 2
                                       + Y[:, 0] ** 2),

@@ -82,6 +82,9 @@ class DecompositionResult:
 
 def _root_cells(f: GridFunction, root: Box) -> tuple[np.ndarray, int]:
     """Index offsets of the root within f's grid, plus cells per axis."""
+    if root.dim != f.dim:
+        raise RejectedInputError(
+            f"root has {root.dim} axes but f has {f.dim}: {root}")
     h = f.h
     start = (root.lo_a - f.box.lo_a) / h
     count = (root.hi_a - root.lo_a) / h

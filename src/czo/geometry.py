@@ -239,10 +239,11 @@ class CurveBranch:
       branch, on point arrays of shape (m, n); without it rho falls back to
       the sampled solver.
 
-    ``invertible=False`` marks a degenerate branch (e.g. a constant map)
-    whose pointwise inverse is ill-defined; such branches are handled through
-    the set-valued ``preimage_nearest`` and are skipped by the inverse-side
-    audits.
+    A degenerate branch (e.g. a constant map) declares ``inverse=None``:
+    its pointwise inverse is ill-defined, so it is handled through the
+    set-valued ``preimage_nearest``, skipped by the inverse-side audits of
+    validate_curve, and keeps check_qtheta off the measure half of the
+    enlargement lemma while it is active.
     """
 
     index: int
@@ -255,7 +256,6 @@ class CurveBranch:
     preimage_boxes: Optional[Callable[[Box], list[Box]]] = None
     preimage_nearest: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     breakpoints: tuple[float, ...] = ()
-    invertible: bool = True
     name: str = ""
     distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     # The sampled distance solver's samplers, keyed on the sampling extent.
@@ -435,8 +435,8 @@ def validate_curve(curve: HyperCurve, sample_count: int = 1000,
     """Audit the declared branch structure on random sample pairs.
 
     Checks, per branch: empirical Lipschitz ratios of the map and (when the
-    branch is invertible) its inverse, the round trip through the inverse,
-    and the minimum |Jacobian|.  Passes iff every ratio stays below
+    branch declares an inverse) its inverse, the round trip through the
+    inverse, and the minimum |Jacobian|.  Passes iff every ratio stays below
     c_gamma * (1 + 1e-6) and no sampled Jacobian vanishes.
     """
     if sample_count < 2:
@@ -462,7 +462,7 @@ def validate_curve(curve: HyperCurve, sample_count: int = 1000,
         inv_ratio = 0.0
         roundtrip = 0.0
         min_jac = math.inf
-        if b.invertible:
+        if b.inverse is not None:
             # Set-valued inverses resolve to the preimage nearest the query,
             # so the round trip is well defined for two-to-one branches too.
             back = b.nearest_preimage(FX, X)
@@ -481,7 +481,7 @@ def validate_curve(curve: HyperCurve, sample_count: int = 1000,
             min_jac = float(np.min(np.abs(J)))
         rep = BranchReport(b.index, fwd, inv_ratio, min_jac, roundtrip)
         branch_ok = fwd <= cap and roundtrip <= 1e-9
-        if b.invertible:
+        if b.inverse is not None:
             branch_ok = branch_ok and inv_ratio <= cap and min_jac > 0.0
         if not branch_ok:
             rep.witness = witness

@@ -59,11 +59,10 @@ class KernelSpec:
         return self.curve.dim
 
 
-def _rho_and_kernel(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray,
-                    threads: int = 1):
+def _rho_and_kernel(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray):
     """rho(x, y) and K(x, y) on point arrays, K set to 0 where rho falls
     below the singular-set floor."""
-    R, _ = rho_values(kernel.curve, X, Y, threads)
+    R, _ = rho_values(kernel.curve, X, Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = kernel.fn(X, Y, np.maximum(R, _RHO_FLOOR))
     return R, np.where(R >= _RHO_FLOOR, K, 0.0)
@@ -144,8 +143,8 @@ class SizeReport:
     witness: tuple
 
 
-def audit_size(kernel: KernelSpec, sample_count: int = 20000, seed: int = 0,
-               threads: int = 1) -> SizeReport:
+def audit_size(kernel: KernelSpec, sample_count: int = 20000,
+               seed: int = 0) -> SizeReport:
     """Estimate sup |K(x,y)| rho(x,y)^n by random sampling followed by
     shrinking-neighborhood refinement of the best candidates."""
     if sample_count < 10:
@@ -154,7 +153,7 @@ def audit_size(kernel: KernelSpec, sample_count: int = 20000, seed: int = 0,
     n = kernel.dim
 
     def score(X, Y):
-        r, K = _rho_and_kernel(kernel, X, Y, threads)
+        r, K = _rho_and_kernel(kernel, X, Y)
         return np.abs(K) * r ** n
 
     X, Y = audit_pairs(rng, sample_count, n)
@@ -193,7 +192,7 @@ class RegularityReport:
 
 
 def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
-                     seed: int = 0, threads: int = 1) -> RegularityReport:
+                     seed: int = 0) -> RegularityReport:
     """Estimate the Hoelder constants
 
         sup |K(x,y) - K(x,y')| rho(x,y)^{n+delta} / |y-y'|^delta
@@ -212,7 +211,7 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
     d = kernel.delta
     curve = kernel.curve
     X, Y = audit_pairs(rng, sample_count, n)
-    r, _ = rho_values(curve, X, Y, threads)
+    r, _ = rho_values(curve, X, Y)
     ok = r >= 1e-6
     X, Y, r = X[ok], Y[ok], r[ok]
     base = kernel.fn(X, Y, r)
@@ -224,7 +223,7 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
         h = (frac * r)[:, None] * dirs
         step = frac * r
         for side, (Xp, Yp) in enumerate(((X, Y + h), (X + h, Y))):
-            rp, _ = rho_values(curve, Xp, Yp, threads)
+            rp, _ = rho_values(curve, Xp, Yp)
             good = rp >= _RHO_FLOOR
             if np.any(good):
                 kp = kernel.fn(Xp[good], Yp[good], rp[good])
@@ -250,8 +249,8 @@ class HormanderReport:
 
 
 def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
-                       grid_points: int = 1 << 19, transpose: bool = False,
-                       threads: int = 1) -> HormanderReport:
+                       grid_points: int = 1 << 19,
+                       transpose: bool = False) -> HormanderReport:
     """Midpoint-quadrature estimate of
     ``int_{rho(x,y) >= 2|y-z|} |K(x,y) - K(x,z)| dx`` for n = 1.
 
@@ -276,8 +275,7 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
         Yv = np.broadcast_to(ya, X.shape)
         Zv = np.broadcast_to(za, X.shape)
         pairs = ((Yv, X), (Zv, X)) if transpose else ((X, Yv), (X, Zv))
-        (r1, k1), (_, k2) = (_rho_and_kernel(kernel, A, B, threads)
-                             for A, B in pairs)
+        (r1, k1), (_, k2) = (_rho_and_kernel(kernel, A, B) for A, B in pairs)
         mask = r1 >= 2.0 * sep
         return np.where(mask, np.abs(k1 - k2), 0.0)
 

@@ -12,7 +12,16 @@ rho takes one of two paths per branch.  A branch that declares its exact
 closed form.  Any other branch falls back to the sampled solver,
 ``sampled_rho_branch_values``: it seeds a KD-tree over dense curve samples
 and refines with vectorized golden-section search, splitting brackets at
-declared non-smooth parameter values.
+declared non-smooth parameter values.  Neither path takes a thread count;
+a caller that wants parallel rho splits the pairs itself, as the dense
+T_eps build does with its row chunks.
+
+``enlarged_cube`` builds Q_theta from the curve alone.  It keeps one piece
+per active branch (one whose range lies within 2 sqrt(n) side(Q) of Q),
+and a piece is exact when the branch declares ``preimage_boxes`` and a
+single-box range.  ``check_qtheta`` runs the measure half of the lemma
+only when every active piece's branch declares an ``inverse``, since the
+covering argument behind the bound needs a Lipschitz inverse.
 """
 
 from __future__ import annotations
@@ -156,18 +165,16 @@ def _solve_chunk_nd(branch: CurveBranch, sampler: _BranchSampler,
 # rho and its surrogates (vectorized APIs)
 # ---------------------------------------------------------------------------
 
-def rho_branch_values(curve: HyperCurve, i: int, X, Y,
-                      threads: int = 1) -> np.ndarray:
+def rho_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     """Distance from each (x, y) to the graph of branch i: the branch's
     declared distance when it has one, else the sampled solver."""
     b = curve.branch(i)
     if b.distance is None:
-        return sampled_rho_branch_values(curve, i, X, Y, threads)
+        return sampled_rho_branch_values(curve, i, X, Y)
     return b.distance(as_points(X, curve.dim), as_points(Y, curve.dim))
 
 
-def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y,
-                              threads: int = 1) -> np.ndarray:
+def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     """Distance from each (x, y) to the graph of branch i by the sampled
     solver, whether or not the branch declares an exact distance."""
     b = curve.branch(i)
@@ -179,12 +186,12 @@ def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y,
     def run(s, e):
         return solve(b, sampler, X[s:e], Y[s:e])
 
-    return pmap_chunks(run, len(X), _CHUNK, threads)
+    return pmap_chunks(run, len(X), _CHUNK)
 
 
-def rho_values(curve: HyperCurve, X, Y, threads: int = 1):
+def rho_values(curve: HyperCurve, X, Y):
     """min over branches of rho_i; returns (values, attaining branch indices)."""
-    stacked = np.stack([rho_branch_values(curve, i, X, Y, threads)
+    stacked = np.stack([rho_branch_values(curve, i, X, Y)
                         for i in range(curve.r)])
     return np.min(stacked, axis=0), np.argmin(stacked, axis=0)
 
@@ -229,8 +236,8 @@ class EquivalenceReport:
     witness: Optional[tuple] = None
 
 
-def check_equivalence(curve: HyperCurve, pair_count: int, seed: int,
-                      threads: int = 1) -> EquivalenceReport:
+def check_equivalence(curve: HyperCurve, pair_count: int,
+                      seed: int) -> EquivalenceReport:
     """Sample random (x, y) and verify rho <= rho~ <= 2(c+1) rho per branch
     and globally, with multiplicative slack 1 + 1e-5 for solver error."""
     if pair_count < 1:
@@ -244,7 +251,7 @@ def check_equivalence(curve: HyperCurve, pair_count: int, seed: int,
     max_rt = 0.0
     max_rs = 0.0
     for i in range(curve.r):
-        r_i = rho_branch_values(curve, i, X, Y, threads)
+        r_i = rho_branch_values(curve, i, X, Y)
         rt_i = rho_tilde_branch_values(curve, i, X, Y)
         rs_i = rho_tilde_star_branch_values(curve, i, X, Y)
         for surrogate in (rt_i, rs_i):
@@ -272,22 +279,18 @@ def _unit_ball_volume(n: int) -> float:
 
 @dataclass
 class CubePiece:
-    branch: int
-    empty: bool
-    preimage_boxes: Optional[list[Box]] = None   # exact path
-    radius: float = 0.0
+    """The part of Q_theta that one active branch contributes."""
 
-    def distance(self, branch_obj: CurveBranch, Q: Box, X: np.ndarray,
+    branch: CurveBranch
+    preimage_boxes: Optional[list[Box]] = None   # exact path
+
+    def distance(self, Q: Box, X: np.ndarray,
                  y_samples: Optional[np.ndarray] = None) -> np.ndarray:
         """d(x, gamma_i^{-1}(eta_{i,Q})) for each query x."""
-        if self.empty:
-            return np.full(len(X), math.inf)
         if self.preimage_boxes is not None:
-            if not self.preimage_boxes:
-                return np.full(len(X), math.inf)
             return np.min(np.stack([b.distance(X)
                                     for b in self.preimage_boxes]), axis=0)
-        return _sampled_piece_distance(branch_obj, Q, X, y_samples)
+        return _sampled_piece_distance(self.branch, Q, X, y_samples)
 
 
 def _cube_y_samples(Q: Box, per_axis: int = 256) -> np.ndarray:
@@ -317,8 +320,12 @@ class EnlargedCube:
     base: Box
     theta: float
     curve: HyperCurve
-    pieces: list[CubePiece]
-    exact: bool
+    pieces: list[CubePiece]      # one per active branch
+
+    @property
+    def exact(self) -> bool:
+        """Whether every piece holds its exact preimage boxes."""
+        return all(p.preimage_boxes is not None for p in self.pieces)
 
     def contains(self, X) -> np.ndarray:
         """Membership in Q_theta; boundary tolerance 1e-7 * side(Q)."""
@@ -328,10 +335,7 @@ class EnlargedCube:
                   + _CONTAINS_TOL * ell)
         out = np.zeros(len(X), dtype=bool)
         for p in self.pieces:
-            if p.empty:
-                continue
-            d = p.distance(self.curve.branch(p.branch), self.base, X)
-            out |= d <= thresh
+            out |= p.distance(self.base, X) <= thresh
         return out
 
     def bounding_box(self) -> Box:
@@ -340,21 +344,20 @@ class EnlargedCube:
         lo = np.full(n, math.inf)
         hi = np.full(n, -math.inf)
         for p in self.pieces:
-            if p.empty:
-                continue
-            if p.preimage_boxes:
+            if p.preimage_boxes is not None:
                 for b in p.preimage_boxes:
                     bd = b.dilate(self.theta * ell * 1.001)
                     lo = np.minimum(lo, bd.lo_a)
                     hi = np.maximum(hi, bd.hi_a)
             else:
                 # Fall back to the covering-ball extent from the measure proof.
-                br = self.curve.branch(p.branch)
+                radius = (self.theta
+                          + 6.0 * math.sqrt(n) * self.curve.c_gamma) * ell
                 ys = _cube_y_samples(self.base, per_axis=16)
-                eta = br.nearest_range(ys)
-                pre = br.nearest_preimage(eta, ys)
-                lo = np.minimum(lo, np.min(pre, axis=0) - p.radius)
-                hi = np.maximum(hi, np.max(pre, axis=0) + p.radius)
+                eta = p.branch.nearest_range(ys)
+                pre = p.branch.nearest_preimage(eta, ys)
+                lo = np.minimum(lo, np.min(pre, axis=0) - radius)
+                hi = np.maximum(hi, np.max(pre, axis=0) + radius)
         if not np.all(np.isfinite(lo)):
             return self.base
         return Box(tuple(lo), tuple(hi))
@@ -379,33 +382,29 @@ def _eta_box(branch: CurveBranch, Q: Box) -> Optional[Box]:
 
 
 def enlarged_cube(curve: HyperCurve, Q: Box, theta: float) -> EnlargedCube:
-    """Build Q_theta = union over branches of {x : d(x, gamma_i^{-1}(eta_{i,Q}))
-    <= theta * side(Q)}, with each piece empty when the branch range is at
-    distance >= 2 sqrt(n) side(Q) from Q."""
+    """Build Q_theta = union over the active branches of
+    {x : d(x, gamma_i^{-1}(eta_{i,Q})) <= theta * side(Q)}.  A branch is
+    active when its range lies within 2 sqrt(n) side(Q) of Q and, on the
+    exact path, its preimage of eta_{i,Q} is not empty."""
     if not (math.isfinite(theta) and theta > 1.0):
         raise RejectedInputError(f"theta must be finite and exceed 1: {theta}")
+    if Q.dim != curve.dim:
+        raise RejectedInputError(f"cube Q has {Q.dim} axes but the curve "
+                                 f"{curve.name!r} has {curve.dim}: {Q}")
     if not Q.is_bounded or min(Q.hi_a - Q.lo_a) <= 0.0:
         raise RejectedInputError(
             f"cube Q must be bounded with positive edges: {Q}")
-    n = curve.dim
-    ell = Q.side()
-    cutoff = 2.0 * math.sqrt(n) * ell
-    radius = (theta + 6.0 * math.sqrt(n) * curve.c_gamma) * ell
+    cutoff = 2.0 * math.sqrt(curve.dim) * Q.side()
     pieces = []
-    exact = True
-    for i, b in enumerate(curve.branches):
+    for b in curve.branches:
         if _range_distance(b, Q) >= cutoff:
-            pieces.append(CubePiece(i, empty=True))
             continue
         eb = _eta_box(b, Q)
-        if eb is not None and b.preimage_boxes is not None:
-            pieces.append(CubePiece(i, empty=False,
-                                    preimage_boxes=b.preimage_boxes(eb),
-                                    radius=radius))
-        else:
-            exact = False
-            pieces.append(CubePiece(i, empty=False, radius=radius))
-    return EnlargedCube(Q, theta, curve, pieces, exact)
+        if eb is None or b.preimage_boxes is None:
+            pieces.append(CubePiece(b))
+        elif boxes := b.preimage_boxes(eb):
+            pieces.append(CubePiece(b, boxes))
+    return EnlargedCube(Q, theta, curve, pieces)
 
 
 def _require_separation(curve: HyperCurve, theta: float) -> None:
@@ -421,8 +420,8 @@ def _require_separation(curve: HyperCurve, theta: float) -> None:
 @dataclass
 class QThetaReport:
     passed: bool
-    measure_estimate: float
-    measure_halfwidth: float     # 99% confidence half-width
+    measure_estimate: Optional[float]    # None: the measure half was skipped
+    measure_halfwidth: Optional[float]   # 99% confidence half-width
     measure_bound: float         # C theta^n |Q| with the covering constant
     min_probe_rho: float
     separation_bound: float      # 2 sqrt(n) ell(Q) (1 - 1e-5)
@@ -431,21 +430,23 @@ class QThetaReport:
 
 def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
                  probe_count: int = 1000, seed: int = 0,
-                 mc_samples: int = 1_000_000,
-                 check_measure: bool = True,
-                 threads: int = 1) -> QThetaReport:
+                 mc_samples: int = 1_000_000) -> QThetaReport:
     """Verify the measure bound and the separation property of Q_theta.
 
     Requires theta > 2 sqrt(n) + 5 sqrt(n) c_gamma (the separation
     hypothesis).  The measure bound uses the covering constant
     C = omega_n * r * (1 + 6 sqrt(n) c_gamma / theta)^n visible in the
-    covering-ball argument.
+    covering-ball argument, which needs every active branch to have a
+    Lipschitz inverse.  When some active piece's branch declares
+    ``inverse=None`` the measure half is skipped and the report's
+    ``measure_estimate`` and ``measure_halfwidth`` are None; the separation
+    half always runs.
     """
     if probe_count < 1:
         raise RejectedInputError(
             f"probe_count must be at least 1: {probe_count}")
     _require_separation(curve, theta)
-    if check_measure and mc_samples < 1:
+    if mc_samples < 1:
         raise RejectedInputError("mc_samples must be positive")
     ec = enlarged_cube(curve, Q, theta)
     n = curve.dim
@@ -456,11 +457,10 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     C = omega * curve.r * (1.0 + 6.0 * math.sqrt(n) * curve.c_gamma / theta) ** n
     bound = C * theta ** n * Q.measure()
 
-    est = 0.0
-    hw = 0.0
+    est = hw = None
     passed = True
     witness = None
-    if check_measure:
+    if all(p.branch.inverse is not None for p in ec.pieces):
         bbox = ec.bounding_box()
         vol = bbox.measure()
         S = rng.uniform(bbox.lo_a, bbox.hi_a, size=(mc_samples, n))
@@ -482,7 +482,7 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
         xs.append(keep)
     Xp = np.concatenate(xs)[:probe_count]
     Yp = rng.uniform(Q.lo_a, Q.hi_a, size=(probe_count, n))
-    rv, _ = rho_values(curve, Xp, Yp, threads)
+    rv, _ = rho_values(curve, Xp, Yp)
     min_rho = float(np.min(rv))
     if min_rho < sep_bound:
         passed = False

@@ -262,8 +262,7 @@ def _lattice_step(kernel: KernelSpec, out_box: Box, out_n: int,
     return 0
 
 
-def _lattice_for(kernel: KernelSpec, f: GridFunction, step: int,
-                 threads: int):
+def _lattice_for(kernel: KernelSpec, f: GridFunction, step: int):
     """(rho, K) at the offsets x_i - y_j = (step*i + (step-1)/2 - j) h,
     indexed by step*i - j + N_in - 1; cached on the kernel."""
     key = ("lattice", f.geometry(), step)
@@ -271,8 +270,7 @@ def _lattice_for(kernel: KernelSpec, f: GridFunction, step: int,
     if hit is None:
         n_in = f.cells_per_axis
         d = (np.arange(1 - n_in, n_in - step + 1) + (step - 1) / 2) * f.h
-        hit = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)),
-                              threads)
+        hit = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
         kernel._matrices[key] = hit
     return hit
 
@@ -323,7 +321,7 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
         out_box, out_n = out_geometry
     step = _lattice_step(kernel, out_box, out_n, f)
     if step:
-        R, K = _lattice_for(kernel, f, step, threads)
+        R, K = _lattice_for(kernel, f, step)
         vals = _lattice_apply(R, K, f, step, epsilon, threads)
     else:
         R, K = _matrices_for(kernel, out_box, out_n, f, threads)

@@ -6,9 +6,10 @@ the closed cube avoids every critical value (the image of a point where two
 branches meet).  Test functions supported on such cubes see at most one
 branch at almost every x, which is what the multiplier-recovery step needs.
 
-``build_partition`` refines level-0 lattice cubes until each is
-branch-disjoint; cubes still failing at ``max_depth`` land in the leftover
-set, whose measure shrinks as the depth grows.
+``build_partition`` refines the level-0 lattice cubes that meet a branch
+range inside the sampling box [-32, 32]^n until each is branch-disjoint;
+cubes still failing at ``max_depth`` land in the leftover set, whose
+measure shrinks as the depth grows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import Box, DyadicCube, HyperCurve
+from .geometry import Box, DyadicCube, HyperCurve, whole_space
 from .util import BOUNDING_HALF_WIDTH, as_points
 
 _MEASURE_TOL = 1e-12
@@ -108,8 +109,6 @@ class BranchDisjointPartition:
     curve: HyperCurve
     cubes: list[DyadicCube]
     leftover: list[DyadicCube]
-    max_depth: int
-    half_width: float
     probabilistic: bool
     _levels: list = field(init=False, repr=False, compare=False)
 
@@ -146,16 +145,13 @@ class BranchDisjointPartition:
         return out
 
 
-def _level0_corners(curve: HyperCurve, half_width: float):
-    """Integer corners of level-0 cubes meeting some branch range."""
+def _level0_corners(curve: HyperCurve):
+    """Integer corners of level-0 cubes meeting some branch range inside
+    the sampling box."""
     n = curve.dim
     corners = set()
     for b in curve.branches:
-        if b.range_region is not None:
-            boxes = b.range_region.clipped(half_width)
-        else:
-            boxes = [Box((-half_width,) * n, (half_width,) * n)]
-        for bb in boxes:
+        for bb in (b.range_region or whole_space(n)).clipped():
             ranges = []
             for k in range(n):
                 lo = int(math.floor(bb.lo[k]))
@@ -165,9 +161,8 @@ def _level0_corners(curve: HyperCurve, half_width: float):
     return sorted(corners)
 
 
-def build_partition(curve: HyperCurve, max_depth: int = 8,
-                    half_width: float = BOUNDING_HALF_WIDTH
-                    ) -> BranchDisjointPartition:
+def build_partition(curve: HyperCurve,
+                    max_depth: int = 8) -> BranchDisjointPartition:
     """Refine lattice cubes covering the branch ranges until each accepted
     cube is branch-disjoint; undecidable cubes at max_depth go to leftover."""
     if max_depth < 0:
@@ -176,7 +171,7 @@ def build_partition(curve: HyperCurve, max_depth: int = 8,
     accepted: list[DyadicCube] = []
     leftover: list[DyadicCube] = []
     probabilistic = False
-    stack = [DyadicCube(0, c) for c in _level0_corners(curve, half_width)]
+    stack = [DyadicCube(0, c) for c in _level0_corners(curve)]
     while stack:
         cube = stack.pop()
         res = disjoint_preimage_test(curve, cube, crit)
@@ -189,5 +184,4 @@ def build_partition(curve: HyperCurve, max_depth: int = 8,
             stack.extend(cube.children())
     accepted.sort()
     leftover.sort()
-    return BranchDisjointPartition(curve, accepted, leftover,
-                                   max_depth, half_width, probabilistic)
+    return BranchDisjointPartition(curve, accepted, leftover, probabilistic)

@@ -134,6 +134,8 @@ class TestExitCodes:
         (["qtheta", "theta=nan"], "theta"),
         (["qtheta", "cube=2..2"], "cube"),
         (["qtheta", "cube=0..inf"], "cube"),
+        (["qtheta", "cube=2..3,2..3"], "cube"),
+        (["decompose", "root=-8..8,-8..8"], "root"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_non_finite_or_degenerate_exits_2(self, tmp_path, capsys, argv,
                                               name):
@@ -227,6 +229,23 @@ class TestExperiments:
                      "mc_samples=50000", "probes=200", "--out",
                      str(tmp_path)])
         assert code == 0
+
+    def test_qtheta_diamond_skips_measure_half(self, tmp_path):
+        # An active flat piece has no inverse, so only the separation half
+        # runs and the two measure cells stay empty.
+        code = main(["qtheta", "curve=diamond", "cube=0.25..0.5", "theta=9",
+                     "mc_samples=20000", "--out", str(tmp_path)])
+        assert code == 0
+        row = (tmp_path / "qtheta.csv").read_text().splitlines()[1]
+        assert row.split(",")[:3] == ["diamond", "", ""]
+
+    def test_qtheta_diamond_far_from_flat_checks_measure(self, tmp_path):
+        # At cube=2..3 the flat piece is empty, so the measure half runs.
+        code = main(["qtheta", "curve=diamond", "cube=2..3", "theta=9",
+                     "mc_samples=20000", "--out", str(tmp_path)])
+        assert code == 0
+        row = (tmp_path / "qtheta.csv").read_text().splitlines()[1]
+        assert float(row.split(",")[1]) > 0.0
 
     def test_partition_reports_leftover(self, tmp_path):
         code = main(["partition", "curve=diamond", "max_depth=5",

@@ -71,6 +71,11 @@ class TestCzDecompose:
         with pytest.raises(RejectedInputError):
             cz_decompose(f, 1.0, box(-1.5, 0.0))  # 6 cells: not a power of 2
 
+    def test_rejects_root_of_other_dimension(self):
+        f = GridFunction(B8, 64, np.zeros(64))
+        with pytest.raises(RejectedInputError, match="root"):
+            cz_decompose(f, 1.0, box((-8.0, -8.0), (8.0, 8.0)))
+
     def test_invariants_exact_on_random_dyadic_data(self):
         rng = np.random.default_rng(42)
         nodes = grid_nodes(B8, 256)[:, 0]

@@ -135,8 +135,14 @@ class TestEnlargedCube:
     def test_far_cube_has_empty_pieces(self):
         # The diamond ranges live in [-1,1]; a far cube activates nothing.
         ec = enlarged_cube(get_curve("diamond"), box(20.0, 20.5), 9.0)
-        assert all(p.empty for p in ec.pieces)
+        assert ec.pieces == []
+        assert ec.bounding_box() == box(20.0, 20.5)
         assert not np.any(ec.contains([[0.0], [20.25]]))
+
+    def test_cube_dimension_must_match_curve(self):
+        with pytest.raises(RejectedInputError, match="cube"):
+            enlarged_cube(get_curve("two-lines"), box((2.0, 2.0), (3.0, 3.0)),
+                          8.0)
 
     def test_theta_must_exceed_one(self):
         with pytest.raises(RejectedInputError):
@@ -172,7 +178,7 @@ class TestEnlargedCube:
             pre = branch.nearest_preimage(np.broadcast_to(eta, X.shape), X)
             want = np.minimum(want, np.sqrt(np.sum((X - pre) ** 2, axis=1)))
         for m in (len(X), 7, 0):
-            got = ec.pieces[0].distance(branch, Q, X[:m], ys)
+            got = ec.pieces[0].distance(Q, X[:m], ys)
             assert got.tobytes() == want[:m].tobytes()
 
 
@@ -188,8 +194,9 @@ class TestQTheta:
         # The flat branch has no Lipschitz inverse, so only the separation
         # half of the enlargement lemma applies to the diamond.
         rep = check_qtheta(get_curve("diamond"), box(0.25, 0.5), 9.0,
-                           probe_count=300, seed=4, check_measure=False)
+                           probe_count=300, seed=4)
         assert rep.passed, rep.witness
+        assert rep.measure_estimate is None and rep.measure_halfwidth is None
 
     def test_theta_hypothesis_enforced(self):
         with pytest.raises(RejectedInputError):
@@ -199,7 +206,7 @@ class TestQTheta:
     def test_probe_count_must_be_positive(self, probes):
         with pytest.raises(RejectedInputError, match="probe_count"):
             check_qtheta(get_curve("two-lines"), box(2.0, 3.0), 8.1,
-                         probe_count=probes, check_measure=False)
+                         probe_count=probes)
 
 
 class TestSampledSolverAgainstDeclaredDistances:

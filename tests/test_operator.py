@@ -304,7 +304,6 @@ class TestRecovery:
                                lipschitz=1.0)
         curve = HyperCurve("double", [identity(0), identity(1)])
         part = BranchDisjointPartition(curve, [DyadicCube(0, (0,))], [],
-                                       max_depth=0, half_width=32.0,
                                        probabilistic=False)
         with pytest.raises(ConsistencyError,
                            match=r"node \(.*0\.125.*\) into the same "):

@@ -132,15 +132,14 @@ class TestLocate:
             else:
                 cubes.append(c)
         p = BranchDisjointPartition(get_curve("diagonal", 2), sorted(cubes),
-                                    [], 3, 32.0, False)
+                                    [], False)
         Y = probe_points(rng, 2) / 8.0
         got = p.locate(Y)
         assert np.array_equal(got, locate_reference(p, Y))
         assert np.all(got[np.all(np.abs(Y) < 4.0, axis=1)] >= 0)
 
     def test_empty_partition_and_no_points(self):
-        p = BranchDisjointPartition(get_curve("two-lines"), [], [], 0, 32.0,
-                                    False)
+        p = BranchDisjointPartition(get_curve("two-lines"), [], [], False)
         assert p.locate(np.array([[0.5], [-3.0]])).tolist() == [-1, -1]
         q = build_partition(get_curve("two-lines"), max_depth=4)
         assert q.locate(np.empty((0, 1))).shape == (0,)
