@@ -30,9 +30,8 @@ from .errors import RejectedInputError
 from .geometry import Box
 from .kernels import KernelSpec
 from .metric import _require_separation, enlarged_cube
-from .operator import (GridFunction, _matrices_for, _require_epsilon,
-                       grid_nodes)
-from .util import fold_mirror_sum
+from .operator import (GridFunction, _fold_sum, _mask, _matrices_for,
+                       _require_epsilon, _unfold, grid_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +234,16 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
         l1 = lp_norm(f, 1.0)
         Xout = grid_nodes(f.box, out_cells)
         out_cell = (f.box.side() / out_cells) ** n
-        R, K = _matrices_for(kernel, f.box, out_cells, f, threads)
-        M = np.where(R >= epsilon, K, 0.0)
-        Tf = fold_mirror_sum(M * f.values, axis=1) * f.h ** n
+        W, W_mid = _mask(_matrices_for(kernel, f.box, out_cells, f, threads),
+                         epsilon)
         if l1 == 0.0:
             for j in range(ladder_max + 1):
                 rows.append(WeakTypeRow(fi, 0.0, 0, 0.0, 0.0, 0.0, 0.0))
             continue
+        m_out = len(Xout)
+        # Unfold before _fold_sum overwrites W.
+        Mg = _unfold(W, W_mid).reshape((m_out,) + (f.cells_per_axis,) * n)
+        Tf = _fold_sum(W, W_mid, f)
         base = l1 / f.box.measure()
         for j in range(ladder_max + 1):
             lam = (2.0 ** j) * base
@@ -256,10 +258,9 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
             bad_int = 0.0
             if dec.blocks:
                 # Column k of T_eps b sums only over the cells of cube k.
-                Mg = M.reshape((len(M),) + (f.cells_per_axis,) * n)
-                Tb = np.empty((len(M), len(dec.blocks)))   # (m_out, K)
+                Tb = np.empty((m_out, len(dec.blocks)))
                 for k, (cells, block) in enumerate(dec.blocks):
-                    Tb[:, k] = (Mg[(slice(None),) + cells].reshape(len(M), -1)
+                    Tb[:, k] = (Mg[(slice(None),) + cells].reshape(m_out, -1)
                                 @ block.reshape(-1))
                 Tb *= f.h ** n
                 outside = ~in_bstar

@@ -14,11 +14,12 @@ two paths chosen from what it can observe:
   (s i + (s-1)/2 - j) h, so rho and K are evaluated once on those offsets,
   cached on the kernel (O(N) memory), masked per eps and summed directly
   in fixed chunks of at most ``_TAP_CHUNK`` taps.
-- Dense path, everything else: the rho and K matrices of the (output grid,
-  input grid) pair are cached on the kernel, so sweeping eps only changes
-  the mask.  Inner sums pair each cell with its mirror cell before
-  accumulating, so integrands that are exactly antisymmetric on a
-  symmetric grid cancel bitwise.
+- Dense path, everything else: rho and K from the output grid to f's grid
+  are cached on the kernel, folded into two contiguous halves, the cells
+  j < N/2 and their mirror cells N - 1 - j (an odd grid's middle cell
+  apart).  A new eps only changes the mask, and each row sum adds every
+  cell's term to its mirror's first, so integrands that are exactly
+  antisymmetric on a symmetric grid cancel bitwise.
 
 Both paths sum directly rather than by FFT.  An FFT leaves a residue of
 about 1e-16 |k| |f| at every point, even where every unmasked term is 0;
@@ -41,7 +42,7 @@ from .errors import ConsistencyError, RejectedInputError
 from .geometry import Box, HyperCurve, parse_box
 from .kernels import KernelSpec, _rho_and_kernel
 from .partition import BranchDisjointPartition
-from .util import as_points, fold_mirror_sum, pmap_chunks
+from .util import as_points, pmap_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -209,38 +210,67 @@ _CACHE_ENTRY_LIMIT = 1 << 24
 
 def _build_matrices(kernel: KernelSpec, Xout: np.ndarray,
                     gf: GridFunction, threads: int):
+    """(R, K, R_mid, K_mid): rho and K from Xout to gf's nodes, folded:
+    [0] the nodes j < m_in // 2, [1] their mirrors m_in - 1 - j, *_mid an
+    odd grid's middle node (None otherwise).  A row chunk is one call on
+    all nodes, as the sampled rho sizes its sampler per call; the chunks
+    are folded after the last call, so the output never coexists with
+    rho's temporaries."""
     Yin = gf.nodes()
     m_out, m_in = len(Xout), len(Yin)
+    half = m_in // 2
 
     def rows(s, e):
-        Xrep = np.repeat(Xout[s:e], m_in, axis=0)
-        Ytil = np.tile(Yin, (e - s, 1))
-        R, K = _rho_and_kernel(kernel, Xrep, Ytil)
-        return np.stack([R.reshape(e - s, m_in), K.reshape(e - s, m_in)],
-                        axis=1)
+        RK = _rho_and_kernel(kernel, np.repeat(Xout[s:e], m_in, axis=0),
+                             np.tile(Yin, (e - s, 1)))
+        return np.stack([a.reshape(e - s, m_in) for a in RK], axis=1)
 
-    row_chunk = max(1, _CACHE_ENTRY_LIMIT // (8 * m_in))
-    RK = pmap_chunks(rows, m_out, row_chunk, threads)     # (m_out, 2, m_in)
-    return np.ascontiguousarray(RK[:, 0]), np.ascontiguousarray(RK[:, 1])
+    RK = pmap_chunks(rows, m_out, max(1, _CACHE_ENTRY_LIMIT // (8 * m_in)),
+                     threads).reshape(m_out, 2, m_in).transpose(1, 0, 2)
+    R, K = np.empty((2, m_out, half)), np.empty((2, m_out, half))
+    for a, folded in zip(RK, (R, K)):
+        folded[0], folded[1] = a[:, :half], a[:, ::-1][:, :half]
+    if m_in % 2 == 0:
+        return R, K, None, None
+    return (R, K) + tuple(RK[..., half].copy())
 
 
 def _matrices_for(kernel: KernelSpec, out_box: Box, out_n: int,
                   gf: GridFunction, threads: int):
-    """(R, K) from the output grid (out_box, out_n) to gf's grid, cached."""
+    """``_build_matrices`` from the grid (out_box, out_n), cached."""
     key = ((out_box.lo, out_box.hi, out_n), gf.geometry())
     hit = kernel._matrices.get(key)
     if hit is not None:
         return hit
-    R, K = _build_matrices(kernel, grid_nodes(out_box, out_n), gf, threads)
-    if R.size <= _CACHE_ENTRY_LIMIT:
-        kernel._matrices[key] = (R, K)
-    return R, K
+    mats = _build_matrices(kernel, grid_nodes(out_box, out_n), gf, threads)
+    if mats[0].shape[1] * gf.values.size <= _CACHE_ENTRY_LIMIT:
+        kernel._matrices[key] = mats
+    return mats
 
 
-def _masked_apply(R: np.ndarray, K: np.ndarray, gf: GridFunction,
-                  epsilon: float) -> np.ndarray:
-    W = np.where(R >= epsilon, K, 0.0) * gf.values
-    return fold_mirror_sum(W, axis=1) * gf.h ** gf.dim
+def _mask(mats, epsilon: float):
+    """(W, W_mid): the folded K, zero where rho < eps."""
+    R, K, R_mid, K_mid = mats
+    W = np.where(R >= epsilon, K, 0.0)
+    return W, None if R_mid is None else np.where(R_mid >= epsilon, K_mid, 0.0)
+
+
+def _fold_sum(W, W_mid, gf: GridFunction) -> np.ndarray:
+    """T_eps f from the masked (W, W_mid), each cell's term added to its
+    mirror's before the row sum.  Overwrites W."""
+    f, half = gf.values, W.shape[2]
+    W *= np.stack((f[:half], f[::-1][:half]))[:, None, :]
+    W[0] += W[1]
+    out = np.sum(W[0], axis=1)
+    if W_mid is not None:
+        out = out + W_mid * f[half]
+    return out * gf.h ** gf.dim
+
+
+def _unfold(W, W_mid) -> np.ndarray:
+    """The folded (W, W_mid) as one (m_out, m_in) matrix."""
+    mid = [] if W_mid is None else [W_mid]
+    return np.column_stack([W[0], *mid, W[1][:, ::-1]])
 
 
 # Taps per dot product, and output rows per task, on the lattice path.
@@ -324,8 +354,8 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
         R, K = _lattice_for(kernel, f, step)
         vals = _lattice_apply(R, K, f, step, epsilon, threads)
     else:
-        R, K = _matrices_for(kernel, out_box, out_n, f, threads)
-        vals = _masked_apply(R, K, f, epsilon)
+        mats = _matrices_for(kernel, out_box, out_n, f, threads)
+        vals = _fold_sum(*_mask(mats, epsilon), f)
     return GridFunction(out_box, out_n, vals)
 
 
@@ -333,9 +363,8 @@ def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,
                        epsilon: float, threads: int = 1) -> np.ndarray:
     """T_eps f at explicit points (no caching)."""
     _require_epsilon(epsilon)
-    X = as_points(x, kernel.dim)
-    R, K = _build_matrices(kernel, X, f, threads)
-    return _masked_apply(R, K, f, epsilon)
+    mats = _build_matrices(kernel, as_points(x, kernel.dim), f, threads)
+    return _fold_sum(*_mask(mats, epsilon), f)
 
 
 @dataclass

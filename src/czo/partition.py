@@ -26,6 +26,8 @@ from .geometry import Box, DyadicCube, HyperCurve, whole_space
 from .util import BOUNDING_HALF_WIDTH, as_points
 
 _MEASURE_TOL = 1e-12
+_OVERLAP_SAMPLES = 4096
+_OVERLAP_SEED = 0
 
 
 def critical_values(curve: HyperCurve) -> np.ndarray:
@@ -60,24 +62,19 @@ def _preimage_overlap_exact(curve: HyperCurve, bx: Box) -> Optional[bool]:
     return False
 
 
-def _preimage_overlap_sampled(curve: HyperCurve, bx: Box,
-                              samples: int = 4096, seed: int = 0) -> bool:
+def _preimage_overlap_sampled(curve: HyperCurve, bx: Box) -> bool:
     """Monte-Carlo fallback: sample x and look for points mapped into the
     cube by two distinct branches."""
-    rng = np.random.default_rng(seed)
-    n = curve.dim
+    rng = np.random.default_rng(_OVERLAP_SEED)
     X = rng.uniform(-BOUNDING_HALF_WIDTH, BOUNDING_HALF_WIDTH,
-                    size=(samples, n))
-    hits = np.zeros(samples, dtype=int)
+                    size=(_OVERLAP_SAMPLES, curve.dim))
+    hits = np.zeros(_OVERLAP_SAMPLES, dtype=int)
     for b in curve.branches:
         inside = b.domain.contains(X)
         if not np.any(inside):
             continue
         img = b.forward(X[inside])
-        in_cube = bx.contains(img)
-        flag = np.zeros(samples, dtype=int)
-        flag[np.flatnonzero(inside)[in_cube]] = 1
-        hits += flag
+        hits[np.flatnonzero(inside)[bx.contains(img)]] += 1
     return bool(np.any(hits >= 2))
 
 

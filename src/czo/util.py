@@ -64,19 +64,3 @@ def as_points(x, dim: int) -> np.ndarray:
         raise ValueError("points must be finite (no NaN/inf)")
     return a
 
-
-def fold_mirror_sum(w: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along an axis after pairing each entry with its mirror.
-
-    This is a plain regrouping of the sum; it makes integrals of exactly
-    antisymmetric integrands on symmetric grids cancel bitwise.
-    """
-    w = np.moveaxis(w, axis, -1)
-    m = w.shape[-1]
-    half = m // 2
-    rev = w[..., ::-1]
-    pairs = w[..., :half] + rev[..., :half]
-    total = np.sum(pairs, axis=-1)
-    if m % 2 == 1:
-        total = total + w[..., half]
-    return total

@@ -72,9 +72,11 @@ def check_against_dense(n, step):
     k = get_kernel("hilbert")
     dense = dense_twin(k)
     geom = (B8, n // step)
+    X, Y = grid_nodes(B8, n // step), grid_nodes(B8, n)
+    R, K = (a.reshape(len(X), n) for a in _rho_and_kernel(
+        dense, np.repeat(X, n, axis=0), np.tile(Y, (len(X), 1))))
     for vals in inputs(n, n + step):
         f = GridFunction(B8, n, vals)
-        R, K = op._matrices_for(dense, B8, n // step, f, 1)
         # R[0, 5] is attained, so the mask keeps rho == eps exactly there.
         for eps in (LADDER[0], 0.5, LADDER[7], 0.1, LADDER[15], R[0, 5]):
             got = quiet_apply(k, f, eps, geom).values

@@ -1,14 +1,16 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from czo.curves import get_curve
+from czo.decomposition import cz_decompose, lp_norm, weak_type_experiment
 from czo.errors import ConsistencyError, RejectedInputError
 from czo.geometry import CurveBranch, DyadicCube, HyperCurve, box, whole_space
-from czo.kernels import KernelSpec, get_kernel
-from czo.metric import rho_values
+from czo.kernels import KernelSpec, _rho_and_kernel, get_kernel
+from czo.metric import enlarged_cube, rho_values
 from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
                           apply_truncated_at, estimate_T0,
                           grid_function, grid_nodes, interpolate,
@@ -200,6 +202,179 @@ class TestMatrixCache:
         assert builds == []
         quiet_apply(get_kernel("two-line-hilbert"), f, 0.25)
         assert builds == [1]
+
+
+def rowmajor_masked(kernel, X, f, eps):
+    """The eps-masked kernel matrix from the points X to f's nodes,
+    row-major, evaluated without the matrix cache."""
+    Y = f.nodes()
+    R, K = _rho_and_kernel(kernel, np.repeat(X, len(Y), axis=0),
+                           np.tile(Y, (len(X), 1)))
+    R = R.reshape(len(X), len(Y))
+    return np.where(R >= eps, K.reshape(len(X), len(Y)), 0.0), R
+
+
+def rowmajor_apply(M, f):
+    """Reference T_eps f: each column paired with its mirror, then summed."""
+    W = M * f.values
+    half = W.shape[1] // 2
+    total = np.sum(W[:, :half] + W[:, ::-1][:, :half], axis=1)
+    if W.shape[1] % 2 == 1:
+        total = total + W[:, half]
+    return total * f.h ** f.dim
+
+
+def rowmajor_weak_rows(kernel, f, eps, theta, out_cells, ladder_max):
+    """(superlevel measure, ratio, bad integral) per lambda, by the
+    row-major formulas of the weak-type experiment."""
+    Xout = grid_nodes(f.box, out_cells)
+    out_cell = f.box.side() / out_cells
+    M, _ = rowmajor_masked(kernel, Xout, f, eps)
+    Tf = rowmajor_apply(M, f)
+    l1 = lp_norm(f, 1.0)
+    rows = []
+    for j in range(ladder_max + 1):
+        lam = (2.0 ** j) * l1 / f.box.measure()
+        dec = cz_decompose(f, lam)
+        level = float(np.count_nonzero(np.abs(Tf) >= lam) * out_cell)
+        in_bstar = np.zeros(len(Xout), dtype=bool)
+        for c in dec.cubes:
+            ec = enlarged_cube(kernel.curve, c.box, theta)
+            in_bstar |= ec.contains(Xout)
+        bad_int = 0.0
+        if dec.blocks:
+            Tb = np.empty((len(M), len(dec.blocks)))
+            for k, (cells, block) in enumerate(dec.blocks):
+                Tb[:, k] = M[(slice(None),) + cells] @ block
+            Tb *= f.h
+            bad_int = float(np.sum(np.abs(Tb[~in_bstar])) * out_cell)
+        rows.append((level, lam * level / l1, bad_int))
+    return rows
+
+
+class TestMirrorPairedSums:
+    """apply_truncated, apply_truncated_at and weak_type_experiment equal,
+    bit for bit, the row-major formula: mask, multiply by f, pair each
+    column with its mirror column, sum."""
+
+    @staticmethod
+    def inputs(n, seed):
+        rng = np.random.default_rng(seed)
+        x = grid_nodes(B8, n)[:, 0]
+        a = np.where(np.abs(x - 0.7) <= 2.0, rng.normal(size=n), 0.0)
+        return [a, np.exp(-(x + 0.4) ** 2), a - a[::-1]]
+
+    @pytest.mark.parametrize("name", ["two-line-hilbert", "diamond-model"])
+    @pytest.mark.parametrize("n_in, n_out", [(255, 255), (257, 131),
+                                             (256, 100)])
+    def test_apply_matches_the_rowmajor_formula(self, name, n_in, n_out):
+        k = get_kernel(name)
+        Xout = grid_nodes(B8, n_out)
+        Xat = np.random.default_rng(n_in).uniform(-8.0, 8.0, size=(23, 1))
+        for vals in self.inputs(n_in, n_out):
+            f = GridFunction(B8, n_in, vals)
+            _, R = rowmajor_masked(k, Xout, f, 1.0)
+            # R[3, 7] is attained, so the mask keeps rho == eps there.
+            for eps in (0.5, 0.1, R[3, 7]):
+                M, _ = rowmajor_masked(k, Xout, f, eps)
+                got = quiet_apply(k, f, eps, out_geometry=(B8, n_out))
+                assert got.values.tobytes() == rowmajor_apply(M, f).tobytes()
+                M, _ = rowmajor_masked(k, Xat, f, eps)
+                got = apply_truncated_at(k, f, Xat, eps)
+                assert got.tobytes() == rowmajor_apply(M, f).tobytes()
+
+    @pytest.mark.parametrize("n_in", [255, 256])
+    def test_cache_holds_contiguous_mirror_halves(self, n_in):
+        import czo.operator as op
+
+        k = get_kernel("diamond-model")
+        f = GridFunction(B8, n_in, self.inputs(n_in, 1)[1])
+        R, K, R_mid, K_mid = op._matrices_for(k, B8, 100, f, 1)
+        Rw = rowmajor_masked(k, grid_nodes(B8, 100), f, 0.0)[1]
+        half = n_in // 2
+        assert R.shape == K.shape == (2, 100, half)
+        assert R.flags.c_contiguous and K.flags.c_contiguous
+        assert np.array_equal(R[0], Rw[:, :half])
+        assert np.array_equal(R[1], Rw[:, ::-1][:, :half])
+        if n_in % 2:
+            assert np.array_equal(R_mid, Rw[:, half])
+        else:
+            assert R_mid is None and K_mid is None
+
+    @pytest.mark.parametrize("n_in, n_out", [(255, 255), (257, 131),
+                                             (256, 100)])
+    def test_odd_input_gives_positive_zeros(self, n_in, n_out):
+        k = get_kernel("two-line-hilbert")
+        f = GridFunction(B8, n_in, self.inputs(n_in, 3)[2])
+        assert np.any(f.values != 0.0)
+        for eps in (0.5, 0.1):
+            got = quiet_apply(k, f, eps, out_geometry=(B8, n_out)).values
+            assert got.tobytes() == np.zeros(n_out).tobytes()
+
+    def test_threads_fill_every_row_chunk(self, monkeypatch):
+        # Chunks of 3 rows, filled in place by more threads than cores.
+        import czo.operator as op
+
+        monkeypatch.setattr(op, "_CACHE_ENTRY_LIMIT", 3 * 8 * 257)
+        k = get_kernel("two-line-hilbert")
+        f = GridFunction(B8, 257, self.inputs(257, 5)[0])
+        want = rowmajor_apply(rowmajor_masked(k, grid_nodes(B8, 131), f,
+                                              0.1)[0], f)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = quiet_apply(k, f, 0.1, out_geometry=(B8, 131), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_sampled_rho_keeps_each_row_chunk_in_one_call(self, monkeypatch):
+        # The sampled rho sizes its sampler from the points of each call.
+        # On a box reaching past the sampler's base extent, every row chunk
+        # must still evaluate all input nodes in one call, as the
+        # row-major build did, for the folded cache to hold the same bits.
+        import czo.operator as op
+
+        wave = 0.3
+
+        def inverse(Y):
+            t = Y.copy()
+            for _ in range(30):
+                t = t - (t + wave * np.sin(t) - Y) / (1.0 + wave * np.cos(t))
+            return t
+
+        branch = CurveBranch(
+            index=0, domain=whole_space(1),
+            forward=lambda X: X + wave * np.sin(X), inverse=inverse,
+            jacobian=lambda X: 1.0 + wave * np.cos(X[:, 0]),
+            lipschitz=1.0 / (1.0 - wave), name="wavy")
+        k = KernelSpec("wavy", HyperCurve("wavy", [branch]),
+                       lambda X, Y, r: np.sign(X[:, 0] + wave * np.sin(X[:, 0])
+                                               - Y[:, 0]) / r, 1.0, 1.0)
+        assert branch.distance is None
+        wide = box(-40.0, 12.0)
+        monkeypatch.setattr(op, "_CACHE_ENTRY_LIMIT", 4 * 8 * 41)
+        f = grid_function(wide, 41, lambda X: np.cos(X[:, 0] / 5.0))
+        Xout = grid_nodes(wide, 30)
+        for eps in (2.0, 0.5):
+            M = np.vstack([rowmajor_masked(k, Xout[s:s + 4], f, eps)[0]
+                           for s in range(0, 30, 4)])
+            got = quiet_apply(k, f, eps, out_geometry=(wide, 30))
+            assert got.values.tobytes() == rowmajor_apply(M, f).tobytes()
+
+    @pytest.mark.parametrize("name", ["two-line-hilbert", "diamond-model"])
+    @pytest.mark.parametrize("n_out", [100, 131])
+    def test_weak_type_rows_match_the_rowmajor_formula(self, name, n_out):
+        k = get_kernel(name)
+        family = [GridFunction(B8, 256, v) for v in self.inputs(256, n_out)]
+        rep = weak_type_experiment(k, family, 0.1, 8.1, out_cells=n_out,
+                                   ladder_max=4)
+        assert any(r.bad_integral > 0.0 for r in rep.rows)
+        for fi, f in enumerate(family):
+            want = rowmajor_weak_rows(k, f, 0.1, 8.1, n_out, 4)
+            got = [(r.superlevel_measure, r.ratio, r.bad_integral)
+                   for r in rep.rows if r.function_index == fi]
+            assert got == want
 
 
 class TestEstimateT0:
