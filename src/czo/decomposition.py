@@ -30,8 +30,8 @@ from .errors import RejectedInputError
 from .geometry import Box
 from .kernels import KernelSpec
 from .metric import _require_separation, enlarged_cube
-from .operator import (GridFunction, _fold_sum, _mask, _matrices_for,
-                       _require_epsilon, _unfold, grid_nodes)
+from .operator import (GridFunction, _require_epsilon, _truncated_columns,
+                       grid_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +234,13 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
         l1 = lp_norm(f, 1.0)
         Xout = grid_nodes(f.box, out_cells)
         out_cell = (f.box.side() / out_cells) ** n
-        W, W_mid = _mask(_matrices_for(kernel, f.box, out_cells, f, threads),
-                         epsilon)
         if l1 == 0.0:
             for j in range(ladder_max + 1):
                 rows.append(WeakTypeRow(fi, 0.0, 0, 0.0, 0.0, 0.0, 0.0))
             continue
         m_out = len(Xout)
-        # Unfold before _fold_sum overwrites W.
-        Mg = _unfold(W, W_mid).reshape((m_out,) + (f.cells_per_axis,) * n)
-        Tf = _fold_sum(W, W_mid, f)
+        Tf, column = _truncated_columns(kernel, f, epsilon, out_cells,
+                                        threads)
         base = l1 / f.box.measure()
         for j in range(ladder_max + 1):
             lam = (2.0 ** j) * base
@@ -260,8 +257,7 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
                 # Column k of T_eps b sums only over the cells of cube k.
                 Tb = np.empty((m_out, len(dec.blocks)))
                 for k, (cells, block) in enumerate(dec.blocks):
-                    Tb[:, k] = (Mg[(slice(None),) + cells].reshape(m_out, -1)
-                                @ block.reshape(-1))
+                    Tb[:, k] = column(cells, block)
                 Tb *= f.h ** n
                 outside = ~in_bstar
                 bad_int = float(np.sum(np.abs(Tb[outside])) * out_cell)

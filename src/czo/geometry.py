@@ -79,10 +79,6 @@ class Box:
         d = np.maximum(self.lo_a - X, 0.0) + np.maximum(X - self.hi_a, 0.0)
         return np.sqrt(np.sum(d * d, axis=1))
 
-    def intersects(self, other: "Box") -> bool:
-        return all(max(a, c) <= min(b, d)
-                   for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi))
-
     def intersection(self, other: "Box") -> Optional["Box"]:
         lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
         hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
@@ -415,10 +411,6 @@ class ValidationReport:
     passed: bool
     c_gamma: float
     branches: list[BranchReport]
-
-    @property
-    def max_lipschitz_ratio(self) -> float:
-        return max(max(b.forward_ratio, b.inverse_ratio) for b in self.branches)
 
 
 def _sample_domain(b: CurveBranch, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,8 +37,13 @@ class KernelSpec:
     ``size_constant`` is the declared bound for sup |K| rho^n, and
     ``regularity_constant`` the declared Hoelder constant that
     ``audit_regularity`` checks (None: not audited).
-    ``translation_invariant`` declares that K(x, y) and rho(x, y) depend on
-    x - y alone, which lets ``apply_truncated`` sum by lattice convolution.
+    ``reflections`` declares a set S of signs in {+1, -1} with
+    K(x, y) = sum over s in S of k(x - s y) and
+    rho(x, y) = min over s in S of rho_1(x - s y) for 1-D functions k and
+    rho_1 (so k(d) = K(d, 0) / |S| and rho_1(d) = rho(d, 0)): ``hilbert``
+    declares {+1}, ``two-line-hilbert`` {+1, -1}.  It lets
+    ``apply_truncated`` sum on the lattice of offsets x - y, for -1 only
+    on boxes symmetric about 0.  The empty set declares nothing.
     """
 
     name: str
@@ -47,12 +52,17 @@ class KernelSpec:
     size_constant: float
     delta: float
     regularity_constant: Optional[float] = None
-    translation_invariant: bool = False
+    reflections: frozenset = frozenset()
     # apply_truncated's dense (R, K) matrices or lattice (R, K) vectors,
     # keyed on the grids; held per kernel, so kernels that share a name
     # never share them.
     _matrices: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+
+    def __post_init__(self):
+        if not self.reflections <= {1, -1}:
+            raise RejectedInputError(
+                f"reflections must be signs +1 or -1: {set(self.reflections)}")
 
     @property
     def dim(self) -> int:
@@ -86,7 +96,7 @@ def _hilbert() -> KernelSpec:
     return KernelSpec("hilbert", curve, fn,
                       size_constant=1.0 / math.sqrt(2.0) + 1e-3, delta=1.0,
                       regularity_constant=_HILBERT_REGULARITY,
-                      translation_invariant=True)
+                      reflections=frozenset({1}))
 
 
 def _two_line_hilbert() -> KernelSpec:
@@ -100,7 +110,8 @@ def _two_line_hilbert() -> KernelSpec:
     # Each term obeys the hilbert bound against its own line.
     return KernelSpec("two-line-hilbert", curve, fn,
                       size_constant=math.sqrt(2.0) + 1e-3, delta=1.0,
-                      regularity_constant=2.0 * _HILBERT_REGULARITY)
+                      regularity_constant=2.0 * _HILBERT_REGULARITY,
+                      reflections=frozenset({1, -1}))
 
 
 def _diamond_model() -> KernelSpec:

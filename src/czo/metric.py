@@ -83,7 +83,8 @@ def _extent_for(branch: CurveBranch, X: np.ndarray, Y: np.ndarray) -> float:
     bounded = all(b.is_bounded for b in branch.domain.boxes)
     if bounded:
         return BOUNDING_HALF_WIDTH
-    need = 1.3 * max(1.0, float(np.max(np.abs(X))), float(np.max(np.abs(Y))))
+    need = 1.3 * max(1.0, float(np.max(np.abs(X), initial=0.0)),
+                     float(np.max(np.abs(Y), initial=0.0)))
     extent = BOUNDING_HALF_WIDTH
     while extent < need:
         extent *= 2.0

@@ -8,25 +8,34 @@ and any other such callable serves as one.
 rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule, on one of
 two paths chosen from what it can observe:
 
-- Lattice path: the kernel declares ``translation_invariant``, n = 1, the
-  output grid lies on f's box and its cell count divides f's (s = N_in /
-  N_out).  Every x_i - y_j is then one of the 2 N_in - s lattice offsets
-  (s i + (s-1)/2 - j) h, so rho and K are evaluated once on those offsets,
-  cached on the kernel (O(N) memory), masked per eps and summed directly
-  in fixed chunks of at most ``_TAP_CHUNK`` taps.
-- Dense path, everything else: rho and K from the output grid to f's grid
-  are cached on the kernel, folded into two contiguous halves, the cells
-  j < N/2 and their mirror cells N - 1 - j (an odd grid's middle cell
-  apart).  A new eps only changes the mask, and each row sum adds every
-  cell's term to its mirror's first, so integrands that are exactly
-  antisymmetric on a symmetric grid cancel bitwise.
+- Lattice path: the kernel declares its ``reflections`` S (K(x, y) =
+  sum_s k(x - s y), rho = min_s rho_1(x - s y)), n = 1, the output grid
+  lies on f's box and its cell count divides f's (s = N_in / N_out), and
+  for the reflection -1 the box is symmetric about 0.  Every x_i - y_j is
+  then one of the 2 N_in - s lattice offsets (s i + (s-1)/2 - j) h, and
+  x_i + y_j one of the same offsets, so rho_1 and k are evaluated once on
+  them, cached on the kernel (O(N) memory), and each eps is summed
+  directly: the Toeplitz sum over g = sum_s f(s y), in fixed chunks of at
+  most ``_TAP_CHUNK`` taps.  With both reflections that sum is exact
+  except on rows whose Hankel band (|x_i + y_j| too close for eps) meets
+  a nonzero g_j, found by a prefix count of g != 0, and on the middle row
+  of an odd output grid; those rows are recomputed by a direct masked sum
+  over cell pairs (j, N - 1 - j).
+- Dense path, everything else (kernels without a declaration, other
+  output grids, 2-D, ``apply_truncated_at``): rho and K from the output
+  grid to f's grid are cached on the kernel, folded into two contiguous
+  halves, the cells j < N/2 and their mirror cells N - 1 - j (an odd
+  grid's middle cell apart).  A new eps only changes the mask, and each
+  row sum adds every cell's term to its mirror's first, so integrands that
+  are exactly antisymmetric on a symmetric grid cancel bitwise.
 
 Both paths sum directly rather than by FFT.  An FFT leaves a residue of
 about 1e-16 |k| |f| at every point, even where every unmasked term is 0;
 direct summation gives exactly 0 there, and across an eps ladder it keeps
 T_eps f bit-identical at points whose distance from supp f exceeds eps.
 The fixed chunks keep each dot product below the length at which BLAS
-splits it over threads, so the bits do not depend on the thread count.
+splits it over threads, and recomputed rows are summed without BLAS, so
+the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -278,46 +287,150 @@ def _unfold(W, W_mid) -> np.ndarray:
 # bits depend on the thread count; below this length each one runs on a
 # single thread.
 _TAP_CHUNK = 4096
+# Entries of the lattice kernel matrix formed at once, for recomputed band
+# rows and weak-type columns: larger temporaries cost a fresh allocation,
+# and its page faults, on every apply.
+_BAND_BLOCK = 1 << 16
 
 
 def _lattice_step(kernel: KernelSpec, out_box: Box, out_n: int,
                   f: GridFunction) -> int:
-    """s = N_in / N_out when T_eps f can be summed by lattice convolution
-    (a translation-invariant 1-D kernel, the output grid on f's box with a
-    cell count dividing f's), else 0."""
+    """s = N_in / N_out when T_eps f can be summed on the lattice (a 1-D
+    kernel that declares its reflections, the output grid on f's box with
+    a cell count dividing f's, and for the reflection -1 a box symmetric
+    about 0, whose nodes reflect bitwise), else 0."""
     n_in = f.cells_per_axis
-    if (kernel.translation_invariant and kernel.dim == 1
-            and out_box == f.box and 0 < out_n and n_in % out_n == 0):
+    refl = kernel.reflections
+    if (refl and kernel.dim == 1 and out_box == f.box and 0 < out_n
+            and n_in % out_n == 0
+            and (-1 not in refl or f.box.lo[0] == -f.box.hi[0])):
         return n_in // out_n
     return 0
 
 
-def _lattice_for(kernel: KernelSpec, f: GridFunction, step: int):
-    """(rho, K) at the offsets x_i - y_j = (step*i + (step-1)/2 - j) h,
-    indexed by step*i - j + N_in - 1; cached on the kernel."""
+def _lattice_taps(kernel: KernelSpec, f: GridFunction, step: int,
+                  epsilon: float):
+    """(on, taps): on = [rho_1 >= eps] as 0.0 / 1.0 and taps = on * k at
+    the offsets d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in -
+    step - 1.  x_i - y_j is the offset p = step*i - j + N_in - 1, and on
+    a symmetric box x_i + y_j is the offset step*i + j.  rho_1 and k are
+    evaluated once per grid and cached on the kernel."""
     key = ("lattice", f.geometry(), step)
     hit = kernel._matrices.get(key)
     if hit is None:
         n_in = f.cells_per_axis
         d = (np.arange(1 - n_in, n_in - step + 1) + (step - 1) / 2) * f.h
-        hit = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
+        R, K = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
+        hit = (R, K / len(kernel.reflections))
         kernel._matrices[key] = hit
-    return hit
+    on = hit[0] >= epsilon
+    return on.astype(float), np.where(on, hit[1], 0.0)
 
 
-def _lattice_apply(R: np.ndarray, K: np.ndarray, f: GridFunction,
-                   step: int, epsilon: float, threads: int) -> np.ndarray:
-    """out_i = h sum_j taps[step*i - j + N_in - 1] f_j.
+def _windows(a: np.ndarray, start: int, step: int, sign: int,
+             shape: tuple) -> np.ndarray:
+    """The read-only view w[i, j] = a[start + step*i + sign*j]; the caller
+    keeps every index inside a."""
+    st = a.strides[0]
+    return np.lib.stride_tricks.as_strided(a[start:], shape,
+                                           (step * st, sign * st),
+                                           writeable=False)
 
-    The masked taps and the reversed f are split by residue mod step, so
-    out_i = sum over r and v of taps_r[i + v] g_r[v], summed in the same
-    fixed chunks of v for every i; splitting the outputs over threads
-    therefore leaves every bit unchanged."""
-    taps = np.where(R >= epsilon, K, 0.0)
-    g = f.values[::-1]
+
+def _lattice_block(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
+                   n_in: int, step: int, rows: slice, cells: slice,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The masked kernel matrix from the output rows to the input cells:
+    taps[p] for the reflection +1, taps[q] for -1, and
+    on[p] on[q] (k[p] + k[q]) for both, where p = step*i - j + N_in - 1
+    and q = step*i + j.  A single reflection returns a read-only view;
+    both write into ``out`` when given."""
+    shape = (rows.stop - rows.start, cells.stop - cells.start)
+    # Every index lies in 0 .. 2 N_in - step - 1, the lattice's range.
+    at = {1: (step * rows.start - cells.start + n_in - 1, -1),
+          -1: (step * rows.start + cells.start, 1)}
+
+    def view(a, s):
+        return _windows(a, at[s][0], step, at[s][1], shape)
+
+    if len(kernel.reflections) == 1:
+        return view(taps, *kernel.reflections)
+    W = np.add(view(taps, 1), view(taps, -1), out=out)
+    W *= view(on, 1)
+    W *= view(on, -1)
+    return W
+
+
+def _band_rows(on: np.ndarray, g: np.ndarray, step: int,
+               n_out: int) -> np.ndarray:
+    """The rows i whose band {j : not on[step*i + j]} meets a nonzero g_j,
+    counted exactly by prefix sums of g != 0 over each masked run."""
+    n_in = len(g)
+    seen = np.concatenate(([0], np.cumsum(g != 0.0)))
+    edges = np.flatnonzero(np.diff(np.concatenate(([1.0], on, [1.0]))))
+    base = step * np.arange(n_out)
+    hits = np.zeros(n_out, dtype=np.int64)
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        hits += (seen[np.clip(hi - base, 0, n_in)]
+                 - seen[np.clip(lo - base, 0, n_in)])
+    return np.flatnonzero(hits)
+
+
+def _paired_rows(kernel: KernelSpec, rows: np.ndarray, on: np.ndarray,
+                 taps: np.ndarray, g: np.ndarray, step: int) -> np.ndarray:
+    """sum over j of on[p] on[q] k[p] g_j at the given rows (p, q as in
+    ``_lattice_block``).  Cell j and its mirror N - 1 - j swap p and q,
+    and g is even, so each cell j < N/2 from g's first nonzero adds
+    on[p] on[q] (k[p] + k[q]) g_j: the kernel terms are added before the
+    row sum, as on the dense path, and for an odd k they cancel exactly
+    where x_i = 0.  Rows are summed by einsum, without BLAS, in blocks of
+    consecutive rows."""
+    n_in = len(g)
+    half = n_in // 2
+    # g is even and not all 0, so its first nonzero lies at or below half.
+    cells = slice(int(np.argmax(g != 0.0)), half)
+    block = max(1, _BAND_BLOCK // max(half - cells.start, 1))
+    buf = np.empty((block, half - cells.start))
+    out = np.zeros(len(rows))
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+    for a, b in zip(starts, np.append(starts[1:], len(rows))):
+        for a0 in range(a, b, block):
+            a1 = min(a0 + block, b)
+            W = _lattice_block(kernel, on, taps, n_in, step,
+                               slice(rows[a0], rows[a1 - 1] + 1), cells,
+                               out=buf[:a1 - a0])
+            out[a0:a1] = np.einsum("ij,j->i", W, g[cells])
+    if n_in % 2:
+        out += taps[step * rows + half] * g[half]
+    return out
+
+
+def _lattice_apply(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
+                   f: GridFunction, step: int, threads: int) -> np.ndarray:
+    """out_i = h sum_j on[p] on[q] k[p] g_j with g = sum over the declared
+    reflections s of f(s y), the factor on[q] present only with both
+    reflections (p, q as in ``_lattice_block``).
+
+    The Toeplitz sum h sum_j taps[p] g_j is exact on every row whose band
+    {j : on[q] = 0} misses the nonzero g_j.  For it the taps and the
+    reversed g are split by residue mod step, so out_i = sum over r and v
+    of taps_r[i + v] g_r[v], summed in the same fixed chunks of v for every
+    i; splitting the outputs over threads leaves every bit unchanged.  The
+    other rows, and the middle row of an odd output grid, are recomputed
+    by ``_paired_rows`` (never as the Toeplitz sum minus the band, which
+    would leave a residue where every kept term is 0)."""
+    g = f.values if 1 in kernel.reflections else 0.0
+    if -1 in kernel.reflections:
+        g = g + f.values[::-1]
     n_out = len(g) // step
+    rev = g[::-1]
     phases = [(np.ascontiguousarray(taps[r::step]),
-               np.ascontiguousarray(g[r::step])) for r in range(step)]
+               np.ascontiguousarray(rev[r::step])) for r in range(step)]
+    fix = np.empty(0, dtype=np.int64)
+    if len(kernel.reflections) == 2 and np.any(g != 0.0):
+        fix = _band_rows(on, g, step, n_out)
+        if n_out % 2:
+            fix = np.union1d(fix, [n_out // 2])
 
     def rows(i0, i1):
         out = np.zeros(i1 - i0)
@@ -326,6 +439,9 @@ def _lattice_apply(R: np.ndarray, K: np.ndarray, f: GridFunction,
                 v1 = min(v0 + _TAP_CHUNK, n_out)
                 out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
                                     "valid")
+        mine = fix[(fix >= i0) & (fix < i1)]
+        if len(mine):
+            out[mine - i0] = _paired_rows(kernel, mine, on, taps, g, step)
         return out
 
     return pmap_chunks(rows, n_out, _TAP_CHUNK, threads) * f.h
@@ -351,12 +467,43 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
         out_box, out_n = out_geometry
     step = _lattice_step(kernel, out_box, out_n, f)
     if step:
-        R, K = _lattice_for(kernel, f, step)
-        vals = _lattice_apply(R, K, f, step, epsilon, threads)
+        on, taps = _lattice_taps(kernel, f, step, epsilon)
+        vals = _lattice_apply(kernel, on, taps, f, step, threads)
     else:
         mats = _matrices_for(kernel, out_box, out_n, f, threads)
         vals = _fold_sum(*_mask(mats, epsilon), f)
     return GridFunction(out_box, out_n, vals)
+
+
+def _truncated_columns(kernel: KernelSpec, f: GridFunction, epsilon: float,
+                       out_n: int, threads: int):
+    """(T_eps f on the grid (f.box, out_n), column): column(cells, block)
+    is sum over f's cells ``cells`` (one slice per axis) of the eps-masked
+    kernel times ``block``, on the output nodes and without the factor
+    h^n.  On the lattice path the kernel is gathered from the taps on
+    those cells alone, at most ``_BAND_BLOCK`` entries at a time."""
+    step = _lattice_step(kernel, f.box, out_n, f)
+    if step:
+        on, taps = _lattice_taps(kernel, f, step, epsilon)
+        rows, width = slice(0, out_n), max(1, _BAND_BLOCK // out_n)
+
+        def column(cells, block):
+            (c,) = cells
+            out = np.zeros(out_n)
+            for c0 in range(c.start, c.stop, width):
+                c1 = min(c0 + width, c.stop)
+                W = _lattice_block(kernel, on, taps, f.cells_per_axis, step,
+                                   rows, slice(c0, c1))
+                out += W @ block[c0 - c.start:c1 - c.start]
+            return out
+
+        return _lattice_apply(kernel, on, taps, f, step, threads), column
+    W, W_mid = _mask(_matrices_for(kernel, f.box, out_n, f, threads), epsilon)
+    # Unfold before _fold_sum overwrites W.
+    M = _unfold(W, W_mid).reshape((-1,) + (f.cells_per_axis,) * f.dim)
+    return (_fold_sum(W, W_mid, f),
+            lambda cells, block: (M[(slice(None),) + cells]
+                                  .reshape(len(M), -1) @ block.reshape(-1)))
 
 
 def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,

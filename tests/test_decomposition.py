@@ -87,10 +87,8 @@ class TestCzDecompose:
             # disjoint cubes
             for a in range(len(dec.cubes)):
                 for b in range(a + 1, len(dec.cubes)):
-                    assert dec.cubes[a].box.intersection(
-                        dec.cubes[b].box).measure() == 0.0 \
-                        if dec.cubes[a].box.intersects(dec.cubes[b].box) \
-                        else True
+                    common = dec.cubes[a].box.intersection(dec.cubes[b].box)
+                    assert common is None or common.measure() == 0.0
             off = np.ones(256, dtype=bool)
             for c in dec.cubes:
                 assert lam <= c.abs_average <= 2.0 * lam

@@ -1,9 +1,9 @@
-"""The lattice-convolution path of apply_truncated, pinned to the dense path.
+"""The lattice path of apply_truncated, pinned to the dense path.
 
-A kernel that declares ``translation_invariant`` is applied by direct
-summation over the lattice of offsets x - y; every test here compares it
-with the same kernel stripped of the declaration, which takes the dense
-R/K path.
+A kernel that declares its ``reflections`` is applied by direct summation
+over the lattice of offsets x - y (and x + y for the reflection -1); every
+test here compares it with the same kernel stripped of the declaration,
+which takes the dense R/K path.
 """
 
 import dataclasses
@@ -18,9 +18,11 @@ import pytest
 
 import czo
 import czo.operator as op
+from czo.decomposition import weak_type_experiment
+from czo.curves import get_curve
 from czo.errors import RejectedInputError
-from czo.geometry import box
-from czo.kernels import KERNEL_NAMES, _rho_and_kernel, get_kernel
+from czo.geometry import HyperCurve, box
+from czo.kernels import KERNEL_NAMES, KernelSpec, _rho_and_kernel, get_kernel
 from czo.metric import rho_values
 from czo.operator import (GridFunction, apply_truncated, estimate_T0,
                           grid_nodes)
@@ -36,68 +38,117 @@ def quiet_apply(kernel, f, eps, out_geometry=None):
 
 
 def dense_twin(kernel):
-    return dataclasses.replace(kernel, translation_invariant=False)
+    return dataclasses.replace(kernel, reflections=frozenset())
 
 
-def inputs(n, seed):
-    """A compact random input, an indicator and a full-support bump."""
+def dyadic_box(n):
+    """The box of n cells of width 1/16 centred on 0: its nodes, and so
+    the node differences, are exact, as on the lattice."""
+    return box(-n / 32, n / 32)
+
+
+def inputs(n, seed, bx=B8):
+    """A compact random input, an indicator, a full-support bump and a
+    random input on [1, 2], whose even part vanishes near 0."""
     rng = np.random.default_rng(seed)
-    x = grid_nodes(B8, n)[:, 0]
+    x = grid_nodes(bx, n)[:, 0]
     return [np.where(np.abs(x - 0.5) <= 1.0, rng.normal(size=n), 0.0),
             ((x >= -1.0) & (x <= 2.0)).astype(float),
-            np.exp(-(x - 0.3) ** 2)]
+            np.exp(-(x - 0.3) ** 2),
+            np.where((x >= 1.0) & (x <= 2.0), rng.normal(size=n), 0.0)]
 
 
-@pytest.mark.parametrize("name", [n for n in KERNEL_NAMES
-                                  if get_kernel(n).translation_invariant])
+DECLARING = [n for n in KERNEL_NAMES if get_kernel(n).reflections]
+
+
+@pytest.mark.parametrize("name", DECLARING)
 def test_declaration_holds(name):
-    # K and rho at (x, y) equal their values at (x - y, 0).
+    # K(x, y) = sum_s k(x - s y) and rho(x, y) = min_s rho_1(x - s y), with
+    # k(d) = K(d, 0) / |S| and rho_1(d) = rho(d, 0).
     k = get_kernel(name)
     rng = np.random.default_rng(5)
     X = rng.uniform(-8.0, 8.0, size=(10_000, 1))
     Y = rng.uniform(-8.0, 8.0, size=(10_000, 1))
     R, K = _rho_and_kernel(k, X, Y)
-    R0, K0 = _rho_and_kernel(k, X - Y, np.zeros_like(Y))
+    zero = np.zeros_like(Y)
+    parts = [_rho_and_kernel(k, X - s * Y, zero) for s in k.reflections]
+    R0 = np.min([r for r, _ in parts], axis=0)
+    terms = [t / len(k.reflections) for _, t in parts]
+    K0 = np.sum(terms, axis=0)
     assert np.all(np.abs(R - R0) <= 1e-15 * np.abs(R0))
-    assert np.all(np.abs(K - K0) <= 1e-15 * np.abs(K0))
+    assert np.all(np.abs(K - K0) <= 1e-15 * np.sum(np.abs(terms), axis=0))
 
 
-def test_hilbert_declares_and_the_others_do_not():
-    assert get_kernel("hilbert").translation_invariant
-    assert not get_kernel("two-line-hilbert").translation_invariant
-    assert not get_kernel("diamond-model").translation_invariant
+def test_declared_reflections():
+    assert get_kernel("hilbert").reflections == {1}
+    assert get_kernel("two-line-hilbert").reflections == {1, -1}
+    assert not get_kernel("diamond-model").reflections
 
 
-def check_against_dense(n, step):
+def test_reflections_must_be_signs():
     k = get_kernel("hilbert")
+    with pytest.raises(RejectedInputError):
+        KernelSpec("bad", k.curve, k.fn, 1.0, 1.0, reflections=frozenset({2}))
+
+
+def check_against_dense(k, n, step, bx=B8):
     dense = dense_twin(k)
-    geom = (B8, n // step)
-    X, Y = grid_nodes(B8, n // step), grid_nodes(B8, n)
+    geom = (bx, n // step)
+    X, Y = grid_nodes(bx, n // step), grid_nodes(bx, n)
     R, K = (a.reshape(len(X), n) for a in _rho_and_kernel(
         dense, np.repeat(X, n, axis=0), np.tile(Y, (len(X), 1))))
-    for vals in inputs(n, n + step):
-        f = GridFunction(B8, n, vals)
+    for vals in inputs(n, n + step, bx):
+        f = GridFunction(bx, n, vals)
         # R[0, 5] is attained, so the mask keeps rho == eps exactly there.
         for eps in (LADDER[0], 0.5, LADDER[7], 0.1, LADDER[15], R[0, 5]):
             got = quiet_apply(k, f, eps, geom).values
             want = quiet_apply(dense, f, eps, geom).values
             scale = np.sum(np.abs(np.where(R >= eps, K, 0.0) * vals),
                            axis=1) * f.h
-            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
             assert np.all(got[scale == 0.0] == 0.0)
 
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
 @pytest.mark.parametrize("step", [1, 2, 4])
 def test_matches_the_dense_path(n, step):
-    check_against_dense(n, step)
+    check_against_dense(get_kernel("hilbert"), n, step)
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 2048])
+@pytest.mark.parametrize("step", [1, 2, 4])
+def test_two_line_matches_the_dense_path(n, step):
+    # 255 has an output row at x = 0, where K vanishes; 254 / 2 = 127 has
+    # one on the half-integer offsets.
+    check_against_dense(get_kernel("two-line-hilbert"), n, step,
+                        dyadic_box(n))
 
 
 @pytest.mark.parametrize("step", [1, 2, 4])
 def test_matches_the_dense_path_in_short_chunks(monkeypatch, step):
     # Chunks of 40 taps and 40 output rows, the last one ragged.
     monkeypatch.setattr(op, "_TAP_CHUNK", 40)
-    check_against_dense(512, step)
+    check_against_dense(get_kernel("hilbert"), 512, step)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_two_line_matches_the_dense_path_in_short_chunks(monkeypatch, step):
+    # Row chunks of 40 and band blocks of one or two rows.
+    monkeypatch.setattr(op, "_TAP_CHUNK", 40)
+    monkeypatch.setattr(op, "_BAND_BLOCK", 300)
+    check_against_dense(get_kernel("two-line-hilbert"), 510, step,
+                        dyadic_box(510))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_reflection_minus_one_alone_matches_the_dense_path(step):
+    # K(x, y) = 1/(x + y) on the line y = -x: the Toeplitz sum over the
+    # reversed f, with no band.
+    anti = dataclasses.replace(get_curve("two-lines").branches[1], index=0)
+    k = KernelSpec("anti", HyperCurve("anti", [anti]),
+                   lambda X, Y, r: 1.0 / (X[:, 0] + Y[:, 0]), 1.0, 1.0,
+                   reflections=frozenset({-1}))
+    check_against_dense(k, 256, step)
 
 
 @pytest.mark.parametrize("step", [1, 2])
@@ -119,6 +170,38 @@ def test_bit_identical_across_eps_at_distant_points(step):
         assert np.array_equal(prev[far], cur[far])
 
 
+@pytest.mark.parametrize("n, step", [(512, 1), (512, 2), (255, 1)])
+def test_two_line_ladder_with_a_gap_in_supp_g(n, step):
+    # supp f = [1, 2], so supp g = [-2, -1] u [1, 2] has a gap at 0.  Rows
+    # in the gap are rho-distant from supp f and their band meets only
+    # zeros of g, so they are not recomputed: the band rows are exactly
+    # those whose band holds a nonzero g_j, not those that meet its hull.
+    k = get_kernel("two-line-hilbert")
+    bx = box(-n / 64, n / 64)
+    x = grid_nodes(bx, n)[:, 0]
+    rng = np.random.default_rng(n + step)
+    f = GridFunction(bx, n, np.where((x >= 1.0) & (x <= 2.0),
+                                     rng.normal(size=n), 0.0))
+    g = f.values + f.values[::-1]
+    q = step * np.arange(n // step)[:, None] + np.arange(n)
+    for e in LADDER:
+        on, _ = op._lattice_taps(k, f, step, e)
+        want = np.flatnonzero(np.any((on[q] == 0.0) & (g != 0.0), axis=1))
+        assert np.array_equal(op._band_rows(on, g, step, n // step), want)
+    outs = [quiet_apply(k, f, e, (bx, n // step)).values for e in LADDER]
+    X = grid_nodes(bx, n // step)
+    Ys = f.nodes()[f.values != 0.0]
+    R, _ = rho_values(k.curve, np.repeat(X, len(Ys), axis=0),
+                      np.tile(Ys, (len(X), 1)))
+    dmin = np.min(R.reshape(len(X), len(Ys)), axis=1)
+    in_gap = np.abs(X[:, 0]) < 0.5
+    for e, prev, cur in zip(LADDER, outs, outs[1:]):
+        far = dmin >= e
+        assert far.any()
+        assert np.array_equal(prev[far], cur[far])
+    assert np.any((dmin >= LADDER[-1]) & in_gap)
+
+
 def test_path_selection(monkeypatch):
     builds = []
     build = op._build_matrices
@@ -126,16 +209,24 @@ def test_path_selection(monkeypatch):
                         lambda *a: builds.append(len(a[1])) or build(*a))
     f = GridFunction(B8, 96, inputs(96, 1)[2])
     k = get_kernel("hilbert")
-    for geom in (None, (B8, 48), (B8, 32), (box(-8.0, 8.0), 1)):
-        quiet_apply(k, f, 0.5, geom)
+    two = get_kernel("two-line-hilbert")
+    for kernel in (k, two):
+        for geom in (None, (B8, 48), (B8, 32), (box(-8.0, 8.0), 1)):
+            quiet_apply(kernel, f, 0.5, geom)
     assert builds == []
     # Another output box, a cell count that does not divide the input's,
     # or a kernel without the declaration: dense matrices.
     quiet_apply(k, f, 0.5, (box(-4.0, 4.0), 48))
     quiet_apply(k, f, 0.5, (B8, 64))
     quiet_apply(k, f, 0.5, (B8, 192))
-    quiet_apply(get_kernel("two-line-hilbert"), f, 0.5)
+    quiet_apply(dense_twin(two), f, 0.5)
     assert builds == [48, 64, 192, 96]
+    # The reflection -1 needs a box symmetric about 0; +1 alone does not.
+    g = GridFunction(box(-4.0, 8.0), 96, f.values)
+    quiet_apply(k, g, 0.5)
+    assert builds == [48, 64, 192, 96]
+    quiet_apply(two, g, 0.5)
+    assert builds == [48, 64, 192, 96, 96]
 
 
 @pytest.mark.parametrize("out_n", [0, -2])
@@ -146,24 +237,29 @@ def test_empty_output_grid_rejected(out_n):
 
 
 def test_large_grid_keeps_the_cache_small():
-    k = get_kernel("hilbert")
     n = 1 << 14
     f = GridFunction(B8, n, inputs(n, 2)[1])
-    _, rep = estimate_T0(k, f, LADDER)
-    assert len(rep.sup_diffs) == 15
-    held = sum(a.nbytes for entry in k._matrices.values() for a in entry)
-    assert 0 < held < 1 << 20
+    for name in DECLARING:
+        k = get_kernel(name)
+        _, rep = estimate_T0(k, f, LADDER)
+        assert len(rep.sup_diffs) == 15
+        held = sum(a.nbytes for entry in k._matrices.values() for a in entry)
+        assert 0 < held < 1 << 20
+
+
+# (kernel, n): 2^14 hilbert and 2^13 two-line-hilbert outputs at step 1
+# split into four and two row chunks.
+THREAD_CASES = [("hilbert", 1 << 14), ("two-line-hilbert", 1 << 13)]
 
 
 @pytest.mark.parametrize("step", [1, 2])
 def test_bits_do_not_depend_on_threads(step):
-    # 2^14 outputs at step 1 split into four row chunks.
-    k = get_kernel("hilbert")
-    n = 1 << 14
-    f = GridFunction(B8, n, inputs(n, 4)[0])
-    one, two = (apply_truncated(k, f, 0.3, (B8, n // step), threads=t)
-                for t in (1, 2))
-    assert one.values.tobytes() == two.values.tobytes()
+    for name, n in THREAD_CASES:
+        k = get_kernel(name)
+        f = GridFunction(B8, n, inputs(n, 4)[0])
+        one, two = (apply_truncated(k, f, 0.3, (B8, n // step), threads=t)
+                    for t in (1, 2))
+        assert one.values.tobytes() == two.values.tobytes()
 
 
 _DETERMINISM_PROBE = """
@@ -172,12 +268,13 @@ import numpy as np
 from czo.geometry import box
 from czo.kernels import get_kernel
 from czo.operator import GridFunction, apply_truncated
-n = 1 << 15
-f = GridFunction(box(-8.0, 8.0), n, np.random.default_rng(3).normal(size=n))
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    out = apply_truncated(get_kernel("hilbert"), f, 0.01)
-print(hashlib.sha256(out.values.tobytes()).hexdigest())
+for name, n in (("hilbert", 1 << 15), ("two-line-hilbert", 1 << 13)):
+    f = GridFunction(box(-8.0, 8.0), n,
+                     np.random.default_rng(3).normal(size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = apply_truncated(get_kernel(name), f, 0.01)
+    print(hashlib.sha256(out.values.tobytes()).hexdigest())
 """
 
 
@@ -190,6 +287,27 @@ def test_bits_do_not_depend_on_blas_threads():
         run = subprocess.run([sys.executable, "-c", _DETERMINISM_PROBE],
                              env=env, capture_output=True, text=True,
                              check=True)
-        digests.append(run.stdout.strip())
-    assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2
+    assert all(len(d) == len(hashlib.sha256().hexdigest())
+               for d in digests[0])
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("block", [op._BAND_BLOCK, 3 * 256])
+def test_weak_type_matches_the_dense_twin(monkeypatch, block):
+    # On a wide box the enlarged cubes leave cells outside B*; a block of
+    # 3 * 256 entries gathers each cube three columns at a time.
+    monkeypatch.setattr(op, "_BAND_BLOCK", block)
+    k = get_kernel("two-line-hilbert")
+    wide = box(-32.0, 32.0)
+    family = [GridFunction(wide, 512, v) for v in inputs(512, 8, wide)]
+    got, want = (weak_type_experiment(kernel, family, 0.1, 8.1,
+                                      out_cells=256, ladder_max=6)
+                 for kernel in (k, dense_twin(k)))
+    assert any(r.bad_integral > 0.0 for r in got.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert (a.lam, a.cube_count, a.b_star_measure) == (
+            b.lam, b.cube_count, b.b_star_measure)
+        assert a.superlevel_measure == b.superlevel_measure
+        assert abs(a.bad_integral - b.bad_integral) <= 1e-12 * b.bad_integral

@@ -263,3 +263,10 @@ class TestDeclaredDistancePath:
         per_branch = np.stack([b.distance(X, Y) for b in curve.branches])
         assert np.array_equal(got, np.min(per_branch, axis=0))
         assert np.array_equal(branch, np.argmin(per_branch, axis=0))
+
+
+@pytest.mark.parametrize("curve", [wavy_curve(), get_curve("two-lines")],
+                         ids=["sampled", "declared"])
+def test_rho_values_on_zero_pairs_is_empty(curve):
+    values, branch = rho_values(curve, np.empty((0, 1)), np.empty((0, 1)))
+    assert values.shape == branch.shape == (0,)
