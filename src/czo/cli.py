@@ -339,10 +339,13 @@ def _run_decompose(cfg, out_dir) -> int:
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
     root = cfg.get_box("root") if cfg.get("root") else None
     dec = cz_decompose(f, cfg.get_float("lambda"), root)
-    rows = [(k, c.box.lo[0], c.box.hi[0], c.average, c.abs_average)
-            for k, c in enumerate(dec.cubes)]
+    # One lo,hi pair per axis; 1-D keeps the plain names.
+    bounds = (["lo", "hi"] if f.dim == 1 else
+              [f"{e}_{k}" for k in range(f.dim) for e in ("lo", "hi")])
+    rows = [(k, *(v for ab in zip(c.box.lo, c.box.hi) for v in ab),
+             c.average, c.abs_average) for k, c in enumerate(dec.cubes)]
     _write_csv(os.path.join(out_dir, "decompose_cubes.csv"),
-               ["index", "lo", "hi", "average", "abs_average"], rows,
+               ["index", *bounds, "average", "abs_average"], rows,
                comments=[f"lambda={dec.lam!r}",
                          f"weak_l1_good={weak_l1_quasinorm(dec.good)!r}"])
     write_grid_csv(dec.good, os.path.join(out_dir, "decompose_good.csv"))

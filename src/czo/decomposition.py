@@ -9,12 +9,15 @@ exact floating-point identity for dyadic-rational data.  Every cube average
 is summed in the order ``np.mean`` uses on that cube alone, so on any data
 the selection equals the cube-by-cube recursion bit for bit.
 
-The level pass ends early: a cube can only average above lambda if it holds
-a "hot" cell with |f| >= lambda (1 - HOT_MARGIN), so once every hot cell
-lies in a selected cube no finer level is visited.  Each bad part is kept
-cube-local, as the cube's cell slices and its block f - avg
-(``DecompositionResult.blocks``); the dense N^n ``bad`` functions are built
-only when read.
+The level pass works on a private copy of |f| over the root.  Once a level
+selects its cubes, their cells are zeroed in the copy, so a cube inside a
+selected one averages 0 and is never selected, and the pass ends early:
+a cube can only average above lambda if it holds a cell with
+|f| >= lambda (1 - HOT_MARGIN), so once the copy's maximum is below that
+no finer level is visited.  Each level's selected cubes are built in one
+batch of array operations; each bad part is kept cube-local, as the
+cube's cell slices and its block f - avg (``DecompositionResult.blocks``);
+the dense N^n ``bad`` functions are built only when read.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from .operator import (GridFunction, _require_epsilon, _truncated_columns,
 # Calderon-Zygmund decomposition
 # ---------------------------------------------------------------------------
 
-# A cell is hot when |f| >= lam (1 - HOT_MARGIN).  np.mean can round a
-# cube's average above every value in it (128 cells of 0.1 average
-# 0.10000000000000002), but the pairwise sum of a power-of-two block errs
-# by less than 1e-14 relative, so a cube without a hot cell never averages
-# above lam and the level pass may stop once no live hot cell is left.
+# np.mean can round a cube's average above every value in it (128 cells of
+# 0.1 average 0.10000000000000002), but the pairwise sum of a power-of-two
+# block errs by less than 1e-14 relative, so a cube without a cell of
+# |f| >= lam (1 - HOT_MARGIN) never averages above lam, and the level pass
+# may stop once no unselected cell reaches that height.
 HOT_MARGIN = 2.0 ** -40
 
 
@@ -79,22 +82,24 @@ class DecompositionResult:
         return out
 
 
-def _root_cells(f: GridFunction, root: Box) -> tuple[np.ndarray, int]:
+def _root_cells(f: GridFunction, root: Box) -> tuple[tuple[int, ...], int]:
     """Index offsets of the root within f's grid, plus cells per axis."""
     if root.dim != f.dim:
         raise RejectedInputError(
             f"root has {root.dim} axes but f has {f.dim}: {root}")
     h = f.h
-    start = (root.lo_a - f.box.lo_a) / h
-    count = (root.hi_a - root.lo_a) / h
-    s = np.rint(start).astype(int)
-    c = np.rint(count).astype(int)
-    if (np.max(np.abs(start - s)) > 1e-9 or np.max(np.abs(count - c)) > 1e-9
-            or np.any(s < 0) or np.any(s + c > f.cells_per_axis)):
+    start = [(a - b) / h for a, b in zip(root.lo, f.box.lo)]
+    count = [(b - a) / h for a, b in zip(root.lo, root.hi)]
+    if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9
+               for v in start + count):
         raise RejectedInputError("root cube is not aligned with the grid")
-    if len(set(c.tolist())) != 1:
+    s = tuple(round(v) for v in start)
+    c = [round(v) for v in count]
+    if any(a < 0 or a + b > f.cells_per_axis for a, b in zip(s, c)):
+        raise RejectedInputError("root cube is not aligned with the grid")
+    if len(set(c)) != 1:
         raise RejectedInputError("root must be a cube in grid cells")
-    m = int(c[0])
+    m = c[0]
     if m < 1 or (m & (m - 1)) != 0:
         raise RejectedInputError(
             "root side must span a power-of-two number of cells")
@@ -108,15 +113,19 @@ def cz_decompose(f: GridFunction, lam: float,
     A child cube is selected the first time its |f|-average exceeds lam;
     selection stops above single cells, so |f| <= lam at every unselected
     cell.  One array pass per side s = m/2, ..., 1 averages every side-s
-    cube and selects the live ones (inside no selected cube) above lam.
-    Each cube is summed as one contiguous row-major block, the order
-    ``np.mean`` uses on the cube alone, so the averages are bit-identical.
-    The pass stops at the first level after which no hot cell
-    (|f| >= lam (1 - HOT_MARGIN)) is live; the margin covers the rounding
-    of ``np.mean``, so the selection is the same as without the stop.
-    Cubes are listed smallest side first, each side in row-major order;
-    ``blocks`` holds each cube's cell slices and f - average on them, and
-    the dense ``bad`` list is built from it on first access.
+    cube of a private |f| and zeroes the cells of those above lam in it, so
+    no cube inside a selected one is selected again and every other cube
+    keeps its average's bits.  Each cube is summed as one contiguous
+    row-major block, the order ``np.mean`` uses on the cube alone.  The
+    pass stops before the first level at which that |f|'s maximum is below
+    lam (1 - HOT_MARGIN), which leaves the selection unchanged.  Each
+    level's cubes are built in one batch: one gather, one reduce for the
+    signed averages (a multi-axis cube larger than numpy's reduction buffer
+    keeps ``np.mean`` on its view, which sums buffer by buffer), one scatter
+    into ``good`` and one subtraction for the bad blocks.  Cubes are listed
+    smallest side first, each side in row-major order; ``blocks`` holds each
+    cube's cell slices and f - average on them, and the dense ``bad`` list
+    is built from it on first access.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise RejectedInputError(f"lambda must be finite and positive: {lam}")
@@ -126,46 +135,54 @@ def cz_decompose(f: GridFunction, lam: float,
     n = f.dim
     N = f.cells_per_axis
     grid = f.values.reshape((N,) * n)
-    sl = tuple(slice(int(s), int(s) + m) for s in start)
+    sl = tuple(slice(s, s + m) for s in start)
     absf = np.abs(grid[sl])
     root_avg = float(np.mean(absf))
     if root_avg > lam:
         raise RejectedInputError(
             f"average of |f| over the root is {root_avg} > lambda={lam}")
 
-    h = f.h
-    hot = np.argwhere(absf >= lam * (1.0 - HOT_MARGIN))
-    live = np.ones((1,) * n, dtype=bool)
-    levels = []                  # (side, corners, |f|-averages), coarse first
-    for size in (m >> j for j in range(1, m.bit_length())):
-        if len(hot) == 0:
-            break
-        for k in range(n):
-            live = np.repeat(live, 2, axis=k)
-        blocks = absf.reshape((m // size, size) * n).transpose(
-            (*range(0, 2 * n, 2), *range(1, 2 * n, 2)))
-        avg = np.ascontiguousarray(blocks).reshape(live.shape + (-1,)).mean(-1)
-        hit = live & (avg > lam)
-        levels.append((size, start + np.argwhere(hit) * size, avg[hit]))
-        live &= ~hit
-        hot = hot[live[tuple((hot // size).T)]]
-
     good = grid.copy()
-    cubes = []
-    bad_blocks = []
-    for size, corners, abs_avgs in reversed(levels):
-        for cs, abs_avg in zip(corners, abs_avgs):
-            csl = tuple(slice(a, a + size) for a in cs)
-            sub = grid[csl]
-            avg = float(np.mean(sub))
-            lo = tuple(f.box.lo[k] + cs[k] * h for k in range(n))
-            hi = tuple(f.box.lo[k] + (cs[k] + size) * h for k in range(n))
-            cubes.append(SelectedCube(Box(lo, hi), avg, float(abs_avg)))
-            bad_blocks.append((csl, sub - avg))
-            good[csl] = avg
-    return DecompositionResult(lam, root, cubes,
+    axes = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+
+    def blocked(a, size):
+        """a (the root's cells) as a (c,)*n + (size,)*n view of its cubes."""
+        return a.reshape((m // size, size) * n).transpose(axes)
+
+    lo, h = f.box.lo_a, f.h
+    levels = []                  # per level with a hit: (cubes, blocks)
+    for size in (m >> j for j in range(1, m.bit_length())):
+        if absf.max() < lam * (1.0 - HOT_MARGIN):
+            break
+        cells = size ** n
+        view = blocked(absf, size)
+        rows = np.ascontiguousarray(view).reshape(-1, cells)
+        abs_avg = (np.add.reduce(rows, -1) / cells).reshape(view.shape[:n])
+        idx = np.nonzero(abs_avg > lam)
+        if len(idx[0]) == 0:
+            continue
+        view[idx] = 0.0
+        corners = np.transpose(idx) * size + start
+        slices = [tuple(slice(a, a + size) for a in cs)
+                  for cs in corners.tolist()]
+        frows = blocked(grid[sl], size)[idx].reshape(len(slices), cells)
+        if n > 1 and cells > np.getbufsize():
+            avg = np.array([np.mean(grid[s]) for s in slices])
+        else:
+            avg = np.add.reduce(frows, -1) / cells
+        blocked(good[sl], size)[idx] = avg.reshape((-1,) + (1,) * n)
+        bad = (frows - avg[:, None]).reshape((-1,) + (size,) * n)
+        cubes = [SelectedCube(Box(tuple(a), tuple(b)), av, aa)
+                 for a, b, av, aa in zip((lo + corners * h).tolist(),
+                                         (lo + (corners + size) * h).tolist(),
+                                         avg.tolist(), abs_avg[idx].tolist())]
+        levels.append((cubes, list(zip(slices, bad))))
+
+    levels.reverse()
+    return DecompositionResult(lam, root,
+                               [c for cubes, _ in levels for c in cubes],
                                GridFunction(f.box, N, good.reshape(-1)),
-                               bad_blocks)
+                               [b for _, blocks in levels for b in blocks])
 
 
 # ---------------------------------------------------------------------------

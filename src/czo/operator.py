@@ -1,8 +1,8 @@
 """Grid functions, truncated singular operators, and branch multipliers.
 
 An operator is a plain callable ``GridFunction -> GridFunction``;
-``truncated_handle``, ``multiplier_handle`` and ``sum_handle`` build them,
-and any other such callable serves as one.
+``multiplier_handle`` builds one, and any other such callable serves as one
+(``lambda f: apply_truncated(kernel, f, eps)`` for T_eps).
 
 ``apply_truncated`` realizes T_eps f(x) = sum over cells with
 rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule, on one of
@@ -616,30 +616,8 @@ def apply_multiplier(curve: HyperCurve, b: MultiplierField,
 _Operator = Callable[[GridFunction], GridFunction]
 
 
-def truncated_handle(kernel: KernelSpec, epsilon: float,
-                     threads: int = 1) -> _Operator:
-    def apply(f: GridFunction) -> GridFunction:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return apply_truncated(kernel, f, epsilon, threads=threads)
-    return apply
-
-
 def multiplier_handle(curve: HyperCurve, b: MultiplierField) -> _Operator:
     return lambda f: apply_multiplier(curve, b, f)
-
-
-def sum_handle(*parts: _Operator) -> _Operator:
-    def apply(f: GridFunction) -> GridFunction:
-        outs = [p(f) for p in parts]
-        acc = outs[0]
-        for o in outs[1:]:
-            if not acc.same_geometry(o):
-                raise ConsistencyError("summed handles disagree on "
-                                       "output geometry")
-            acc = acc.with_values(acc.values + o.values)
-        return acc
-    return apply
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,18 @@ class TestExperiments:
         assert (tmp_path / "decompose_good.csv").exists()
         assert (tmp_path / "decompose_bad.csv").exists()
 
+    def test_decompose_2d_writes_every_axis(self, tmp_path):
+        code = main(["decompose", "box=-8..8,-8..8", "n=64", "--out",
+                     str(tmp_path)])
+        assert code == 0
+        lines = [line for line in
+                 (tmp_path / "decompose_cubes.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == "index,lo_0,hi_0,lo_1,hi_1,average,abs_average"
+        boxes = [tuple(line.split(",")[1:5]) for line in lines[1:]]
+        assert len(boxes) > 1
+        assert len(set(boxes)) == len(boxes)
+
     def test_recover_two_lines(self, tmp_path):
         code = main(["recover", "curve=two-lines", "b=1,sin", "n=128",
                      "--out", str(tmp_path)])

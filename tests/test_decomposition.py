@@ -210,6 +210,98 @@ class TestLevelPassMatchesRecursion:
         assert all(c.box.side() == 16 * f.h for c in dec.cubes)
 
 
+def dyadic_steps(rng, cells=4096, pieces=49):
+    """Piecewise-constant dyadic data, about 60% of its pieces zero."""
+    cuts = np.sort(rng.choice(np.arange(1, cells), pieces - 1, replace=False))
+    steps = rng.integers(-2 ** 21, 2 ** 21, size=pieces) / 2.0 ** 20
+    steps[rng.random(pieces) < 0.6] = 0.0
+    return np.repeat(steps, np.diff(np.concatenate([[0], cuts, [cells]])))
+
+
+def signed_lognormal(rng, size, sigma=2.0):
+    return rng.lognormal(0.0, sigma, size=size) * rng.choice([-1.0, 1.0],
+                                                              size=size)
+
+
+def assert_f_untouched(f, before, dec):
+    """f keeps its bytes, and no output of dec aliases f's values."""
+    assert f.values.tobytes() == before
+    assert not np.shares_memory(dec.good.values, f.values)
+    assert not any(np.shares_memory(block, f.values)
+                   for _, block in dec.blocks)
+
+
+class TestBatchedLevels:
+    """Many cubes over many levels, and roots off the grid's corner."""
+
+    @pytest.mark.parametrize("data,seed,u", [
+        ("steps", 0, 1.25), ("steps", 1, 1.75), ("steps", 3, 1.5),
+        ("steps", 4, 1.5), ("steps", 5, 1.25), ("lognormal", 0, 4.5),
+        ("lognormal", 1, 5.0), ("lognormal", 3, 4.0), ("lognormal", 5, 4.5)])
+    def test_1d_many_cubes_deep(self, data, seed, u):
+        rng = np.random.default_rng(seed)
+        vals = (dyadic_steps(rng) if data == "steps"
+                else signed_lognormal(rng, 4096))
+        f = GridFunction(B8, 4096, vals)
+        before = f.values.tobytes()
+        lam = float(np.mean(np.abs(vals))) * 2.0 ** u
+        dec = assert_matches_recursion(f, lam)
+        assert 10 <= len(dec.cubes) <= 40
+        # The pass went at least 8 levels down (side 4096 / 2^8 = 16 cells).
+        assert min(c.box.side() for c in dec.cubes) <= 16 * f.h
+        assert_f_untouched(f, before, dec)
+
+    @pytest.mark.parametrize("dim,cells,lo", [(2, 128, (-6.0, -2.0)),
+                                              (3, 32, (-4.0, 0.0, -8.0))])
+    def test_offset_root_many_cubes(self, dim, cells, lo):
+        rng = np.random.default_rng(11 + dim)
+        f = GridFunction(box((-8.0,) * dim, (8.0,) * dim), cells,
+                         signed_lognormal(rng, cells ** dim))
+        before = f.values.tobytes()
+        root = box(lo, tuple(a + 8.0 for a in lo))
+        m = int(round(8.0 / f.h))
+        start = np.rint((root.lo_a + 8.0) / f.h).astype(int)
+        grid = f.values.reshape((cells,) * dim)
+        root_avg = float(np.mean(np.abs(grid[tuple(slice(a, a + m)
+                                                   for a in start)])))
+        dec = assert_matches_recursion(f, 4.0 * root_avg, root)
+        assert len(dec.cubes) >= 10
+        assert len({c.box.side() for c in dec.cubes}) >= 2
+        for c in dec.cubes:
+            assert np.all(c.box.lo_a >= root.lo_a)
+            assert np.all(c.box.hi_a <= root.hi_a)
+        assert_f_untouched(f, before, dec)
+
+    @pytest.mark.parametrize("dim,cells", [(2, 512), (3, 64)])
+    def test_large_multi_axis_cubes_average_as_their_view(self, dim, cells):
+        # np.mean sums a strided view of more than two reduction buffers
+        # buffer by buffer, which a contiguous pairwise sum of the same
+        # cells does not reproduce; too large for the recursion reference.
+        rng = np.random.default_rng(dim)
+        half = cells // 2
+        grid = rng.uniform(-0.01, 0.01, size=(cells,) * dim)
+        heavy = rng.choice(2 ** dim, size=2 ** dim // 2, replace=False)
+        for q in heavy:
+            corner = tuple(((int(q) >> k) & 1) * half for k in range(dim))
+            sl = tuple(slice(a, a + half) for a in corner)
+            grid[sl] = 1.5 * signed_lognormal(rng, half ** dim, sigma=0.5
+                                              ).reshape((half,) * dim)
+        f = GridFunction(box((0.0,) * dim, (float(cells),) * dim), cells,
+                         grid.reshape(-1))
+        before = f.values.tobytes()
+        dec = cz_decompose(f, 1.0)
+        assert len(dec.cubes) == len(heavy)
+        good = dec.good.values.reshape(grid.shape)
+        for c, (cells_sl, block) in zip(dec.cubes, dec.blocks):
+            assert c.box.side() == half
+            sub = grid[cells_sl]
+            assert c.average == float(np.mean(sub))
+            assert c.abs_average == float(np.mean(np.abs(sub)))
+            assert np.all(good[cells_sl] == c.average)
+            assert block.tobytes() == (sub - c.average).tobytes()
+        assert_f_untouched(f, before, dec)
+
+
 # Plateau heights as multiples of lambda: at lambda, about an ulp either
 # side, and 2^-40 either side (the margin of the early stop).
 PLATEAU_FACTORS = (0.0, 1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -53,

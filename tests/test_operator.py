@@ -17,8 +17,7 @@ from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
                           grid_function, grid_nodes, interpolate,
                           multiplier_bound_check, multiplier_field,
                           multiplier_handle, read_grid_csv,
-                          recover_multipliers, sum_handle, truncated_handle,
-                          write_grid_csv, zeros_like)
+                          recover_multipliers, write_grid_csv, zeros_like)
 from czo.partition import BranchDisjointPartition, build_partition
 
 B8 = box(-8.0, 8.0)
@@ -460,21 +459,6 @@ class TestRecovery:
                                   B8, 128)
         assert np.all(rec.fields == 0.0)
 
-    def test_sum_handle_linearity(self):
-        curve = get_curve("two-lines")
-        mf = multiplier_field(curve, B8, 128, [1.0, 0.0])
-        h = sum_handle(multiplier_handle(curve, mf),
-                       multiplier_handle(curve, mf))
-        f = grid_function(B8, 128, lambda X: np.cos(X[:, 0]))
-        assert np.allclose(h(f).values, 2.0 * f.values)
-
-    def test_sum_handle_rejects_mismatched_grids(self):
-        f = grid_function(B8, 64, lambda X: np.cos(X[:, 0]))
-        def coarse(g):
-            return grid_function(g.box, 32, np.ones(32))
-        with pytest.raises(ConsistencyError, match="output geometry"):
-            sum_handle(zeros_like, coarse)(f)
-
     def test_overlapping_branches_rejected(self):
         # Two identity branches send every node into the one cube [0, 1].
         def identity(index):
@@ -490,12 +474,6 @@ class TestRecovery:
                            match=r"node \(.*0\.125.*\) into the same "):
             recover_multipliers(zeros_like, curve, part,
                                 box(0.0, 1.0), 4)
-
-    def test_truncated_handle_matches_direct(self):
-        k = get_kernel("two-line-hilbert")
-        f = grid_function(B8, 128, lambda X: np.exp(-X[:, 0] ** 2))
-        assert np.array_equal(truncated_handle(k, 0.5)(f).values,
-                              quiet_apply(k, f, 0.5).values)
 
 
 class TestMultiplierBound:
