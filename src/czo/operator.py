@@ -96,6 +96,10 @@ class GridFunction:
             raise RejectedInputError("cells_per_axis must be positive")
         if not self.box.is_bounded:
             raise RejectedInputError("grid functions need a bounded box")
+        for k, (a, b) in enumerate(zip(self.box.lo, self.box.hi)):
+            if a == b:
+                raise RejectedInputError(
+                    f"grid box has zero width on axis {k}: {a}..{b}")
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if len(v) != self.cells_per_axis ** self.box.dim:
             raise RejectedInputError(
@@ -519,11 +523,6 @@ class T0Report:
     epsilons: list[float]
     sup_diffs: list[float]       # ||T_{e_k} f - T_{e_{k+1}} f||_inf
     unreliable: list[bool]       # epsilon below the grid resolution h
-
-    @property
-    def cauchy_after_two(self) -> bool:
-        d = self.sup_diffs
-        return all(d[k + 1] <= d[k] * (1.0 + 1e-9) for k in range(1, len(d) - 1))
 
 
 def estimate_T0(kernel: KernelSpec, f: GridFunction,

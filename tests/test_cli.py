@@ -136,6 +136,11 @@ class TestExitCodes:
         (["qtheta", "cube=0..inf"], "cube"),
         (["qtheta", "cube=2..3,2..3"], "cube"),
         (["decompose", "root=-8..8,-8..8"], "root"),
+        (["apply", "box=1..1"], "box"),
+        (["t0-convergence", "box=1..1"], "box"),
+        (["recover", "box=1..1"], "box"),
+        (["decompose", "box=1..1"], "box"),
+        (["weaktype", "box=1..1"], "box"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_non_finite_or_degenerate_exits_2(self, tmp_path, capsys, argv,
                                               name):

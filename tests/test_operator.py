@@ -54,6 +54,14 @@ class TestGridFunction:
         with pytest.raises(RejectedInputError):
             GridFunction(B8, 4, [1.0, 2.0])
 
+    @pytest.mark.parametrize("lo, hi", [((1.0,), (1.0,)),
+                                        ((0.0, 2.0), (1.0, 2.0))])
+    def test_rejects_zero_width_box(self, lo, hi):
+        # A zero-width axis gives h = 0: once an all-zero report or a
+        # division by zero further down.
+        with pytest.raises(RejectedInputError, match="box"):
+            GridFunction(box(lo, hi), 2, np.ones(2 ** len(lo)))
+
     def test_csv_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         f = GridFunction(box(-2.0, 3.0), 64, rng.normal(size=64))
@@ -398,7 +406,9 @@ class TestEstimateT0:
         f = grid_function(B8, 1024, lambda X: np.exp(-X[:, 0] ** 2))
         _, rep = estimate_T0(get_kernel("two-line-hilbert"), f,
                              [0.5, 0.25, 0.125, 0.0625, 0.03125])
-        assert rep.cauchy_after_two
+        d = rep.sup_diffs
+        assert all(d[k + 1] <= d[k] * (1.0 + 1e-9)
+                   for k in range(1, len(d) - 1))
 
     def test_unreliable_epsilons_flagged(self):
         f = grid_function(B8, 64, lambda X: np.ones(len(X)))  # h = 0.25

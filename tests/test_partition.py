@@ -4,8 +4,10 @@ import pytest
 from czo.curves import get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import DyadicCube, box
-from czo.partition import (BranchDisjointPartition, build_partition,
-                           critical_values, disjoint_preimage_test)
+from czo.partition import (BranchDisjointPartition, _level0_corners,
+                           build_partition, critical_values,
+                           disjoint_preimage_test)
+from test_metric import wavy_curve
 
 
 class TestCriticalValues:
@@ -159,3 +161,81 @@ class TestInducedMapLookup:
         # The flat branch maps everything to the critical value 0, which
         # lies in no accepted cube.
         assert p.locate(curve.branch(2).forward(np.array([[5.0]])))[0] == -1
+
+
+def sampled_two_lines():
+    """two-lines with its preimage boxes stripped: the sampled overlap test
+    with two branches, which finds real overlaps near 0."""
+    curve = get_curve("two-lines")
+    for b in curve.branches:
+        b.preimage_boxes = None
+    return curve
+
+
+SAMPLED_CURVES = {"wavy": wavy_curve, "two-lines-sampled": sampled_two_lines}
+
+
+def sampled_overlap_reference(curve, bx):
+    """The overlap test redrawing the 4,096 samples (seed 0) and mapping
+    them through every branch for this one cube."""
+    X = np.random.default_rng(0).uniform(-32.0, 32.0, size=(4096, curve.dim))
+    hits = np.zeros(len(X), dtype=int)
+    for b in curve.branches:
+        inside = b.domain.contains(X)
+        if np.any(inside):
+            img = b.forward(X[inside])
+            hits[np.flatnonzero(inside)[bx.contains(img)]] += 1
+    return bool(np.any(hits >= 2))
+
+
+def partition_reference(curve, max_depth):
+    crit = critical_values(curve)
+    accepted, leftover = [], []
+    stack = [DyadicCube(0, c) for c in _level0_corners(curve)]
+    while stack:
+        cube = stack.pop()
+        bx = cube.as_box()
+        if not (np.any(bx.contains(crit))
+                or sampled_overlap_reference(curve, bx)):
+            accepted.append(cube)
+        elif cube.level >= max_depth:
+            leftover.append(cube)
+        else:
+            stack.extend(cube.children())
+    return sorted(accepted), sorted(leftover)
+
+
+class TestSampledOverlap:
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("name", sorted(SAMPLED_CURVES))
+    def test_matches_per_cube_resampling(self, name, depth):
+        curve = SAMPLED_CURVES[name]()
+        p = build_partition(curve, depth)
+        accepted, leftover = partition_reference(curve, depth)
+        assert p.cubes == accepted
+        assert p.leftover == leftover
+        # Also on one branch, where no cube can fail the overlap test: the
+        # benchmark's oracle reads this flag.
+        assert p.probabilistic
+
+    def test_two_branch_overlap_refines_near_zero(self):
+        p = build_partition(sampled_two_lines(), 6)
+        assert max(c.level for c in p.cubes) == 6
+        assert p.leftover and all(
+            c.as_box().distance([[0.0]])[0] < 2.0 ** -5 for c in p.leftover)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_CURVES))
+    def test_samples_mapped_once_per_branch_per_build(self, name):
+        curve = SAMPLED_CURVES[name]()
+        calls = [0] * curve.r
+        for i, b in enumerate(curve.branches):
+            def counted(X, i=i, forward=b.forward):
+                calls[i] += 1
+                return forward(X)
+            b.forward = counted
+        critical_values(curve)
+        per_crit = list(calls)
+        for depth in (0, 6):
+            calls[:] = [0] * curve.r
+            build_partition(curve, depth)
+            assert calls == [c + 1 for c in per_crit]
