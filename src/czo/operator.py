@@ -97,9 +97,12 @@ class GridFunction:
         if not self.box.is_bounded:
             raise RejectedInputError("grid functions need a bounded box")
         for k, (a, b) in enumerate(zip(self.box.lo, self.box.hi)):
-            if a == b:
+            # Cells of zero volume (h ** dim underflowing included) would
+            # give all-zero sums or a division by zero further down.
+            if not ((b - a) / self.cells_per_axis) ** self.box.dim > 0:
                 raise RejectedInputError(
-                    f"grid box has zero width on axis {k}: {a}..{b}")
+                    f"grid box gives cells of zero volume on axis {k}: "
+                    f"{a}..{b}")
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if len(v) != self.cells_per_axis ** self.box.dim:
             raise RejectedInputError(

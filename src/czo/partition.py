@@ -14,9 +14,8 @@ measure shrinks as the depth grows.
 Overlap is decided from the branches' exact preimage boxes when every
 branch declares them.  Otherwise a Monte-Carlo test looks for one of 4,096
 fixed samples x (seed 0) that two branches map into the cube, and the
-partition is flagged probabilistic.  ``build_partition`` maps the samples
-through every branch once per build and every cube reuses the images, so
-on a one-branch curve, where no sample can have two images, a cube fails
+partition is flagged probabilistic.  No sample has two images under a
+one-branch curve, so there the test skips the sampling and a cube fails
 only on a critical value.
 """
 
@@ -70,29 +69,21 @@ def _preimage_overlap_exact(curve: HyperCurve, bx: Box) -> Optional[bool]:
     return False
 
 
-def _overlap_images(curve: HyperCurve) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The fixed Monte-Carlo samples x mapped through every branch whose
-    domain holds some of them: (indices of those x, their images) per
-    branch."""
+def _preimage_overlap_sampled(curve: HyperCurve, bx: Box) -> bool:
+    """Monte-Carlo fallback: sample x and look for points mapped into the
+    cube by two distinct branches."""
+    if curve.r < 2:
+        return False
     rng = np.random.default_rng(_OVERLAP_SEED)
     X = rng.uniform(-BOUNDING_HALF_WIDTH, BOUNDING_HALF_WIDTH,
                     size=(_OVERLAP_SAMPLES, curve.dim))
-    images = []
+    hits = np.zeros(_OVERLAP_SAMPLES, dtype=int)
     for b in curve.branches:
         inside = b.domain.contains(X)
-        if np.any(inside):
-            images.append((np.flatnonzero(inside), b.forward(X[inside])))
-    return images
-
-
-def _preimage_overlap_sampled(images, bx: Box) -> bool:
-    """Monte-Carlo fallback: look for a sample x mapped into the cube by two
-    distinct branches."""
-    if len(images) < 2:
-        return False
-    hits = np.zeros(_OVERLAP_SAMPLES, dtype=int)
-    for idx, img in images:
-        hits[idx[bx.contains(img)]] += 1
+        if not np.any(inside):
+            continue
+        img = b.forward(X[inside])
+        hits[np.flatnonzero(inside)[bx.contains(img)]] += 1
     return bool(np.any(hits >= 2))
 
 
@@ -104,20 +95,15 @@ class DisjointnessResult:
 
 
 def disjoint_preimage_test(curve: HyperCurve, cube: DyadicCube | Box,
-                           crit: Optional[np.ndarray] = None,
-                           images: Optional[list] = None
+                           crit: Optional[np.ndarray] = None
                            ) -> DisjointnessResult:
-    """``crit`` and ``images`` depend only on the curve; ``build_partition``
-    computes them once and passes them to every cube's test."""
     bx = cube.as_box() if isinstance(cube, DyadicCube) else cube
     if crit is None:
         crit = critical_values(curve)
     critical_hit = bool(len(crit)) and bool(np.any(bx.contains(crit)))
     exact = _preimage_overlap_exact(curve, bx)
     if exact is None:
-        if images is None:
-            images = _overlap_images(curve)
-        overlap = _preimage_overlap_sampled(images, bx)
+        overlap = _preimage_overlap_sampled(curve, bx)
         return DisjointnessResult(not overlap and not critical_hit,
                                   critical_hit, probabilistic=True)
     return DisjointnessResult(not exact and not critical_hit,
@@ -188,16 +174,13 @@ def build_partition(curve: HyperCurve,
     if max_depth < 0:
         raise RejectedInputError("max_depth must be nonnegative")
     crit = critical_values(curve)
-    images = (None if all(b.preimage_boxes is not None
-                          for b in curve.branches)
-              else _overlap_images(curve))
     accepted: list[DyadicCube] = []
     leftover: list[DyadicCube] = []
     probabilistic = False
     stack = [DyadicCube(0, c) for c in _level0_corners(curve)]
     while stack:
         cube = stack.pop()
-        res = disjoint_preimage_test(curve, cube, crit, images)
+        res = disjoint_preimage_test(curve, cube, crit)
         probabilistic = probabilistic or res.probabilistic
         if res.disjoint:
             accepted.append(cube)

@@ -55,10 +55,12 @@ class TestGridFunction:
             GridFunction(B8, 4, [1.0, 2.0])
 
     @pytest.mark.parametrize("lo, hi", [((1.0,), (1.0,)),
-                                        ((0.0, 2.0), (1.0, 2.0))])
+                                        ((0.0, 2.0), (1.0, 2.0)),
+                                        ((0.0, 0.0), (1e-200, 1e-200))])
     def test_rejects_zero_width_box(self, lo, hi):
-        # A zero-width axis gives h = 0: once an all-zero report or a
-        # division by zero further down.
+        # A zero-width axis, or cells so small that h ** dim underflows,
+        # gives h ** dim = 0: once an all-zero report or a division by zero
+        # further down.
         with pytest.raises(RejectedInputError, match="box"):
             GridFunction(box(lo, hi), 2, np.ones(2 ** len(lo)))
 

@@ -223,19 +223,3 @@ class TestSampledOverlap:
         assert max(c.level for c in p.cubes) == 6
         assert p.leftover and all(
             c.as_box().distance([[0.0]])[0] < 2.0 ** -5 for c in p.leftover)
-
-    @pytest.mark.parametrize("name", sorted(SAMPLED_CURVES))
-    def test_samples_mapped_once_per_branch_per_build(self, name):
-        curve = SAMPLED_CURVES[name]()
-        calls = [0] * curve.r
-        for i, b in enumerate(curve.branches):
-            def counted(X, i=i, forward=b.forward):
-                calls[i] += 1
-                return forward(X)
-            b.forward = counted
-        critical_values(curve)
-        per_crit = list(calls)
-        for depth in (0, 6):
-            calls[:] = [0] * curve.r
-            build_partition(curve, depth)
-            assert calls == [c + 1 for c in per_crit]
