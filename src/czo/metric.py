@@ -12,9 +12,11 @@ rho takes one of two paths per branch.  A branch that declares its exact
 closed form.  Any other branch falls back to the sampled solver,
 ``sampled_rho_branch_values``: it seeds a KD-tree over dense curve samples
 and refines with vectorized golden-section search, splitting brackets at
-declared non-smooth parameter values.  Neither path takes a thread count;
-a caller that wants parallel rho splits the pairs itself, as the dense
-T_eps build does with its row chunks.
+declared non-smooth parameter values.  On an unbounded domain the samples
+cover a box sized from each pair's own coordinates, so a pair's rho never
+depends on the other pairs of the call.  Neither path takes a thread
+count; a caller that wants parallel rho splits the pairs however it likes,
+as the dense T_eps build does with its row chunks.
 
 ``enlarged_cube`` builds Q_theta from the curve alone.  It keeps one piece
 per active branch (one whose range lies within 2 sqrt(n) side(Q) of Q),
@@ -76,18 +78,20 @@ class _BranchSampler:
         self.spacing = np.concatenate(spacings)
         P = np.hstack([self.t, branch.forward(self.t)])
         self.tree = cKDTree(P)
-        self.k = 1 if len(boxes) == 1 else 2
+        # A list, so that tree.query returns (m, len(k)) arrays.
+        self.k = [1] if len(boxes) == 1 else [1, 2]
 
 
-def _extent_for(branch: CurveBranch, X: np.ndarray, Y: np.ndarray) -> float:
-    bounded = all(b.is_bounded for b in branch.domain.boxes)
-    if bounded:
-        return BOUNDING_HALF_WIDTH
-    need = 1.3 * max(1.0, float(np.max(np.abs(X), initial=0.0)),
-                     float(np.max(np.abs(Y), initial=0.0)))
-    extent = BOUNDING_HALF_WIDTH
-    while extent < need:
-        extent *= 2.0
+def _extents(branch: CurveBranch, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The sampler half-width for each pair: BOUNDING_HALF_WIDTH on a
+    bounded domain, else the smallest BOUNDING_HALF_WIDTH 2^k (k >= 0) not
+    below 1.3 max(1, |x_k|, |y_k|) of that pair alone."""
+    extent = np.full(len(X), BOUNDING_HALF_WIDTH)
+    if all(b.is_bounded for b in branch.domain.boxes):
+        return extent
+    need = 1.3 * np.maximum(1.0, np.max(np.abs(np.hstack([X, Y])), axis=1))
+    while np.any(grow := extent < need):
+        extent[grow] *= 2.0
     return extent
 
 
@@ -107,9 +111,6 @@ def _solve_chunk_1d(branch: CurveBranch, sampler: _BranchSampler,
 
     Q = np.hstack([X, Y])
     d0, idx = sampler.tree.query(Q, k=sampler.k)
-    if sampler.k == 1:
-        d0 = d0[:, None]
-        idx = idx[:, None]
     best2 = np.min(d0, axis=1) ** 2
     for col in range(idx.shape[1]):
         t0 = sampler.t[idx[:, col], 0]
@@ -139,9 +140,7 @@ def _solve_chunk_nd(branch: CurveBranch, sampler: _BranchSampler,
         return np.sum((X - T) ** 2, axis=1) + np.sum((fwd - Y) ** 2, axis=1)
 
     Q = np.hstack([X, Y])
-    d0, idx = sampler.tree.query(Q, k=sampler.k)
-    if sampler.k == 1:
-        idx = idx[:, None]
+    _, idx = sampler.tree.query(Q, k=sampler.k)
     idx0 = idx[:, 0]
     T = sampler.t[idx0].copy()
     lo = sampler.lo[idx0]
@@ -177,15 +176,23 @@ def rho_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
 
 def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     """Distance from each (x, y) to the graph of branch i by the sampled
-    solver, whether or not the branch declares an exact distance."""
+    solver, whether or not the branch declares an exact distance.  The
+    pairs are grouped by their own sampler extent, so a pair's value does
+    not depend on the other pairs of the call."""
     b = curve.branch(i)
     X = as_points(X, curve.dim)
     Y = as_points(Y, curve.dim)
-    sampler = _get_sampler(b, _extent_for(b, X, Y))
     solve = _solve_chunk_1d if curve.dim == 1 else _solve_chunk_nd
 
     def run(s, e):
-        return solve(b, sampler, X[s:e], Y[s:e])
+        Xc, Yc = X[s:e], Y[s:e]
+        extents = _extents(b, Xc, Yc)
+        out = np.empty(e - s)
+        for extent in np.unique(extents):
+            sel = extents == extent
+            sampler = _get_sampler(b, float(extent))
+            out[sel] = solve(b, sampler, Xc[sel], Yc[sel])
+        return out
 
     return pmap_chunks(run, len(X), _CHUNK)
 
@@ -285,13 +292,12 @@ class CubePiece:
     branch: CurveBranch
     preimage_boxes: Optional[list[Box]] = None   # exact path
 
-    def distance(self, Q: Box, X: np.ndarray,
-                 y_samples: Optional[np.ndarray] = None) -> np.ndarray:
+    def distance(self, Q: Box, X: np.ndarray) -> np.ndarray:
         """d(x, gamma_i^{-1}(eta_{i,Q})) for each query x."""
         if self.preimage_boxes is not None:
             return np.min(np.stack([b.distance(X)
                                     for b in self.preimage_boxes]), axis=0)
-        return _sampled_piece_distance(self.branch, Q, X, y_samples)
+        return _sampled_piece_distance(self.branch, Q, X)
 
 
 def _cube_y_samples(Q: Box, per_axis: int = 256) -> np.ndarray:
@@ -300,11 +306,9 @@ def _cube_y_samples(Q: Box, per_axis: int = 256) -> np.ndarray:
     return grid.reshape(-1, Q.dim)
 
 
-def _sampled_piece_distance(branch: CurveBranch, Q: Box, X: np.ndarray,
-                            y_samples: Optional[np.ndarray]) -> np.ndarray:
-    if y_samples is None:
-        y_samples = _cube_y_samples(Q)
-    eta = branch.nearest_range(y_samples)
+def _sampled_piece_distance(branch: CurveBranch, Q: Box,
+                            X: np.ndarray) -> np.ndarray:
+    eta = branch.nearest_range(_cube_y_samples(Q))
     best = np.full(len(X), math.inf)
     step = max(1, _CHUNK // max(len(X), 1))
     for chunk in np.array_split(eta, range(step, len(eta), step)):
@@ -322,11 +326,6 @@ class EnlargedCube:
     theta: float
     curve: HyperCurve
     pieces: list[CubePiece]      # one per active branch
-
-    @property
-    def exact(self) -> bool:
-        """Whether every piece holds its exact preimage boxes."""
-        return all(p.preimage_boxes is not None for p in self.pieces)
 
     def contains(self, X) -> np.ndarray:
         """Membership in Q_theta; boundary tolerance 1e-7 * side(Q)."""

@@ -130,9 +130,6 @@ class GridFunction:
     def geometry(self) -> tuple:
         return (self.box.lo, self.box.hi, self.cells_per_axis)
 
-    def same_geometry(self, other: "GridFunction") -> bool:
-        return self.geometry() == other.geometry()
-
     def integral(self) -> float:
         return float(np.sum(self.values) * self.h ** self.dim)
 
@@ -147,10 +144,6 @@ def grid_function(bx: Box, n_cells: int, f) -> GridFunction:
     else:
         vals = np.asarray(f, dtype=float).reshape(-1)
     return GridFunction(bx, n_cells, vals)
-
-
-def zeros_like(gf: GridFunction) -> GridFunction:
-    return gf.with_values(np.zeros_like(gf.values))
 
 
 # CSV I/O --------------------------------------------------------------------
@@ -228,10 +221,9 @@ def _build_matrices(kernel: KernelSpec, Xout: np.ndarray,
                     gf: GridFunction, threads: int):
     """(R, K, R_mid, K_mid): rho and K from Xout to gf's nodes, folded:
     [0] the nodes j < m_in // 2, [1] their mirrors m_in - 1 - j, *_mid an
-    odd grid's middle node (None otherwise).  A row chunk is one call on
-    all nodes, as the sampled rho sizes its sampler per call; the chunks
-    are folded after the last call, so the output never coexists with
-    rho's temporaries."""
+    odd grid's middle node (None otherwise).  The row chunks are folded
+    after the last one is built, so the output never coexists with rho's
+    temporaries."""
     Yin = gf.nodes()
     m_out, m_in = len(Xout), len(Yin)
     half = m_in // 2
@@ -626,13 +618,6 @@ def multiplier_handle(curve: HyperCurve, b: MultiplierField) -> _Operator:
 # Multiplier recovery
 # ---------------------------------------------------------------------------
 
-def _cube_indicator(gf_box: Box, n_cells: int, cube_box: Box) -> GridFunction:
-    nodes = grid_nodes(gf_box, n_cells)
-    # Half-open membership matches the partition's cube-location convention.
-    inside = np.all((nodes >= cube_box.lo_a) & (nodes < cube_box.hi_a), axis=1)
-    return GridFunction(gf_box, n_cells, inside.astype(float))
-
-
 def recover_multipliers(difference: _Operator, curve: HyperCurve,
                         partition: BranchDisjointPartition,
                         out_box: Box, n_cells: int) -> MultiplierField:
@@ -662,9 +647,10 @@ def recover_multipliers(difference: _Operator, curve: HyperCurve,
             "partition cube")
     fields = np.zeros((curve.r, m))
     covered = np.zeros((curve.r, m), dtype=bool)
+    home = partition.locate(nodes)
     needed = sorted(set(cube_of[cube_of >= 0].tolist()))
     for jc in needed:
-        chi = _cube_indicator(out_box, n_cells, partition.cubes[jc].as_box())
+        chi = GridFunction(out_box, n_cells, (home == jc).astype(float))
         h_j = difference(chi)
         if not (h_j.box == out_box and h_j.cells_per_axis == n_cells):
             raise ConsistencyError("difference operator changed the grid")

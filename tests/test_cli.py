@@ -285,9 +285,10 @@ class TestExperiments:
         ("partition", ["curve=diamond", "max_depth=5"]),
         ("kernel-audit", ["samples=500", "seed=3"]),
         ("hormander", ["hormander_grid=4096"]),
-        # Large enough that the R/K build splits into two row chunks.
-        ("apply", ["n=4096", "out_n=1024"]),
-        ("t0-convergence", ["n=128"]),
+        # Each sums on the lattice in two 4096-row chunks, so the second
+        # thread runs.
+        ("apply", ["n=8192", "out_n=8192"]),
+        ("t0-convergence", ["n=8192"]),
         ("recover", ["n=64", "max_depth=5"]),
         ("decompose", ["n=128"]),
         ("weaktype", ["n=64", "out_n=32"]),

@@ -120,7 +120,7 @@ class TestEnlargedCube:
         # Q=[2,3], theta=8: preimages [2,3] and [-3,-2], each dilated by 8,
         # merge into [-11, 11] of measure 22.
         ec = enlarged_cube(get_curve("two-lines"), box(2.0, 3.0), 8.0)
-        assert ec.exact
+        assert all(p.preimage_boxes is not None for p in ec.pieces)
         X = np.linspace(-15, 15, 3001).reshape(-1, 1)
         inside = ec.contains(X)
         measure = np.count_nonzero(inside) * (30.0 / 3000)
@@ -160,7 +160,9 @@ class TestEnlargedCube:
         sampled = ec.contains(X)
         assert np.array_equal(exact, sampled)
 
-    def test_sampled_path_matches_per_eta_loop_2d(self):
+    def test_sampled_path_matches_per_eta_loop_2d(self, monkeypatch):
+        import czo.metric as metric
+
         curve = get_curve("diagonal", 2)
         Q = box((0.5, -1.0), (1.0, -0.5))
         ec = enlarged_cube(curve, Q, 3.0)
@@ -177,8 +179,12 @@ class TestEnlargedCube:
         for eta in branch.nearest_range(ys):
             pre = branch.nearest_preimage(np.broadcast_to(eta, X.shape), X)
             want = np.minimum(want, np.sqrt(np.sum((X - pre) ** 2, axis=1)))
+        # The piece samples Q on the reference's 48 x 48 grid.
+        samples = metric._cube_y_samples
+        monkeypatch.setattr(metric, "_cube_y_samples",
+                            lambda Q, per_axis=256: samples(Q, 48))
         for m in (len(X), 7, 0):
-            got = ec.pieces[0].distance(Q, X[:m], ys)
+            got = ec.pieces[0].distance(Q, X[:m])
             assert got.tobytes() == want[:m].tobytes()
 
 
@@ -250,6 +256,21 @@ class TestSampledSolverAgainstDeclaredDistances:
         got = rho_branch_values(curve, 0, x[:, None], y[:, None])
         want = np.array([brute_wavy_rho(a, b) for a, b in zip(x, y)])
         assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + want))
+
+    @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
+                    min_size=1, max_size=20),
+           st.floats(30, 200), st.booleans(), st.floats(-20, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_each_pair_is_its_own_rho_inside_any_batch(self, points, far,
+                                                       negative, y_far):
+        # A far pair in the call changes no other pair's bits.
+        curve = wavy_curve()
+        X = np.array([[p[0]] for p in points] + [[-far if negative else far]])
+        Y = np.array([[p[1]] for p in points] + [[y_far]])
+        batch, _ = rho_values(curve, X, Y)
+        for j in range(len(X)):
+            alone, _ = rho_values(curve, X[j:j + 1], Y[j:j + 1])
+            assert alone.tobytes() == batch[j:j + 1].tobytes()
 
 
 class TestDeclaredDistancePath:

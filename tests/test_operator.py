@@ -17,7 +17,7 @@ from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
                           grid_function, grid_nodes, interpolate,
                           multiplier_bound_check, multiplier_field,
                           multiplier_handle, read_grid_csv,
-                          recover_multipliers, write_grid_csv, zeros_like)
+                          recover_multipliers, write_grid_csv)
 from czo.partition import BranchDisjointPartition, build_partition
 
 B8 = box(-8.0, 8.0)
@@ -267,6 +267,27 @@ def rowmajor_weak_rows(kernel, f, eps, theta, out_cells, ladder_max):
     return rows
 
 
+def wavy_kernel():
+    """sign(gamma(x) - y) / rho for gamma(x) = x + 0.3 sin x, a curve that
+    declares no exact distance, so rho takes the sampled solver."""
+    wave = 0.3
+
+    def inverse(Y):
+        t = Y.copy()
+        for _ in range(30):
+            t = t - (t + wave * np.sin(t) - Y) / (1.0 + wave * np.cos(t))
+        return t
+
+    branch = CurveBranch(
+        index=0, domain=whole_space(1),
+        forward=lambda X: X + wave * np.sin(X), inverse=inverse,
+        jacobian=lambda X: 1.0 + wave * np.cos(X[:, 0]),
+        lipschitz=1.0 / (1.0 - wave), name="wavy")
+    return KernelSpec("wavy", HyperCurve("wavy", [branch]),
+                      lambda X, Y, r: np.sign(X[:, 0] + wave * np.sin(X[:, 0])
+                                              - Y[:, 0]) / r, 1.0, 1.0)
+
+
 class TestMirrorPairedSums:
     """apply_truncated, apply_truncated_at and weak_type_experiment equal,
     bit for bit, the row-major formula: mask, multiply by f, pair each
@@ -344,29 +365,12 @@ class TestMirrorPairedSums:
         assert got.values.tobytes() == want.tobytes()
 
     def test_sampled_rho_keeps_each_row_chunk_in_one_call(self, monkeypatch):
-        # The sampled rho sizes its sampler from the points of each call.
-        # On a box reaching past the sampler's base extent, every row chunk
-        # must still evaluate all input nodes in one call, as the
-        # row-major build did, for the folded cache to hold the same bits.
+        # On a box reaching past the sampled rho's base extent, row chunks
+        # of four output nodes give the same bits as the row-major build.
         import czo.operator as op
 
-        wave = 0.3
-
-        def inverse(Y):
-            t = Y.copy()
-            for _ in range(30):
-                t = t - (t + wave * np.sin(t) - Y) / (1.0 + wave * np.cos(t))
-            return t
-
-        branch = CurveBranch(
-            index=0, domain=whole_space(1),
-            forward=lambda X: X + wave * np.sin(X), inverse=inverse,
-            jacobian=lambda X: 1.0 + wave * np.cos(X[:, 0]),
-            lipschitz=1.0 / (1.0 - wave), name="wavy")
-        k = KernelSpec("wavy", HyperCurve("wavy", [branch]),
-                       lambda X, Y, r: np.sign(X[:, 0] + wave * np.sin(X[:, 0])
-                                               - Y[:, 0]) / r, 1.0, 1.0)
-        assert branch.distance is None
+        k = wavy_kernel()
+        assert k.curve.branch(0).distance is None
         wide = box(-40.0, 12.0)
         monkeypatch.setattr(op, "_CACHE_ENTRY_LIMIT", 4 * 8 * 41)
         f = grid_function(wide, 41, lambda X: np.cos(X[:, 0] / 5.0))
@@ -376,6 +380,16 @@ class TestMirrorPairedSums:
                            for s in range(0, 30, 4)])
             got = quiet_apply(k, f, eps, out_geometry=(wide, 30))
             assert got.values.tobytes() == rowmajor_apply(M, f).tobytes()
+
+    def test_far_point_leaves_the_sampled_rows_unchanged(self):
+        # A point at x = 100 in the same apply_truncated_at call does not
+        # change the other rows: each pair's rho is its own.
+        k = wavy_kernel()
+        f = grid_function(B8, 64, lambda X: np.cos(X[:, 0]))
+        x = np.vstack([grid_nodes(B8, 64)[:8], [[100.0]]])
+        got = apply_truncated_at(k, f, x, 0.5)
+        want = quiet_apply(k, f, 0.5).values[:8]
+        assert got[:8].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["two-line-hilbert", "diamond-model"])
     @pytest.mark.parametrize("n_out", [100, 131])
@@ -399,7 +413,7 @@ class TestEstimateT0:
             estimate_T0(get_kernel("hilbert"), f, [0.25, 0.5])
 
     def test_zero_function_all_zero(self):
-        f = zeros_like(grid_function(B8, 64, lambda X: np.ones(len(X))))
+        f = grid_function(B8, 64, lambda X: np.zeros(len(X)))
         out, rep = estimate_T0(get_kernel("hilbert"), f, [0.5, 0.25, 0.125])
         assert np.all(out.values == 0.0)
         assert rep.sup_diffs == [0.0, 0.0]
@@ -445,6 +459,10 @@ class TestApplyMultiplier:
         assert np.all(out.values[~inside] == 0.0)
 
 
+def zero_operator(f):
+    return f.with_values(np.zeros_like(f.values))
+
+
 class TestRecovery:
     def test_roundtrip_indicator_fields(self):
         curve = get_curve("two-lines")
@@ -467,7 +485,7 @@ class TestRecovery:
     def test_zero_operator_recovers_zero(self):
         curve = get_curve("two-lines")
         part = build_partition(curve, max_depth=6)
-        rec = recover_multipliers(zeros_like, curve, part,
+        rec = recover_multipliers(zero_operator, curve, part,
                                   B8, 128)
         assert np.all(rec.fields == 0.0)
 
@@ -484,7 +502,7 @@ class TestRecovery:
                                        probabilistic=False)
         with pytest.raises(ConsistencyError,
                            match=r"node \(.*0\.125.*\) into the same "):
-            recover_multipliers(zeros_like, curve, part,
+            recover_multipliers(zero_operator, curve, part,
                                 box(0.0, 1.0), 4)
 
 
