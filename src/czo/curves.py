@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from .errors import RegistryError
 from .geometry import Box, CurveBranch, HyperCurve, box, region, whole_space
-from .util import BOUNDING_HALF_WIDTH
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -56,31 +56,35 @@ def diagonal(dim: int = 1) -> HyperCurve:
                       intersection_points=np.empty((0, dim)))
 
 
+def _flip(b: Box) -> Box:
+    """-B, the box reflected through the origin (n = 1)."""
+    return Box((-b.hi[0],), (-b.lo[0],))
+
+
+def _mirror(branch: CurveBranch, index: int, name: str) -> CurveBranch:
+    """-gamma on the same domain (n = 1): every declaration of ``branch``
+    read at -y."""
+    return CurveBranch(
+        index=index, domain=branch.domain,
+        forward=lambda X: -branch.forward(X),
+        inverse=lambda Y: branch.inverse(-Y),
+        jacobian=lambda X: -branch.jacobian(X),
+        lipschitz=branch.lipschitz,
+        range_region=region(*map(_flip, branch.range_region.boxes)),
+        preimage_boxes=lambda b: branch.preimage_boxes(_flip(b)),
+        preimage_nearest=lambda Y, X: branch.preimage_nearest(-Y, X),
+        breakpoints=branch.breakpoints,
+        name=name,
+        distance=lambda X, Y: branch.distance(X, -Y),
+    )
+
+
 def two_lines() -> HyperCurve:
     """gamma(x) = +-x on R: two lines crossing at the origin (n = 1)."""
-    dom = whole_space(1)
-    plus = CurveBranch(
-        index=0, domain=dom,
-        forward=_identity, inverse=_identity,
-        jacobian=lambda X: np.ones(len(X)),
-        lipschitz=1.0, range_region=dom,
-        preimage_boxes=lambda b: [b],
-        preimage_nearest=lambda Y, X: Y.copy(),
-        name="plus",
-        distance=lambda X, Y: np.abs(X[:, 0] - Y[:, 0]) / _SQRT2,
-    )
-    minus = CurveBranch(
-        index=1, domain=dom,
-        forward=lambda X: -X,
-        inverse=lambda Y: -Y,
-        jacobian=lambda X: -np.ones(len(X)),
-        lipschitz=1.0, range_region=dom,
-        preimage_boxes=lambda b: [Box((-b.hi[0],), (-b.lo[0],))],
-        preimage_nearest=lambda Y, X: -Y,
-        name="minus",
-        distance=lambda X, Y: np.abs(X[:, 0] + Y[:, 0]) / _SQRT2,
-    )
-    return HyperCurve("two-lines", [plus, minus],
+    plus = dataclasses.replace(
+        diagonal(1).branches[0], name="plus",
+        distance=lambda X, Y: np.abs(X[:, 0] - Y[:, 0]) / _SQRT2)
+    return HyperCurve("two-lines", [plus, _mirror(plus, 1, "minus")],
                       intersection_points=np.array([[0.0]]))
 
 
@@ -97,14 +101,9 @@ def diamond() -> HyperCurve:
     """gamma(x) = +-(1 - |x|) for |x| <= 1 and 0 for |x| >= 1 (n = 1).
 
     The two slanted branches are two-to-one (set-valued preimages resolved
-    per query); the flat branch is constant, so it declares no inverse.
+    per query), and the lower one is the upper one's mirror; the flat
+    branch is constant, so it declares no inverse.
     """
-    L = BOUNDING_HALF_WIDTH
-    slant_dom = region(box(-1.0, 1.0))
-
-    def upper_fwd(X):
-        return 1.0 - np.abs(X)
-
     def upper_pre_boxes(b: Box) -> list[Box]:
         c, d = max(b.lo[0], 0.0), min(b.hi[0], 1.0)
         if c > d:
@@ -112,8 +111,8 @@ def diamond() -> HyperCurve:
         return [box(1.0 - d, 1.0 - c), box(c - 1.0, d - 1.0)]
 
     upper = CurveBranch(
-        index=0, domain=slant_dom,
-        forward=upper_fwd,
+        index=0, domain=region(box(-1.0, 1.0)),
+        forward=lambda X: 1.0 - np.abs(X),
         inverse=lambda Y: 1.0 - Y,           # the x in [0, 1] sheet
         jacobian=lambda X: -np.where(X[:, 0] >= 0.0, 1.0, -1.0),
         lipschitz=1.0,
@@ -125,30 +124,7 @@ def diamond() -> HyperCurve:
         distance=_polyline_distance((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)),
     )
 
-    def lower_fwd(X):
-        return np.abs(X) - 1.0
-
-    def lower_pre_boxes(b: Box) -> list[Box]:
-        c, d = max(b.lo[0], -1.0), min(b.hi[0], 0.0)
-        if c > d:
-            return []
-        return [box(1.0 + c, 1.0 + d), box(-(1.0 + d), -(1.0 + c))]
-
-    lower = CurveBranch(
-        index=1, domain=slant_dom,
-        forward=lower_fwd,
-        inverse=lambda Y: 1.0 + Y,           # the x in [0, 1] sheet
-        jacobian=lambda X: np.where(X[:, 0] >= 0.0, 1.0, -1.0),
-        lipschitz=1.0,
-        range_region=region(box(-1.0, 0.0)),
-        preimage_boxes=lower_pre_boxes,
-        preimage_nearest=lambda Y, X: _pm_preimage_nearest(1.0 + Y, X),
-        breakpoints=(0.0,),
-        name="lower",
-        distance=_polyline_distance((-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)),
-    )
-
-    flat_dom = region(box(1.0, L), box(-L, -1.0))
+    flat_dom = region(box(1.0, math.inf), box(-math.inf, -1.0))
 
     def flat_pre_boxes(b: Box) -> list[Box]:
         if b.lo[0] <= 0.0 <= b.hi[0]:
@@ -169,7 +145,7 @@ def diamond() -> HyperCurve:
                                       + Y[:, 0] ** 2),
     )
 
-    return HyperCurve("diamond", [upper, lower, flat],
+    return HyperCurve("diamond", [upper, _mirror(upper, 1, "lower"), flat],
                       intersection_points=np.array([[-1.0], [1.0]]))
 
 

@@ -33,7 +33,7 @@ from .errors import RejectedInputError
 from .geometry import Box
 from .kernels import KernelSpec
 from .metric import _require_separation, enlarged_cube
-from .operator import (GridFunction, _require_epsilon, _truncated_columns,
+from .operator import (GridFunction, _require_inputs, _truncated_columns,
                        grid_nodes)
 
 
@@ -243,7 +243,8 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
     quantities (exceptional-set measure, bad-part integral off it)."""
     if len(family) == 0:
         raise RejectedInputError("family must be nonempty")
-    _require_epsilon(epsilon)
+    for f in family:
+        _require_inputs(kernel, epsilon, f)
     _require_separation(kernel.curve, theta)
     n = kernel.dim
     rows = []

@@ -42,6 +42,7 @@ _SAMPLES_PER_AXIS = 4096
 _CHUNK = 1 << 14
 _SWEEPS = 6                  # coordinate sweeps of the n-d solver
 _CONTAINS_TOL = 1e-7         # Q_theta boundary tolerance, relative to side(Q)
+_PROBE_ROUNDS = 16           # most draws of 4 * probe_count separation probes
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,9 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     Lipschitz inverse.  When some active piece's branch declares
     ``inverse=None`` the measure half is skipped and the report's
     ``measure_estimate`` and ``measure_halfwidth`` are None; the separation
-    half always runs.
+    half always runs.  Its probes outside Q_theta are drawn in at most
+    ``_PROBE_ROUNDS`` rounds; when Q_theta covers the probe box none is
+    found, and the half holds vacuously with ``min_probe_rho`` = inf.
     """
     if probe_count < 1:
         raise RejectedInputError(
@@ -476,14 +479,15 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     sep_bound = 2.0 * math.sqrt(n) * ell * (1.0 - 1e-5)
     bbox = ec.bounding_box().dilate(4.0 * theta * ell)
     xs = []
-    while sum(len(a) for a in xs) < probe_count:
+    for _ in range(_PROBE_ROUNDS):
         cand = rng.uniform(bbox.lo_a, bbox.hi_a, size=(4 * probe_count, n))
-        keep = cand[~ec.contains(cand)]
-        xs.append(keep)
+        xs.append(cand[~ec.contains(cand)])
+        if sum(len(a) for a in xs) >= probe_count:
+            break
     Xp = np.concatenate(xs)[:probe_count]
-    Yp = rng.uniform(Q.lo_a, Q.hi_a, size=(probe_count, n))
+    Yp = rng.uniform(Q.lo_a, Q.hi_a, size=(len(Xp), n))
     rv, _ = rho_values(curve, Xp, Yp)
-    min_rho = float(np.min(rv))
+    min_rho = float(np.min(rv, initial=math.inf))
     if min_rho < sep_bound:
         passed = False
         j = int(np.argmin(rv))

@@ -446,24 +446,32 @@ def _lattice_apply(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
     return pmap_chunks(rows, n_out, _TAP_CHUNK, threads) * f.h
 
 
-def _require_epsilon(epsilon: float) -> None:
+def _require_inputs(kernel: KernelSpec, epsilon: float, f: GridFunction,
+                    out_box: Optional[Box] = None) -> None:
+    """Reject an epsilon that is not finite and positive, and an f or
+    output box whose number of axes is not the kernel's."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise RejectedInputError(
             f"epsilon must be finite and positive: {epsilon}")
+    for what, bx in (("f", f.box), ("output box", out_box)):
+        if bx is not None and bx.dim != kernel.dim:
+            raise RejectedInputError(
+                f"{what} has {bx.dim} axes but the kernel {kernel.name!r} "
+                f"has {kernel.dim}: {bx}")
 
 
 def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
                     out_geometry: Optional[tuple[Box, int]] = None,
                     threads: int = 1) -> GridFunction:
     """T_eps f on the output grid (defaults to f's own grid)."""
-    _require_epsilon(epsilon)
-    if epsilon < 4.0 * f.h:
-        warnings.warn("epsilon below 4 cell widths: quadrature near the "
-                      "truncation boundary is unreliable", stacklevel=2)
     if out_geometry is None:
         out_box, out_n = f.box, f.cells_per_axis
     else:
         out_box, out_n = out_geometry
+    _require_inputs(kernel, epsilon, f, out_box)
+    if epsilon < 4.0 * f.h:
+        warnings.warn("epsilon below 4 cell widths: quadrature near the "
+                      "truncation boundary is unreliable", stacklevel=2)
     step = _lattice_step(kernel, out_box, out_n, f)
     if step:
         on, taps = _lattice_taps(kernel, f, step, epsilon)
@@ -506,10 +514,10 @@ def _truncated_columns(kernel: KernelSpec, f: GridFunction, epsilon: float,
 
 
 def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,
-                       epsilon: float, threads: int = 1) -> np.ndarray:
+                       epsilon: float) -> np.ndarray:
     """T_eps f at explicit points (no caching)."""
-    _require_epsilon(epsilon)
-    mats = _build_matrices(kernel, as_points(x, kernel.dim), f, threads)
+    _require_inputs(kernel, epsilon, f)
+    mats = _build_matrices(kernel, as_points(x, kernel.dim), f, 1)
     return _fold_sum(*_mask(mats, epsilon), f)
 
 
@@ -558,13 +566,23 @@ class MultiplierField:
     covered: np.ndarray = field(default=None)   # (r, N^n) bool: recovery hit
 
     def __post_init__(self):
-        nodes = grid_nodes(self.box, self.cells_per_axis)
+        if self.box.dim != self.curve.dim:
+            raise RejectedInputError(
+                f"box has {self.box.dim} axes but the curve "
+                f"{self.curve.name!r} has {self.curve.dim}: {self.box}")
+        nodes = self.nodes()
         if self.support is None:
             self.support = np.stack([b.domain.contains(nodes, tol=1e-12)
                                      for b in self.curve.branches])
         self.fields = np.asarray(self.fields, dtype=float).reshape(
             self.curve.r, -1)
         self.fields = np.where(self.support, self.fields, 0.0)
+        bad = ~np.isfinite(self.fields)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise RejectedInputError(
+                f"multiplier b_{i} of curve {self.curve.name!r} is not "
+                f"finite at node {nodes[j].tolist()}: {self.fields[i, j]}")
         if self.covered is None:
             self.covered = self.support.copy()
 
@@ -627,13 +645,11 @@ def recover_multipliers(difference: _Operator, curve: HyperCurve,
     b_i(x) = h_j(x) for the cube containing gamma_i(x).  Nodes whose image
     falls in the leftover set stay 0 and are left uncovered.
     """
-    nodes = grid_nodes(out_box, n_cells)
-    m = len(nodes)
-    support = np.stack([b.domain.contains(nodes, tol=1e-12)
-                        for b in curve.branches])
-    cube_of = np.full((curve.r, m), -1, dtype=int)
+    rec = MultiplierField(curve, out_box, n_cells, np.zeros((curve.r, 1)))
+    nodes = rec.nodes()
+    cube_of = np.full(rec.fields.shape, -1, dtype=int)
     for i, br in enumerate(curve.branches):
-        mask = support[i]
+        mask = rec.support[i]
         if np.any(mask):
             img = br.forward(nodes[mask])
             cube_of[i][mask] = partition.locate(img)
@@ -645,21 +661,15 @@ def recover_multipliers(difference: _Operator, curve: HyperCurve,
         raise ConsistencyError(
             f"two branches map node {tuple(nodes[j])} into the same "
             "partition cube")
-    fields = np.zeros((curve.r, m))
-    covered = np.zeros((curve.r, m), dtype=bool)
+    rec.covered = cube_of >= 0
     home = partition.locate(nodes)
-    needed = sorted(set(cube_of[cube_of >= 0].tolist()))
-    for jc in needed:
+    for jc in np.unique(cube_of[rec.covered]):
         chi = GridFunction(out_box, n_cells, (home == jc).astype(float))
         h_j = difference(chi)
         if not (h_j.box == out_box and h_j.cells_per_axis == n_cells):
             raise ConsistencyError("difference operator changed the grid")
-        sel = cube_of == jc
-        for i in range(curve.r):
-            fields[i][sel[i]] = h_j.values[sel[i]]
-            covered[i][sel[i]] = True
-    return MultiplierField(curve, out_box, n_cells, fields,
-                           support=support, covered=covered & support)
+        rec.fields = np.where(cube_of == jc, h_j.values, rec.fields)
+    return rec
 
 
 @dataclass

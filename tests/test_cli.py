@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,37 @@ class TestExitCodes:
                                               name):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert name in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, owner", [
+        (["apply", "out_n=16"], "kernel 'two-line-hilbert'"),
+        (["t0-convergence"], "kernel 'two-line-hilbert'"),
+        (["weaktype", "out_n=16"], "kernel 'two-line-hilbert'"),
+        (["apply", "kernel=diamond-model", "out_n=16"],
+         "kernel 'diamond-model'"),
+        (["t0-convergence", "kernel=diamond-model"], "kernel 'diamond-model'"),
+        (["weaktype", "kernel=diamond-model", "out_n=16"],
+         "kernel 'diamond-model'"),
+        (["recover"], "curve 'two-lines'"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_grid_of_another_dimension_exits_2(self, tmp_path, capsys, argv,
+                                               owner):
+        # These once failed inside numpy, naming neither axis count.
+        assert main([*argv, "box=-8..8,-8..8", "n=16",
+                     "--out", str(tmp_path)]) == 2
+        assert re.search(rf"has 2 axes but the {owner} has 1",
+                         capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("b", ["inf,0", "0,nan"])
+    def test_non_finite_multiplier_exits_2(self, tmp_path, capsys, b):
+        # b=inf,0 once warned from numpy and then blamed a grid function.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["recover", f"b={b}", "n=64", "max_depth=5",
+                         "--out", str(tmp_path)]) == 2
+        assert not caught
+        assert "multiplier b_" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("spec, name", [

@@ -67,6 +67,12 @@ class TestWorkedValues:
         assert rho_values(get_curve("diamond"), 0.0, 0.0)[0][0] == \
             pytest.approx(1.0 / SQ2, rel=1e-12)
 
+    def test_diamond_flat_branch_is_all_of_abs_x_at_least_one(self):
+        # The flat branch once ended at the sampling box |x| = 32.
+        v, _ = rho_values(get_curve("diamond"), [[40.0], [100.0]],
+                          [[0.0], [0.5]])
+        assert v.tolist() == [0.0, 0.5]
+
     def test_diamond_tilde_star_above_apex(self):
         # y=2 clamps to the top of the upper range; preimage nearest 0 is 1.
         curve = get_curve("diamond")
@@ -203,6 +209,14 @@ class TestQTheta:
                            probe_count=300, seed=4)
         assert rep.passed, rep.witness
         assert rep.measure_estimate is None and rep.measure_halfwidth is None
+
+    def test_qtheta_covering_the_probe_box_is_vacuous(self):
+        # Here the flat piece's Q_theta is all of R, so no probe lies
+        # outside it and the separation half holds vacuously.
+        rep = check_qtheta(get_curve("diamond"), box(0.25, 0.5), 9.0,
+                           probe_count=300, seed=4)
+        assert rep.min_probe_rho == math.inf
+        assert rep.passed and rep.witness is None
 
     def test_theta_hypothesis_enforced(self):
         with pytest.raises(RejectedInputError):

@@ -21,6 +21,7 @@ from czo.operator import (GridFunction, apply_multiplier, apply_truncated,
 from czo.partition import BranchDisjointPartition, build_partition
 
 B8 = box(-8.0, 8.0)
+B88 = box((-8.0, -8.0), (8.0, 8.0))
 
 
 def quiet_apply(kernel, f, eps, **kw):
@@ -185,6 +186,30 @@ class TestApplyTruncated:
         assert far.any()
         for o in outs[1:]:
             assert np.array_equal(outs[0].values[far], o.values[far])
+
+
+class TestAxisCounts:
+    # A 1-D kernel on a 2-D grid once failed inside numpy: a broadcast
+    # error on the lattice path, a point-shape error on the dense one.
+    @pytest.mark.parametrize("name", ["hilbert", "two-line-hilbert",
+                                      "diamond-model"])
+    def test_f_of_another_dimension_is_rejected(self, name):
+        kernel = get_kernel(name)
+        f = grid_function(B88, 16, lambda X: np.cos(X[:, 0]))
+        msg = rf"f has 2 axes but the kernel '{name}' has 1"
+        with pytest.raises(RejectedInputError, match=msg):
+            apply_truncated(kernel, f, 0.5)
+        with pytest.raises(RejectedInputError, match=msg):
+            apply_truncated_at(kernel, f, [[0.0]], 0.5)
+        with pytest.raises(RejectedInputError, match=msg):
+            weak_type_experiment(kernel, [f], 0.5, 9.0, out_cells=16)
+
+    def test_output_box_of_another_dimension_is_rejected(self):
+        f = grid_function(B8, 16, lambda X: np.cos(X[:, 0]))
+        with pytest.raises(RejectedInputError, match=r"output box has 2 axes "
+                           r"but the kernel 'two-line-hilbert' has 1"):
+            apply_truncated(get_kernel("two-line-hilbert"), f, 0.5,
+                            out_geometry=(B88, 16))
 
 
 class TestMatrixCache:
@@ -459,6 +484,28 @@ class TestApplyMultiplier:
         assert np.all(out.values[~inside] == 0.0)
 
 
+    def test_box_of_another_dimension_is_rejected(self):
+        with pytest.raises(RejectedInputError, match=r"box has 2 axes but "
+                           r"the curve 'two-lines' has 1"):
+            multiplier_field(get_curve("two-lines"), B88, 16, [1.0, 0.0])
+
+    @pytest.mark.parametrize("funcs", [[math.inf, 0.0], [0.0, math.nan],
+                                       [lambda X: X[:, 0] / 0.0, 1.0]],
+                             ids=["inf", "nan", "callable"])
+    def test_non_finite_multiplier_is_rejected(self, funcs):
+        with np.errstate(all="ignore"), pytest.raises(
+                RejectedInputError, match=r"multiplier b_[01] of curve "
+                r"'two-lines' is not finite"):
+            multiplier_field(get_curve("two-lines"), B8, 16, funcs)
+
+    def test_multiplier_may_blow_up_off_its_domain(self):
+        # Only values inside D_i are checked: off it they are zeroed first.
+        off = lambda X: np.where(np.abs(X[:, 0]) <= 1.0, 1.0, math.inf)
+        mf = multiplier_field(get_curve("diamond"), B8, 128,
+                              [off, off, 2.0])
+        assert np.all(np.isfinite(mf.fields))
+
+
 def zero_operator(f):
     return f.with_values(np.zeros_like(f.values))
 
@@ -488,6 +535,13 @@ class TestRecovery:
         rec = recover_multipliers(zero_operator, curve, part,
                                   B8, 128)
         assert np.all(rec.fields == 0.0)
+
+    def test_box_of_another_dimension_is_rejected(self):
+        curve = get_curve("two-lines")
+        with pytest.raises(RejectedInputError, match=r"box has 2 axes but "
+                           r"the curve 'two-lines' has 1"):
+            recover_multipliers(zero_operator, curve,
+                                build_partition(curve, max_depth=4), B88, 16)
 
     def test_overlapping_branches_rejected(self):
         # Two identity branches send every node into the one cube [0, 1].
