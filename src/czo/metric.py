@@ -347,6 +347,10 @@ class EnlargedCube:
         for p in self.pieces:
             if p.preimage_boxes is not None:
                 for b in p.preimage_boxes:
+                    # An unbounded preimage is cut to the sampling box.
+                    b = b if b.is_bounded else b.clipped()
+                    if b is None:
+                        continue
                     bd = b.dilate(self.theta * ell * 1.001)
                     lo = np.minimum(lo, bd.lo_a)
                     hi = np.maximum(hi, bd.hi_a)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -645,11 +645,12 @@ def recover_multipliers(difference: _Operator, curve: HyperCurve,
     b_i(x) = h_j(x) for the cube containing gamma_i(x).  Nodes whose image
     falls in the leftover set stay 0 and are left uncovered.
     """
-    rec = MultiplierField(curve, out_box, n_cells, np.zeros((curve.r, 1)))
-    nodes = rec.nodes()
-    cube_of = np.full(rec.fields.shape, -1, dtype=int)
+    nodes = grid_nodes(out_box, n_cells)
+    blank = MultiplierField(curve, out_box, n_cells,
+                            np.zeros((curve.r, len(nodes))))
+    cube_of = np.full(blank.fields.shape, -1, dtype=int)
     for i, br in enumerate(curve.branches):
-        mask = rec.support[i]
+        mask = blank.support[i]
         if np.any(mask):
             img = br.forward(nodes[mask])
             cube_of[i][mask] = partition.locate(img)
@@ -661,15 +662,17 @@ def recover_multipliers(difference: _Operator, curve: HyperCurve,
         raise ConsistencyError(
             f"two branches map node {tuple(nodes[j])} into the same "
             "partition cube")
-    rec.covered = cube_of >= 0
+    covered = cube_of >= 0
     home = partition.locate(nodes)
-    for jc in np.unique(cube_of[rec.covered]):
+    fields = blank.fields
+    for jc in np.unique(cube_of[covered]):
         chi = GridFunction(out_box, n_cells, (home == jc).astype(float))
         h_j = difference(chi)
         if not (h_j.box == out_box and h_j.cells_per_axis == n_cells):
             raise ConsistencyError("difference operator changed the grid")
-        rec.fields = np.where(cube_of == jc, h_j.values, rec.fields)
-    return rec
+        fields = np.where(cube_of == jc, h_j.values, fields)
+    # Built anew, so the field's checks run on the recovered values.
+    return replace(blank, fields=fields, covered=covered)
 
 
 @dataclass

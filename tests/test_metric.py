@@ -218,6 +218,17 @@ class TestQTheta:
         assert rep.min_probe_rho == math.inf
         assert rep.passed and rep.witness is None
 
+    def test_probes_reach_the_edge_of_an_unbounded_piece(self):
+        # The flat piece's preimage is |x| >= 1; its box is cut to the
+        # sampling box, not dropped, so the probes still reach the edge of
+        # Q_theta near |x| = 0.84, where rho is smallest (about 0.107).
+        curve, Q = get_curve("diamond"), box(0.0, 1.0 / 64.0)
+        bbox = enlarged_cube(curve, Q, 9.0).bounding_box()
+        assert bbox.lo[0] < -32.0 and bbox.hi[0] > 32.0
+        rep = check_qtheta(curve, Q, 9.0, probe_count=300, seed=4)
+        assert rep.passed, rep.witness
+        assert rep.min_probe_rho < 0.15
+
     def test_theta_hypothesis_enforced(self):
         with pytest.raises(RejectedInputError):
             check_qtheta(get_curve("two-lines"), box(0.0, 1.0), 5.0)
