@@ -218,9 +218,10 @@ class CurveBranch:
     """One branch gamma_i: D_i -> R^n of a hyper curve.
 
     ``forward``, ``inverse`` and ``jacobian`` act on point arrays of shape
-    (m, n); ``jacobian`` returns the determinant per point.  ``lipschitz`` is
-    the declared bound for both the map and its inverse; validate_curve audits
-    it empirically.
+    (m, n); ``jacobian`` returns the determinant per point, which for n = 1
+    the sampled rho solver reads as the signed gamma' (a wrong declaration
+    can only overstate rho there).  ``lipschitz`` is the declared bound for
+    both the map and its inverse; validate_curve audits it empirically.
 
     Optional exact structure, used by the faster code paths when present:
 

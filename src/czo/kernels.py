@@ -184,7 +184,7 @@ def audit_size(kernel: KernelSpec, sample_count: int = 20000,
     sup = float(vc[k])
     return SizeReport(sup, kernel.size_constant,
                       sup <= kernel.size_constant * (1.0 + 1e-6),
-                      (tuple(Xc[k]), tuple(Yc[k])))
+                      (tuple(Xc[k].tolist()), tuple(Yc[k].tolist())))
 
 
 # ---------------------------------------------------------------------------

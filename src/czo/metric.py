@@ -11,10 +11,12 @@ rho takes one of two paths per branch.  A branch that declares its exact
 ``distance`` (every branch of the built-in curves does) is evaluated in
 closed form.  Any other branch falls back to the sampled solver,
 ``sampled_rho_branch_values``: it seeds a KD-tree over dense curve samples
-and refines with vectorized golden-section search, splitting brackets at
-declared non-smooth parameter values.  On an unbounded domain the samples
-cover a box sized from each pair's own coordinates, so a pair's rho never
-depends on the other pairs of the call.  Neither path takes a thread
+and refines, splitting brackets at declared non-smooth parameter values:
+for n = 1 by a bracketed secant (Illinois regula falsi) on the derivative
+of the squared distance, with gamma' from the branch's ``jacobian``, and
+for n > 1 by golden-section coordinate sweeps.  On an unbounded domain the
+samples cover a box sized from each pair's own coordinates, so a pair's rho
+never depends on the other pairs of the call.  Neither path takes a thread
 count; a caller that wants parallel rho splits the pairs however it likes,
 as the dense T_eps build does with its row chunks.
 
@@ -40,6 +42,7 @@ from .util import BOUNDING_HALF_WIDTH, as_points, audit_pairs, pmap_chunks
 
 _SAMPLES_PER_AXIS = 4096
 _CHUNK = 1 << 14
+_SECANT_STEPS = 8            # regula-falsi steps of the 1-d refine
 _SWEEPS = 6                  # coordinate sweeps of the n-d solver
 _CONTAINS_TOL = 1e-7         # Q_theta boundary tolerance, relative to side(Q)
 _PROBE_ROUNDS = 16           # most draws of 4 * probe_count separation probes
@@ -102,14 +105,42 @@ def _get_sampler(branch: CurveBranch, extent: float) -> _BranchSampler:
     return branch._samplers[extent]
 
 
+def _bracket_min2(branch: CurveBranch, x: np.ndarray, y: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The least g(t) = (t - x)^2 + (gamma(t) - y)^2 over the points that
+    Illinois regula falsi on h = g'/2 evaluates in [lo, hi] (n = 1).  h is
+    taken one ulp inside each end, so at a breakpoint it is the derivative
+    on this bracket's side; pairs without h(lo) < 0 < h(hi) keep the ends."""
+    def g_h(t, x, y):
+        T = t[:, None]
+        dy = branch.forward(T)[:, 0] - y
+        dgamma = np.reshape(branch.jacobian(T), len(t))
+        return (t - x) ** 2 + dy ** 2, (t - x) + dy * dgamma
+
+    a, b = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    ga, ha = g_h(a, x, y)
+    gb, hb = g_h(b, x, y)
+    best2 = np.minimum(ga, gb)
+    k = np.flatnonzero((ha < 0.0) & (hb > 0.0))
+    a, b, ha, hb, x, y = a[k], b[k], ha[k], hb[k], x[k], y[k]
+    last = np.zeros(len(k))      # +1: the last step moved a, -1: moved b
+    for _ in range(_SECANT_STEPS):
+        t = b - hb * (b - a) / (hb - ha)
+        t = np.where((a < t) & (t < b), t, 0.5 * (a + b))
+        gt, ht = g_h(t, x, y)
+        best2[k] = np.minimum(best2[k], gt)
+        left = ht <= 0.0
+        # t replaces one end; the h of an end kept twice in a row is halved.
+        ha = np.where(left, ht, np.where(last < 0, 0.5 * ha, ha))
+        hb = np.where(left, np.where(last > 0, 0.5 * hb, hb), ht)
+        a, b = np.where(left, t, a), np.where(left, b, t)
+        last = np.where(left, 1.0, -1.0)
+    return best2
+
+
 def _solve_chunk_1d(branch: CurveBranch, sampler: _BranchSampler,
                     X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    x = X[:, 0]
-
-    def g(t):
-        fwd = branch.forward(t[:, None])
-        return (x - t) ** 2 + np.sum((fwd - Y) ** 2, axis=1)
-
+    x, y = X[:, 0], Y[:, 0]
     Q = np.hstack([X, Y])
     d0, idx = sampler.tree.query(Q, k=sampler.k)
     best2 = np.min(d0, axis=1) ** 2
@@ -125,10 +156,7 @@ def _solve_chunk_1d(branch: CurveBranch, sampler: _BranchSampler,
             edges.append(np.clip(bp, a, b))
         edges.append(b)
         for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-            _, gb = _golden_vec(g, lo_e, hi_e)
-            best2 = np.minimum(best2, gb)
-            best2 = np.minimum(best2, g(lo_e))
-        best2 = np.minimum(best2, g(b))
+            best2 = np.minimum(best2, _bracket_min2(branch, x, y, lo_e, hi_e))
     return np.sqrt(np.maximum(best2, 0.0))
 
 
@@ -270,7 +298,7 @@ def check_equivalence(curve: HyperCurve, pair_count: int,
             if np.any(bad):
                 passed = False
                 j = int(np.argmax(bad))
-                witness = (tuple(X[j]), tuple(Y[j]), i)
+                witness = (tuple(X[j].tolist()), tuple(Y[j].tolist()), i)
         pos = r_i > 1e-12
         if np.any(pos):
             max_rt = max(max_rt, float(np.max(rt_i[pos] / r_i[pos])))
@@ -495,5 +523,6 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     if min_rho < sep_bound:
         passed = False
         j = int(np.argmin(rv))
-        witness = ("separation", tuple(Xp[j]), tuple(Yp[j]), min_rho)
+        witness = ("separation", tuple(Xp[j].tolist()),
+                   tuple(Yp[j].tolist()), min_rho)
     return QThetaReport(passed, est, hw, bound, min_rho, sep_bound, witness)

@@ -660,7 +660,7 @@ def recover_multipliers(difference: _Operator, curve: HyperCurve,
     if np.any(shared):
         j = int(np.argmax(shared))
         raise ConsistencyError(
-            f"two branches map node {tuple(nodes[j])} into the same "
+            f"two branches map node {tuple(nodes[j].tolist())} into the same "
             "partition cube")
     covered = cube_of >= 0
     home = partition.locate(nodes)

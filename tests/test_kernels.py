@@ -67,6 +67,11 @@ class TestSizeAudit:
         with pytest.raises(RejectedInputError):
             audit_size(get_kernel("hilbert"), 3)
 
+    def test_witness_holds_plain_floats(self):
+        x, y = audit_size(get_kernel("hilbert"), 200, seed=0).witness
+        assert all(type(v) is float for v in x + y)
+        assert "np.float64" not in repr((x, y))
+
 
 class TestRegularityAudit:
     def test_hilbert_constant_value(self):

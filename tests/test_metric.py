@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,17 @@ class TestEquivalence:
             rs = rho_tilde_star_branch_values(curve, i, X, Y)
             assert np.all(ri <= rs * (1 + 1e-9) + 1e-12)
 
+    def test_witness_holds_plain_floats(self):
+        # A declared distance ten times too large breaks rho <= rho~.
+        br = dataclasses.replace(
+            diagonal(1).branch(0),
+            distance=lambda X, Y: 10.0 * np.abs(X[:, 0] - Y[:, 0]))
+        rep = check_equivalence(HyperCurve("far", [br]), 50, seed=1)
+        assert not rep.passed
+        x, y, i = rep.witness
+        assert all(type(v) is float for v in x + y) and i == 0
+        assert "np.float64" not in repr(rep.witness)
+
 
 class TestEnlargedCube:
     def test_two_lines_exact_measure(self):
@@ -239,6 +251,17 @@ class TestQTheta:
             check_qtheta(get_curve("two-lines"), box(2.0, 3.0), 8.1,
                          probe_count=probes)
 
+    def test_separation_witness_holds_plain_floats(self):
+        # A declared distance of 0 puts every probe on the curve.
+        br = dataclasses.replace(diagonal(1).branch(0),
+                                 distance=lambda X, Y: np.zeros(len(X)))
+        rep = check_qtheta(HyperCurve("flat", [br]), box(2.0, 3.0), 8.1,
+                           probe_count=50, seed=2, mc_samples=1000)
+        kind, x, y, min_rho = rep.witness
+        assert kind == "separation" and min_rho == 0.0
+        assert all(type(v) is float for v in x + y)
+        assert "np.float64" not in repr(rep.witness)
+
 
 class TestSampledSolverAgainstDeclaredDistances:
     """The sampled solver is the fallback for branches without a declared
@@ -281,6 +304,30 @@ class TestSampledSolverAgainstDeclaredDistances:
         got = rho_branch_values(curve, 0, x[:, None], y[:, None])
         want = np.array([brute_wavy_rho(a, b) for a, b in zip(x, y)])
         assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + want))
+
+    def test_diamond_feet_at_and_beside_the_kink(self):
+        # The slanted branches' slope flips at x = 0; each half-bracket must
+        # read the derivative on its own side of the kink.
+        curve = get_curve("diamond")
+        xs = [0.0] + [s * 10.0 ** -k for k in range(3, 13) for s in (1, -1)]
+        ys = np.concatenate([np.linspace(0.0, 3.0, 61), 1.0 + np.array(
+            [s * 10.0 ** -k for k in range(3, 13) for s in (1, -1)])])
+        X = np.repeat(xs, len(ys))[:, None]
+        Y = np.tile(ys, len(xs))[:, None]
+        for i, b in enumerate(curve.branches):
+            got = sampled_rho_branch_values(curve, i, X, Y)
+            want = b.distance(X, Y)
+            assert np.max(np.abs(got - want) / (1.0 + want)) < 1e-12, i
+
+    def test_near_curve_wavy_pairs_match_dense_sampling(self):
+        curve = wavy_curve()
+        offsets = np.array([s * 10.0 ** k for k in range(-9, 1)
+                            for s in (1, -1)] + [3.0, -3.0])
+        x = np.repeat(np.linspace(-20.0, 20.0, 9) + 0.1234, len(offsets))
+        y = x + WAVE * np.sin(x) + np.tile(offsets, 9)
+        got = sampled_rho_branch_values(curve, 0, x[:, None], y[:, None])
+        want = np.array([brute_wavy_rho(a, b) for a, b in zip(x, y)])
+        assert np.max(np.abs(got - want) / (1.0 + want)) < 1e-13
 
     @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
                     min_size=1, max_size=20),

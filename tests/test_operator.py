@@ -559,6 +559,22 @@ class TestRecovery:
             recover_multipliers(zero_operator, curve, part,
                                 box(0.0, 1.0), 4)
 
+    def test_overlap_message_prints_the_node_as_plain_floats(self):
+        def identity(index):
+            return CurveBranch(index=index, domain=whole_space(1),
+                               forward=lambda X: X.copy(),
+                               inverse=lambda Y: Y.copy(),
+                               jacobian=lambda X: np.ones(len(X)),
+                               lipschitz=1.0)
+        curve = HyperCurve("double", [identity(0), identity(1)])
+        part = BranchDisjointPartition(curve, [DyadicCube(0, (0,))], [],
+                                       probabilistic=False)
+        with pytest.raises(ConsistencyError) as err:
+            recover_multipliers(zero_operator, curve, part,
+                                box(0.0, 1.0), 4)
+        assert "node (0.125,) into the same" in str(err.value)
+        assert "np.float64" not in str(err.value)
+
 
 class TestMultiplierBound:
     def test_constant_fields_pass(self):
