@@ -1,5 +1,5 @@
 """Numerical toolkit for singular integral operators whose kernels blow up
-along a curve: curve geometry and validation, curve-adapted distances,
+along a curve: curve geometry, curve-adapted distances,
 branch-disjoint partitions, kernel audits, truncated-operator application,
 branch-multiplier recovery, and the dyadic decomposition machinery behind
 weak-type estimates."""
@@ -10,7 +10,7 @@ from .curves import CURVE_NAMES, get_curve
 from .errors import (ConsistencyError, CurveValidityError, CzoError,
                      RegistryError, RejectedInputError)
 from .geometry import (Box, CurveBranch, DyadicCube, HyperCurve, Region, box,
-                       region, validate_curve, whole_space)
+                       region, whole_space)
 from .kernels import KERNEL_NAMES, KernelSpec, get_kernel
 from .metric import (check_equivalence, check_qtheta, enlarged_cube,
                      rho_values)

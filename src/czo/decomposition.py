@@ -271,7 +271,7 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
                 in_bstar |= ec.contains(Xout)
             b_star = float(np.count_nonzero(in_bstar) * out_cell)
             bad_int = 0.0
-            if dec.blocks:
+            if dec.blocks and not np.all(in_bstar):
                 # Column k of T_eps b sums only over the cells of cube k.
                 Tb = np.empty((m_out, len(dec.blocks)))
                 for k, (cells, block) in enumerate(dec.blocks):

@@ -1,4 +1,4 @@
-"""Curve geometry: boxes, regions, dyadic cubes, curve branches and validation.
+"""Curve geometry: boxes, regions, dyadic cubes and curve branches.
 
 A hyper curve is a finite union of graphs ``{(x, gamma_i(x)) : x in D_i}``
 where each branch map ``gamma_i`` is Lipschitz with (declared) Lipschitz
@@ -221,7 +221,7 @@ class CurveBranch:
     (m, n); ``jacobian`` returns the determinant per point, which for n = 1
     the sampled rho solver reads as the signed gamma' (a wrong declaration
     can only overstate rho there).  ``lipschitz`` is the declared bound for
-    both the map and its inverse; validate_curve audits it empirically.
+    both the map and its inverse.
 
     Optional exact structure, used by the faster code paths when present:
 
@@ -238,9 +238,8 @@ class CurveBranch:
 
     A degenerate branch (e.g. a constant map) declares ``inverse=None``:
     its pointwise inverse is ill-defined, so it is handled through the
-    set-valued ``preimage_nearest``, skipped by the inverse-side audits of
-    validate_curve, and keeps check_qtheta off the measure half of the
-    enlargement lemma while it is active.
+    set-valued ``preimage_nearest``, and keeps check_qtheta off the measure
+    half of the enlargement lemma while it is active.
     """
 
     index: int
@@ -391,93 +390,3 @@ def _sampled_nearest_range(b: CurveBranch, Y: np.ndarray) -> np.ndarray:
     g_k = g(t[k])
     refined = (g_best < g_k) | ((g_best == g_k) & (t_best < t[k]))
     return b.forward(np.where(refined, t_best, t[k])[:, None])
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BranchReport:
-    index: int
-    forward_ratio: float
-    inverse_ratio: float
-    min_jacobian: float
-    max_roundtrip: float
-    witness: Optional[tuple] = None
-
-
-@dataclass
-class ValidationReport:
-    passed: bool
-    c_gamma: float
-    branches: list[BranchReport]
-
-
-def _sample_domain(b: CurveBranch, count: int, rng: np.random.Generator) -> np.ndarray:
-    boxes = b.domain.clipped()
-    per = max(2, count // len(boxes))
-    pts = []
-    for bb in boxes:
-        pts.append(rng.uniform(bb.lo_a, bb.hi_a, size=(per, b.dim)))
-    return np.concatenate(pts)
-
-
-def validate_curve(curve: HyperCurve, sample_count: int = 1000,
-                   seed: int = 0) -> ValidationReport:
-    """Audit the declared branch structure on random sample pairs.
-
-    Checks, per branch: empirical Lipschitz ratios of the map and (when the
-    branch declares an inverse) its inverse, the round trip through the
-    inverse, and the minimum |Jacobian|.  Passes iff every ratio stays below
-    c_gamma * (1 + 1e-6) and no sampled Jacobian vanishes.
-    """
-    if sample_count < 2:
-        raise RejectedInputError("sample_count must be at least 2")
-    rng = np.random.default_rng(seed)
-    cap = curve.c_gamma * (1.0 + 1e-6)
-    reports = []
-    passed = True
-    for b in curve.branches:
-        X = _sample_domain(b, sample_count, rng)
-        Xp = _sample_domain(b, sample_count, rng)
-        m = min(len(X), len(Xp))
-        X, Xp = X[:m], Xp[:m]
-        FX, FXp = b.forward(X), b.forward(Xp)
-        dx = np.sqrt(np.sum((X - Xp) ** 2, axis=1))
-        dy = np.sqrt(np.sum((FX - FXp) ** 2, axis=1))
-        ok = dx > 0
-        fwd_ratios = dy[ok] / dx[ok]
-        k = int(np.argmax(fwd_ratios)) if len(fwd_ratios) else 0
-        fwd = float(np.max(fwd_ratios)) if len(fwd_ratios) else 0.0
-        witness = (tuple(X[ok][k]), tuple(Xp[ok][k])) if len(fwd_ratios) else None
-
-        inv_ratio = 0.0
-        roundtrip = 0.0
-        min_jac = math.inf
-        if b.inverse is not None:
-            # Set-valued inverses resolve to the preimage nearest the query,
-            # so the round trip is well defined for two-to-one branches too.
-            back = b.nearest_preimage(FX, X)
-            roundtrip = float(np.max(np.sqrt(np.sum((back - X) ** 2, axis=1))))
-            iy = dy > 0
-            if b.breakpoints and b.dim == 1:
-                # Two-to-one branches are Lipschitz-invertible piecewise;
-                # compare only pairs on the same monotone piece.
-                bp = np.array(b.breakpoints)
-                same = (np.searchsorted(bp, X[:, 0])
-                        == np.searchsorted(bp, Xp[:, 0]))
-                iy = iy & same
-            if np.any(iy):
-                inv_ratio = float(np.max(dx[iy] / dy[iy]))
-            J = b.jac(X)
-            min_jac = float(np.min(np.abs(J)))
-        rep = BranchReport(b.index, fwd, inv_ratio, min_jac, roundtrip)
-        branch_ok = fwd <= cap and roundtrip <= 1e-9
-        if b.inverse is not None:
-            branch_ok = branch_ok and inv_ratio <= cap and min_jac > 0.0
-        if not branch_ok:
-            rep.witness = witness
-            passed = False
-        reports.append(rep)
-    return ValidationReport(passed, curve.c_gamma, reports)

@@ -10,8 +10,10 @@ which check_equivalence verifies empirically.
 rho takes one of two paths per branch.  A branch that declares its exact
 ``distance`` (every branch of the built-in curves does) is evaluated in
 closed form.  Any other branch falls back to the sampled solver,
-``sampled_rho_branch_values``: it seeds a KD-tree over dense curve samples
-and refines, splitting brackets at declared non-smooth parameter values:
+``sampled_rho_branch_values``: it seeds each pair at its nearest dense
+curve sample, found exactly by a numpy search over capsule-bounded blocks of
+consecutive samples, and refines, splitting brackets at declared non-smooth
+parameter values:
 for n = 1 by a bracketed secant (Illinois regula falsi) on the derivative
 of the squared distance, with gamma' from the branch's ``jacobian``, and
 for n > 1 by golden-section coordinate sweeps.  On an unbounded domain the
@@ -41,6 +43,8 @@ from .geometry import Box, CurveBranch, HyperCurve, _golden_vec
 from .util import BOUNDING_HALF_WIDTH, as_points, audit_pairs, pmap_chunks
 
 _SAMPLES_PER_AXIS = 4096
+_BLOCK = 64                  # consecutive samples per nearest-search block
+_QUERY_ROWS = 1024           # queries per pass of the nearest-sample search
 _CHUNK = 1 << 14
 _SECANT_STEPS = 8            # regula-falsi steps of the 1-d refine
 _SWEEPS = 6                  # coordinate sweeps of the n-d solver
@@ -53,10 +57,10 @@ _PROBE_ROUNDS = 16           # most draws of 4 * probe_count separation probes
 # ---------------------------------------------------------------------------
 
 class _BranchSampler:
-    def __init__(self, branch: CurveBranch, extent: float):
-        from scipy.spatial import cKDTree
+    """Dense samples (t, gamma(t)) of one branch inside the sampling box,
+    with an exact search for the k nearest samples to a query point."""
 
-        self.extent = extent
+    def __init__(self, branch: CurveBranch, extent: float):
         dim = branch.dim
         boxes = branch.domain.clipped(extent)
         if not boxes:
@@ -64,26 +68,97 @@ class _BranchSampler:
                 f"branch {branch.index} has empty domain inside the sampling box")
         per_axis = _SAMPLES_PER_AXIS if dim == 1 else max(
             8, int(round(_SAMPLES_PER_AXIS ** (1.0 / dim))))
-        ts, los, his, spacings = [], [], [], []
+        ts = []
         for bb in boxes:
             axes = [np.linspace(bb.lo[k], bb.hi[k], per_axis)
                     for k in range(dim)]
             grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            T = grid.reshape(-1, dim)
-            ts.append(T)
-            los.append(np.broadcast_to(bb.lo_a, T.shape).copy())
-            his.append(np.broadcast_to(bb.hi_a, T.shape).copy())
-            sp = np.array([(bb.hi[k] - bb.lo[k]) / (per_axis - 1)
-                           for k in range(dim)])
-            spacings.append(np.broadcast_to(sp, T.shape).copy())
+            ts.append(grid.reshape(-1, dim))
         self.t = np.concatenate(ts)
-        self.lo = np.concatenate(los)
-        self.hi = np.concatenate(his)
-        self.spacing = np.concatenate(spacings)
+        # Each sample's box bounds and grid spacing.
+        box_of = np.repeat(np.arange(len(boxes)), per_axis ** dim)
+        self.lo = np.array([bb.lo for bb in boxes])[box_of]
+        self.hi = np.array([bb.hi for bb in boxes])[box_of]
+        self.spacing = (self.hi - self.lo) / (per_axis - 1)
+        self.k = 1 if len(boxes) == 1 else 2
         P = np.hstack([self.t, branch.forward(self.t)])
-        self.tree = cKDTree(P)
-        # A list, so that tree.query returns (m, len(k)) arrays.
-        self.k = [1] if len(boxes) == 1 else [1, 2]
+        if not np.all(np.isfinite(P)):
+            raise RejectedInputError(
+                f"branch {branch.index} maps a sample to a non-finite point")
+        # Blocks of _BLOCK consecutive samples (per_axis ** dim is a multiple
+        # of _BLOCK), each bounded by a capsule: the chord from its first to
+        # its last sample, and the largest distance of a sample from it.
+        self.axes = [np.ascontiguousarray(c.reshape(-1, _BLOCK)) for c in P.T]
+        self.chord_a = [x[:, 0] for x in self.axes]
+        self.chord_v = [x[:, -1] - x[:, 0] for x in self.axes]
+        vv = sum(v * v for v in self.chord_v)
+        self.inv_vv = 1.0 / np.where(vv > 0.0, vv, 1.0)
+        block = np.arange(len(P)) // _BLOCK
+        self.radius = np.max(self._chord_distance(P.T, block)
+                             .reshape(-1, _BLOCK), axis=1)
+        self.scale = float(np.max(np.abs(P)))
+
+    def _chord_distance(self, cols, block) -> np.ndarray:
+        """Distance from the points with coordinate columns ``cols`` to the
+        chords of ``block`` (an index array or slice), broadcast.  It runs
+        on every (query, block) pair, so it works in place."""
+        w = [x - a[block] for x, a in zip(cols, self.chord_a)]
+        v = [c[block] for c in self.chord_v]
+        t = w[0] * v[0]
+        buf = np.empty_like(t)
+        for wc, vc in zip(w[1:], v[1:]):
+            t += np.multiply(wc, vc, out=buf)
+        t *= self.inv_vv[block]
+        np.clip(t, 0.0, 1.0, out=t)
+        for wc, vc in zip(w, v):
+            wc -= np.multiply(t, vc, out=buf)
+            np.square(wc, out=wc)
+        for wc in w[1:]:
+            w[0] += wc
+        return np.sqrt(w[0], out=w[0])
+
+    def query(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The k nearest samples to each row of Q, as (distances, indices)
+        of shape (m, k) in increasing distance; exact, with ties to the
+        smaller sample index.
+
+        Each query visits blocks in increasing capsule bound while that
+        bound is at most its current k-th best distance.  The bounds are
+        shrunk by a relative 1e-9 and an absolute 1e-12 of the coordinate
+        scale, so rounding can cost a visit but never drop a nearer sample.
+        """
+        if len(Q) > _QUERY_ROWS:
+            d, i = zip(*(self.query(Q[s:s + _QUERY_ROWS])
+                         for s in range(0, len(Q), _QUERY_ROWS)))
+            return np.concatenate(d), np.concatenate(i)
+        lb = self._chord_distance(Q.T[:, :, None], slice(None))
+        lb -= self.radius
+        lb *= 1.0 - 1e-9
+        slack = 1e-12 * (self.scale + np.max(np.abs(Q), axis=1))
+        best2 = np.full((len(Q), self.k), np.inf)
+        best = np.zeros((len(Q), self.k), dtype=np.intp)
+        rows = np.arange(len(Q))
+        while len(rows):
+            j = np.argmin(lb, axis=1)
+            go = (lb[np.arange(len(rows)), j] - slack[rows]
+                  <= np.sqrt(best2[rows, -1]))
+            rows, j, lb = rows[go], j[go], lb[go]
+            at = np.arange(len(rows))
+            lb[at, j] = np.inf
+            d2 = sum(np.square(x[j] - Q[rows, c, None])
+                     for c, x in enumerate(self.axes))
+            # The block's k nearest join the k best so far.
+            cand2, cand = [best2[rows]], [best[rows]]
+            for _ in range(self.k):
+                jj = np.argmin(d2, axis=1)
+                cand2.append(d2[at, jj, None])
+                cand.append(j[:, None] * _BLOCK + jj[:, None])
+                d2[at, jj] = np.inf
+            cand2, cand = np.hstack(cand2), np.hstack(cand)
+            o = np.lexsort((cand, cand2), axis=1)[:, :self.k]
+            best2[rows] = np.take_along_axis(cand2, o, 1)
+            best[rows] = np.take_along_axis(cand, o, 1)
+        return np.sqrt(best2), best
 
 
 def _extents(branch: CurveBranch, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -142,7 +217,7 @@ def _solve_chunk_1d(branch: CurveBranch, sampler: _BranchSampler,
                     X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     x, y = X[:, 0], Y[:, 0]
     Q = np.hstack([X, Y])
-    d0, idx = sampler.tree.query(Q, k=sampler.k)
+    d0, idx = sampler.query(Q)
     best2 = np.min(d0, axis=1) ** 2
     for col in range(idx.shape[1]):
         t0 = sampler.t[idx[:, col], 0]
@@ -169,7 +244,7 @@ def _solve_chunk_nd(branch: CurveBranch, sampler: _BranchSampler,
         return np.sum((X - T) ** 2, axis=1) + np.sum((fwd - Y) ** 2, axis=1)
 
     Q = np.hstack([X, Y])
-    _, idx = sampler.tree.query(Q, k=sampler.k)
+    _, idx = sampler.query(Q)
     idx0 = idx[:, 0]
     T = sampler.t[idx0].copy()
     lo = sampler.lo[idx0]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from czo.curves import get_curve
-from czo.decomposition import (cz_decompose, lp_norm, weak_l1_quasinorm,
-                               weak_type_experiment)
+from czo.decomposition import (WeakTypeRow, cz_decompose, lp_norm,
+                               weak_l1_quasinorm, weak_type_experiment)
 from czo.errors import RejectedInputError
 from czo.geometry import box
 from czo.kernels import get_kernel
@@ -526,6 +526,59 @@ class TestWeakType:
             want = sum(float(np.sum(np.abs(T(b)[~in_bstar])) * cell)
                        for b in dec.bad)
             assert abs(row.bad_integral - want) <= 1e-12 * want
+
+    def test_no_bad_part_columns_when_b_star_covers_the_grid(self,
+                                                             monkeypatch):
+        # Rows whose B* covers every output node build no column; every row
+        # still equals the one that builds a column for each cube.
+        import czo.decomposition as decomposition
+        from czo.cli import builtin_function
+        from czo.operator import _truncated_columns
+
+        k = get_kernel("two-line-hilbert")
+        family = [builtin_function(s, B8, 512) for s in ("indicator:-1,1",
+                                                         "bump")]
+        eps, theta, out_cells = 0.1, 8.1, 256
+        calls = []
+
+        def counted(*args):
+            Tf, column = _truncated_columns(*args)
+
+            def counted_column(cells, block):
+                calls.append(cells)
+                return column(cells, block)
+            return Tf, counted_column
+
+        monkeypatch.setattr(decomposition, "_truncated_columns", counted)
+        rep = weak_type_experiment(k, family, eps, theta, out_cells=out_cells)
+
+        Xout = grid_nodes(B8, out_cells)
+        out_cell = B8.side() / out_cells
+        want, kept = [], 0
+        for fi, f in enumerate(family):
+            l1 = lp_norm(f, 1.0)
+            Tf, column = _truncated_columns(k, f, eps, out_cells, 1)
+            for j in range(13):
+                lam = 2.0 ** j * l1 / B8.measure()
+                dec = cz_decompose(f, lam)
+                level = float(np.count_nonzero(np.abs(Tf) >= lam) * out_cell)
+                in_bstar = np.zeros(len(Xout), dtype=bool)
+                for c in dec.cubes:
+                    in_bstar |= enlarged_cube(k.curve, c.box,
+                                              theta).contains(Xout)
+                bad_int = 0.0
+                if dec.blocks:
+                    Tb = np.stack([column(cells, block)
+                                   for cells, block in dec.blocks], axis=1)
+                    Tb *= f.h
+                    bad_int = float(np.sum(np.abs(Tb[~in_bstar])) * out_cell)
+                    kept += len(dec.blocks) * (not np.all(in_bstar))
+                want.append(WeakTypeRow(fi, lam, len(dec.cubes), level,
+                                        lam * level / l1,
+                                        float(np.count_nonzero(in_bstar)
+                                              * out_cell), bad_int))
+        assert rep.rows == want
+        assert 0 < len(calls) == kept < sum(r.cube_count for r in want)
 
     def test_separation_inheritance(self):
         # Every selected cube's enlargement keeps outsiders rho-far from it.

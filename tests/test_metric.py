@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from czo.curves import CURVE_NAMES, diagonal, get_curve
 from czo.errors import RejectedInputError
-from czo.geometry import CurveBranch, HyperCurve, box, whole_space
-from czo.metric import (check_equivalence, check_qtheta, enlarged_cube,
-                        rho_branch_values, rho_tilde_branch_values,
-                        rho_tilde_star_branch_values, rho_values,
-                        sampled_rho_branch_values)
+from czo.geometry import CurveBranch, HyperCurve, box, region, whole_space
+from czo.metric import (_BranchSampler, _get_sampler, check_equivalence,
+                        check_qtheta, enlarged_cube, rho_branch_values,
+                        rho_tilde_branch_values, rho_tilde_star_branch_values,
+                        rho_values, sampled_rho_branch_values)
 
 SQ2 = math.sqrt(2.0)
 WAVE = 0.3
@@ -363,3 +366,84 @@ class TestDeclaredDistancePath:
 def test_rho_values_on_zero_pairs_is_empty(curve):
     values, branch = rho_values(curve, np.empty((0, 1)), np.empty((0, 1)))
     assert values.shape == branch.shape == (0,)
+
+
+class TestNearestSampleSearch:
+    """The sampled solver's seed is the exact nearest sample (k = 1 on a
+    one-box domain, the two nearest otherwise), as a KD-tree returns it."""
+
+    @staticmethod
+    def assert_matches_kd_tree(sampler, branch, Q):
+        spatial = pytest.importorskip("scipy.spatial")
+        P = np.hstack([sampler.t, branch.forward(sampler.t)])
+        want_d, want_i = spatial.cKDTree(P).query(
+            Q, k=[1] if sampler.k == 1 else [1, 2])
+        got_d, got_i = sampler.query(Q)
+        assert np.array_equal(got_i, want_i)
+        assert np.array_equal(got_d, want_d)
+
+    def test_wavy_grid(self):
+        b = wavy_curve().branch(0)
+        g = np.linspace(-8.0, 8.0, 256)
+        Q = np.column_stack([np.repeat(g, 256), np.tile(g, 256)])
+        self.assert_matches_kd_tree(_get_sampler(b, 32.0), b, Q)
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_diamond_branches(self, i):
+        b = get_curve("diamond").branch(i)
+        Q = np.random.default_rng(i).uniform(-40.0, 40.0, size=(5000, 2))
+        for extent in (32.0, 64.0):
+            sampler = _get_sampler(b, extent)
+            assert sampler.k == (2 if i == 2 else 1)
+            self.assert_matches_kd_tree(sampler, b, Q)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_diagonal(self, n):
+        b = diagonal(n).branch(0)
+        Q = np.random.default_rng(n).uniform(-40.0, 40.0, size=(1000, 2 * n))
+        self.assert_matches_kd_tree(_get_sampler(b, 64.0), b, Q)
+
+    def test_tie_across_blocks_keeps_the_smaller_index(self):
+        # Samples t = 0, 1, ..., 4095 on y = 0, except the inside of the
+        # second block (t = 65..126), lifted to y = 100.  The query
+        # (63.5, 5) is equally far from samples 63 and 64, but the second
+        # block's capsule bound is the smaller, so it is visited first.
+        br = CurveBranch(
+            index=0, domain=region(box(0.0, 4095.0)),
+            forward=lambda X: np.where((X > 64.0) & (X < 127.0), 100.0, 0.0),
+            inverse=None, jacobian=lambda X: np.zeros(len(X)), lipschitz=1.0)
+        sampler = _BranchSampler(br, 4096.0)
+        assert np.array_equal(sampler.t[:, 0], np.arange(4096.0))
+        Q = np.array([[63.5, 5.0], [64.5, 5.0], [62.5, 5.0]])
+        d, idx = sampler.query(Q)
+        assert idx[:, 0].tolist() == [63, 64, 62]
+        assert d[0, 0] ** 2 == 25.25
+        self.assert_matches_kd_tree(sampler, br, Q)
+
+    def test_non_finite_samples_are_rejected(self):
+        br = CurveBranch(
+            index=0, domain=region(box(-1.0, 1.0)),
+            forward=lambda X: np.where(X < 0.5, X, np.inf), inverse=None,
+            jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            sampled_rho_branch_values(HyperCurve("pole", [br]), 0,
+                                      [[0.5]], [[0.5]])
+
+
+def test_sampled_solver_imports_no_scipy():
+    # The solver needs numpy alone: scipy is a test-only dependency.
+    code = ("import sys\n"
+            "from czo.metric import sampled_rho_branch_values\n"
+            "from test_metric import wavy_curve\n"
+            "print(sampled_rho_branch_values(wavy_curve(), 0,\n"
+            "                                [[0.5]], [[2.0]]))\n"
+            "sys.exit(sorted(m for m in sys.modules if m == 'scipy'\n"
+            "                or m.startswith('scipy.')) or None)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["czo"].__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, here, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
