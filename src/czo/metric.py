@@ -292,7 +292,7 @@ def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
         Xc, Yc = X[s:e], Y[s:e]
         extents = _extents(b, Xc, Yc)
         out = np.empty(e - s)
-        for extent in np.unique(extents):
+        for extent in sorted(set(extents.tolist())):
             sel = extents == extent
             sampler = _get_sampler(b, float(extent))
             out[sel] = solve(b, sampler, Xc[sel], Yc[sel])

@@ -18,9 +18,9 @@ two paths chosen from what it can observe:
   directly: the Toeplitz sum over g = sum_s f(s y), in fixed chunks of at
   most ``_TAP_CHUNK`` taps.  With both reflections that sum is exact
   except on rows whose Hankel band (|x_i + y_j| too close for eps) meets
-  a nonzero g_j, found by a prefix count of g != 0, and on the middle row
-  of an odd output grid; those rows are recomputed by a direct masked sum
-  over cell pairs (j, N - 1 - j).
+  a nonzero g_j, found as row ranges from the runs of the band mask and
+  of g != 0, and on the middle row of an odd output grid; those rows are
+  recomputed by a direct masked sum over cell pairs (j, N - 1 - j).
 - Dense path, everything else (kernels without a declaration, other
   output grids, 2-D, ``apply_truncated_at``): rho and K from the output
   grid to f's grid are cached on the kernel, folded into two contiguous
@@ -323,17 +323,9 @@ def _lattice_taps(kernel: KernelSpec, f: GridFunction, step: int,
         hit = (R, K / len(kernel.reflections))
         kernel._matrices[key] = hit
     on = hit[0] >= epsilon
-    return on.astype(float), np.where(on, hit[1], 0.0)
-
-
-def _windows(a: np.ndarray, start: int, step: int, sign: int,
-             shape: tuple) -> np.ndarray:
-    """The read-only view w[i, j] = a[start + step*i + sign*j]; the caller
-    keeps every index inside a."""
-    st = a.strides[0]
-    return np.lib.stride_tricks.as_strided(a[start:], shape,
-                                           (step * st, sign * st),
-                                           writeable=False)
+    on, taps = on.astype(float), np.where(on, hit[1], 0.0)
+    on.flags.writeable = taps.flags.writeable = False
+    return on, taps
 
 
 def _lattice_block(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
@@ -350,7 +342,9 @@ def _lattice_block(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
           -1: (step * rows.start + cells.start, 1)}
 
     def view(a, s):
-        return _windows(a, at[s][0], step, at[s][1], shape)
+        st = a.strides[0]
+        return np.ndarray(shape, a.dtype, a, at[s][0] * st,
+                          (step * st, at[s][1] * st))
 
     if len(kernel.reflections) == 1:
         return view(taps, *kernel.reflections)
@@ -360,47 +354,56 @@ def _lattice_block(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
     return W
 
 
-def _band_rows(on: np.ndarray, g: np.ndarray, step: int,
-               n_out: int) -> np.ndarray:
+def _runs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of the runs of True in the non-empty bool array m."""
+    cut = np.flatnonzero(np.concatenate(([m[0]], m[1:] != m[:-1], [m[-1]])))
+    return cut[::2], cut[1::2]
+
+
+def _band_ranges(on: np.ndarray, g: np.ndarray, step: int, n_out: int,
+                 extra=()) -> list[tuple[int, int]]:
     """The rows i whose band {j : not on[step*i + j]} meets a nonzero g_j,
-    counted exactly by prefix sums of g != 0 over each masked run."""
-    n_in = len(g)
-    seen = np.concatenate(([0], np.cumsum(g != 0.0)))
-    edges = np.flatnonzero(np.diff(np.concatenate(([1.0], on, [1.0]))))
-    base = step * np.arange(n_out)
-    hits = np.zeros(n_out, dtype=np.int64)
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        hits += (seen[np.clip(hi - base, 0, n_in)]
-                 - seen[np.clip(lo - base, 0, n_in)])
-    return np.flatnonzero(hits)
+    and the rows ``extra``, as sorted maximal ranges [a, b).  A masked run
+    [lo, hi) of on and a nonzero run [s, e) of g give the rows with
+    lo - e < step*i < hi - s."""
+    lo, hi = (r[:, None] for r in _runs(on == 0.0))
+    s, e = _runs(g != 0.0)
+    spans = [*zip(((lo - e) // step + 1).flat, (-((s - hi) // step)).flat),
+             *((i, i + 1) for i in extra)]
+    out = []
+    for a, b in sorted(spans):
+        a, b = max(int(a), 0), min(int(b), n_out)
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        elif a < b:
+            out.append((a, b))
+    return out
 
 
-def _paired_rows(kernel: KernelSpec, rows: np.ndarray, on: np.ndarray,
+def _paired_rows(kernel: KernelSpec, rows: range, on: np.ndarray,
                  taps: np.ndarray, g: np.ndarray, step: int) -> np.ndarray:
-    """sum over j of on[p] on[q] k[p] g_j at the given rows (p, q as in
-    ``_lattice_block``).  Cell j and its mirror N - 1 - j swap p and q,
-    and g is even, so each cell j < N/2 from g's first nonzero adds
-    on[p] on[q] (k[p] + k[q]) g_j: the kernel terms are added before the
-    row sum, as on the dense path, and for an odd k they cancel exactly
-    where x_i = 0.  Rows are summed by einsum, without BLAS, in blocks of
-    consecutive rows."""
+    """sum over j of on[p] on[q] k[p] g_j at the consecutive rows ``rows``
+    (p, q as in ``_lattice_block``).  Cell j and its mirror N - 1 - j swap
+    p and q, and g is even, so each cell j < N/2 from g's first nonzero
+    adds on[p] on[q] (k[p] + k[q]) g_j: the kernel terms are added before
+    the row sum, as on the dense path, and for an odd k they cancel
+    exactly where x_i = 0.  Rows are summed by einsum, without BLAS, in
+    blocks of consecutive rows from rows.start."""
     n_in = len(g)
     half = n_in // 2
     # g is even and not all 0, so its first nonzero lies at or below half.
     cells = slice(int(np.argmax(g != 0.0)), half)
     block = max(1, _BAND_BLOCK // max(half - cells.start, 1))
-    buf = np.empty((block, half - cells.start))
-    out = np.zeros(len(rows))
-    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
-    for a, b in zip(starts, np.append(starts[1:], len(rows))):
-        for a0 in range(a, b, block):
-            a1 = min(a0 + block, b)
-            W = _lattice_block(kernel, on, taps, n_in, step,
-                               slice(rows[a0], rows[a1 - 1] + 1), cells,
-                               out=buf[:a1 - a0])
-            out[a0:a1] = np.einsum("ij,j->i", W, g[cells])
+    buf = np.empty((min(block, len(rows)), half - cells.start))
+    out = np.empty(len(rows))
+    for a0 in range(0, len(rows), block):
+        a1 = min(a0 + block, len(rows))
+        W = _lattice_block(kernel, on, taps, n_in, step,
+                           slice(rows[a0], rows[a1 - 1] + 1), cells,
+                           out=buf[:a1 - a0])
+        out[a0:a1] = np.einsum("ij,j->i", W, g[cells])
     if n_in % 2:
-        out += taps[step * rows + half] * g[half]
+        out += taps[step * rows.start + half::step][:len(rows)] * g[half]
     return out
 
 
@@ -415,9 +418,9 @@ def _lattice_apply(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
     reversed g are split by residue mod step, so out_i = sum over r and v
     of taps_r[i + v] g_r[v], summed in the same fixed chunks of v for every
     i; splitting the outputs over threads leaves every bit unchanged.  The
-    other rows, and the middle row of an odd output grid, are recomputed
-    by ``_paired_rows`` (never as the Toeplitz sum minus the band, which
-    would leave a residue where every kept term is 0)."""
+    other rows and the middle row of an odd output grid (``_band_ranges``)
+    are recomputed by ``_paired_rows``, never as the Toeplitz sum minus the
+    band, which leaves a residue where every kept term is 0."""
     g = f.values if 1 in kernel.reflections else 0.0
     if -1 in kernel.reflections:
         g = g + f.values[::-1]
@@ -425,11 +428,9 @@ def _lattice_apply(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
     rev = g[::-1]
     phases = [(np.ascontiguousarray(taps[r::step]),
                np.ascontiguousarray(rev[r::step])) for r in range(step)]
-    fix = np.empty(0, dtype=np.int64)
+    fix = []
     if len(kernel.reflections) == 2 and np.any(g != 0.0):
-        fix = _band_rows(on, g, step, n_out)
-        if n_out % 2:
-            fix = np.union1d(fix, [n_out // 2])
+        fix = _band_ranges(on, g, step, n_out, [n_out // 2] * (n_out % 2))
 
     def rows(i0, i1):
         out = np.zeros(i1 - i0)
@@ -438,9 +439,11 @@ def _lattice_apply(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
                 v1 = min(v0 + _TAP_CHUNK, n_out)
                 out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
                                     "valid")
-        mine = fix[(fix >= i0) & (fix < i1)]
-        if len(mine):
-            out[mine - i0] = _paired_rows(kernel, mine, on, taps, g, step)
+        for r0, r1 in fix:
+            r0, r1 = max(r0, i0), min(r1, i1)
+            if r0 < r1:
+                out[r0 - i0:r1 - i0] = _paired_rows(kernel, range(r0, r1),
+                                                    on, taps, g, step)
         return out
 
     return pmap_chunks(rows, n_out, _TAP_CHUNK, threads) * f.h
@@ -665,7 +668,7 @@ def recover_multipliers(difference: _Operator, curve: HyperCurve,
     covered = cube_of >= 0
     home = partition.locate(nodes)
     fields = blank.fields
-    for jc in np.unique(cube_of[covered]):
+    for jc in sorted(set(cube_of[covered].tolist())):
         chi = GridFunction(out_box, n_cells, (home == jc).astype(float))
         h_j = difference(chi)
         if not (h_j.box == out_box and h_j.cells_per_axis == n_cells):

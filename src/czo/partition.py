@@ -38,18 +38,15 @@ _OVERLAP_SEED = 0
 
 
 def critical_values(curve: HyperCurve) -> np.ndarray:
-    """Images of the branch intersection points, as points in range space."""
+    """Distinct images of the branch intersection points, sorted, the first
+    of equal ones (0.0 = -0.0) kept: np.unique(axis=0) without numpy.ma."""
     pts = curve.intersection_points
-    if len(pts) == 0:
-        return np.empty((0, curve.dim))
-    vals = []
+    vals = set()
     for b in curve.branches:
         inside = b.domain.contains(pts, tol=1e-12)
         if np.any(inside):
-            vals.append(b.forward(pts[inside]))
-    if not vals:
-        return np.empty((0, curve.dim))
-    return np.unique(np.concatenate(vals), axis=0)
+            vals.update(map(tuple, b.forward(pts[inside]).tolist()))
+    return np.array(sorted(vals)).reshape(-1, curve.dim)
 
 
 def _preimage_overlap_exact(curve: HyperCurve, bx: Box) -> Optional[bool]:

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import czo
 import czo.operator as op
@@ -26,6 +27,7 @@ from czo.kernels import KERNEL_NAMES, KernelSpec, _rho_and_kernel, get_kernel
 from czo.metric import rho_values
 from czo.operator import (GridFunction, apply_truncated, estimate_T0,
                           grid_nodes)
+from czo.util import pmap_chunks
 
 B8 = box(-8.0, 8.0)
 LADDER = [float(e) for e in 1.27 * 0.82 ** np.arange(16)]
@@ -170,6 +172,52 @@ def test_bit_identical_across_eps_at_distant_points(step):
         assert np.array_equal(prev[far], cur[far])
 
 
+def rows_of(ranges):
+    """The rows of the ranges [a, b), in order."""
+    return np.array([i for a, b in ranges for i in range(a, b)],
+                    dtype=np.int64)
+
+
+@st.composite
+def band_cases(draw):
+    """(on, g, step, n_out): a 0/1 mask on the 2 N_in - step offsets and a
+    g on the N_in cells, each a concatenation of runs of random lengths,
+    so runs touch either end, have a single cell or are absent."""
+    step = draw(st.integers(1, 4))
+    n_out = draw(st.integers(1, 33))
+    n_in = step * n_out
+
+    def runs(size, values):
+        out = []
+        while len(out) < size:
+            out += [draw(values)] * draw(st.integers(1, max(1, size // 2)))
+        return np.array(out[:size], dtype=float)
+
+    on = runs(2 * n_in - step, st.sampled_from([0.0, 1.0]))
+    g = runs(n_in, st.sampled_from([0.0, 0.0, -0.0, 1.5, -2.0]))
+    return on, g, step, n_out
+
+
+@given(band_cases())
+@example((np.ones(7), np.ones(4), 1, 4))
+@example((np.zeros(7), np.zeros(4), 1, 4))
+@example((np.zeros(3), np.array([0.0, 0.0, 1.0]), 3, 1))
+@example((np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+          np.array([1.0, 0.0, 0.0, 1.0]), 1, 4))
+@settings(max_examples=400, deadline=None)
+def test_band_ranges_are_the_band_rows(case):
+    # Row i is a band row when not on[step*i + j] and g_j != 0 for some j;
+    # the ranges hold exactly those rows, sorted and maximal (a gap of at
+    # least one row between two ranges).
+    on, g, step, n_out = case
+    q = step * np.arange(n_out)[:, None] + np.arange(len(g))
+    want = np.flatnonzero(np.any((on[q] == 0.0) & (g != 0.0), axis=1))
+    ranges = op._band_ranges(on, g, step, n_out)
+    assert np.array_equal(rows_of(ranges), want)
+    assert all(a < b for a, b in ranges)
+    assert all(b < a for (_, b), (a, _) in zip(ranges, ranges[1:]))
+
+
 @pytest.mark.parametrize("n, step", [(512, 1), (512, 2), (255, 1)])
 def test_two_line_ladder_with_a_gap_in_supp_g(n, step):
     # supp f = [1, 2], so supp g = [-2, -1] u [1, 2] has a gap at 0.  Rows
@@ -187,7 +235,8 @@ def test_two_line_ladder_with_a_gap_in_supp_g(n, step):
     for e in LADDER:
         on, _ = op._lattice_taps(k, f, step, e)
         want = np.flatnonzero(np.any((on[q] == 0.0) & (g != 0.0), axis=1))
-        assert np.array_equal(op._band_rows(on, g, step, n // step), want)
+        assert np.array_equal(rows_of(op._band_ranges(on, g, step, n // step)),
+                              want)
     outs = [quiet_apply(k, f, e, (bx, n // step)).values for e in LADDER]
     X = grid_nodes(bx, n // step)
     Ys = f.nodes()[f.values != 0.0]
@@ -200,6 +249,119 @@ def test_two_line_ladder_with_a_gap_in_supp_g(n, step):
         assert far.any()
         assert np.array_equal(prev[far], cur[far])
     assert np.any((dmin >= LADDER[-1]) & in_gap)
+
+
+# The band rows as the lattice path found them before they became ranges:
+# an index array from prefix counts of g != 0 over each masked run, the
+# middle row of an odd output grid joined by np.union1d, and each run of
+# consecutive rows recomputed in blocks.  The ranges must reproduce its
+# bits.
+
+def reference_band_rows(on, g, step, n_out):
+    n_in = len(g)
+    seen = np.concatenate(([0], np.cumsum(g != 0.0)))
+    edges = np.flatnonzero(np.diff(np.concatenate(([1.0], on, [1.0]))))
+    base = step * np.arange(n_out)
+    hits = np.zeros(n_out, dtype=np.int64)
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        hits += (seen[np.clip(hi - base, 0, n_in)]
+                 - seen[np.clip(lo - base, 0, n_in)])
+    return np.flatnonzero(hits)
+
+
+def reference_paired_rows(kernel, rows, on, taps, g, step):
+    n_in = len(g)
+    half = n_in // 2
+    cells = slice(int(np.argmax(g != 0.0)), half)
+    block = max(1, op._BAND_BLOCK // max(half - cells.start, 1))
+    buf = np.empty((block, half - cells.start))
+    out = np.zeros(len(rows))
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+    for a, b in zip(starts, np.append(starts[1:], len(rows))):
+        for a0 in range(a, b, block):
+            a1 = min(a0 + block, b)
+            W = op._lattice_block(kernel, on, taps, n_in, step,
+                                  slice(rows[a0], rows[a1 - 1] + 1), cells,
+                                  out=buf[:a1 - a0])
+            out[a0:a1] = np.einsum("ij,j->i", W, g[cells])
+    if n_in % 2:
+        out += taps[step * rows + half] * g[half]
+    return out
+
+
+def reference_lattice_apply(kernel, on, taps, f, step, threads):
+    g = f.values + f.values[::-1]
+    n_out = len(g) // step
+    rev = g[::-1]
+    phases = [(np.ascontiguousarray(taps[r::step]),
+               np.ascontiguousarray(rev[r::step])) for r in range(step)]
+    fix = np.empty(0, dtype=np.int64)
+    if np.any(g != 0.0):
+        fix = reference_band_rows(on, g, step, n_out)
+        if n_out % 2:
+            fix = np.union1d(fix, [n_out // 2])
+
+    def rows(i0, i1):
+        out = np.zeros(i1 - i0)
+        for a, b in phases:
+            for v0 in range(0, n_out, op._TAP_CHUNK):
+                v1 = min(v0 + op._TAP_CHUNK, n_out)
+                out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
+                                    "valid")
+        mine = fix[(fix >= i0) & (fix < i1)]
+        if len(mine):
+            out[mine - i0] = reference_paired_rows(kernel, mine, on, taps,
+                                                   g, step)
+        return out
+
+    return pmap_chunks(rows, n_out, op._TAP_CHUNK, threads) * f.h
+
+
+def bit_inputs(n):
+    """Signed zeros around a compact signed input, a negative indicator,
+    an odd input (g = 0), a full-support bump, zeros, and an input that
+    touches both ends of the box."""
+    rng = np.random.default_rng(n)
+    x = grid_nodes(B8, n)[:, 0]
+    a = rng.normal(size=n)
+    return [np.where(np.abs(x - 0.5) <= 1.0, a, -0.0),
+            -((x >= -1.0) & (x <= 2.0)).astype(float),
+            a - a[::-1],
+            np.exp(-(x - 0.3) ** 2),
+            np.zeros(n),
+            np.where(np.abs(x) >= 6.5, a, 0.0)]
+
+
+def check_bits_against_reference(n, step):
+    k = get_kernel("two-line-hilbert")
+    for vals in bit_inputs(n):
+        f = GridFunction(B8, n, vals)
+        # Below h = 16 / n, inside the box, and above its width.
+        for eps in (0.01, 0.3, 20.0):
+            on, taps = op._lattice_taps(k, f, step, eps)
+            for threads in (1, 2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = apply_truncated(k, f, eps, (B8, n // step),
+                                          threads=threads)
+                want = reference_lattice_apply(k, on, taps, f, step, threads)
+                assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, step", [(n, s) for n in (255, 256, 257, 512)
+                                     for s in (1, 2, 3, 4) if n % s == 0])
+def test_two_line_bits_equal_the_index_array_reference(n, step):
+    check_bits_against_reference(n, step)
+
+
+@pytest.mark.parametrize("n, step", [(255, 1), (512, 2)])
+def test_two_line_bits_equal_the_reference_in_short_chunks(monkeypatch, n,
+                                                           step):
+    # Row chunks of 40 cut the ranges, and band blocks of one or two rows
+    # cut each range again.
+    monkeypatch.setattr(op, "_TAP_CHUNK", 40)
+    monkeypatch.setattr(op, "_BAND_BLOCK", 300)
+    check_bits_against_reference(n, step)
 
 
 def test_path_selection(monkeypatch):

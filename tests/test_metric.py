@@ -430,6 +430,17 @@ class TestNearestSampleSearch:
                                       [[0.5]], [[0.5]])
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter that finds czo and these tests."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["czo"].__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, here, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_sampled_solver_imports_no_scipy():
     # The solver needs numpy alone: scipy is a test-only dependency.
     code = ("import sys\n"
@@ -439,11 +450,30 @@ def test_sampled_solver_imports_no_scipy():
             "                                [[0.5]], [[2.0]]))\n"
             "sys.exit(sorted(m for m in sys.modules if m == 'scipy'\n"
             "                or m.startswith('scipy.')) or None)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["czo"].__file__)))
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, here, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = run_fresh(code)
+    assert run.returncode == 0, run.stderr
+
+
+_NO_MA_PROBE = """
+import sys
+from czo.curves import get_curve
+from czo.geometry import box
+from czo.metric import sampled_rho_branch_values
+from czo.operator import (multiplier_field, multiplier_handle,
+                          recover_multipliers)
+from czo.partition import build_partition
+curve = get_curve("two-lines")
+part = build_partition(curve, max_depth=6)
+print(sampled_rho_branch_values(get_curve("diagonal"), 0, [[0.5]], [[2.0]]))
+mf = multiplier_field(curve, box(-8.0, 8.0), 64, [1.0, 0.0])
+rec = recover_multipliers(multiplier_handle(curve, mf), curve, part,
+                          box(-8.0, 8.0), 64)
+assert rec.covered.any()
+sys.exit("numpy.ma" in sys.modules)
+"""
+
+
+def test_partition_rho_and_recovery_import_no_numpy_ma():
+    # np.unique imports numpy.ma, about 10 ms, on its first call.
+    run = run_fresh(_NO_MA_PROBE)
     assert run.returncode == 0, run.stderr

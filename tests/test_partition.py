@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from czo.curves import get_curve
+from czo.curves import CURVE_NAMES, get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import DyadicCube, box
 from czo.partition import (BranchDisjointPartition, _level0_corners,
@@ -19,6 +19,19 @@ class TestCriticalValues:
 
     def test_diagonal_has_none(self):
         assert len(critical_values(get_curve("diagonal"))) == 0
+
+    @pytest.mark.parametrize("name", CURVE_NAMES)
+    def test_rows_equal_np_unique(self, name):
+        # The crossings' images hold both 0.0 and -0.0; the zero kept must
+        # have np.unique's sign.
+        curve = get_curve(name)
+        pts = curve.intersection_points
+        rows = np.concatenate([b.forward(pts[b.domain.contains(pts,
+                                                               tol=1e-12)])
+                               for b in curve.branches])
+        want = np.unique(rows, axis=0)
+        got = critical_values(curve)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestDisjointnessTest:
