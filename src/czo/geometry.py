@@ -225,7 +225,9 @@ class CurveBranch:
 
     Optional exact structure, used by the faster code paths when present:
 
-    - ``range_region``: the image gamma_i(D_i) as a union of boxes.
+    - ``range_region``: the image gamma_i(D_i) as a union of boxes, onto
+      which ``metric.nearest_range`` clamps; without it that range is
+      sampled, which needs n = 1.
     - ``preimage_boxes``: maps a box B to the exact box decomposition of
       gamma_i^{-1}(B).
     - ``preimage_nearest``: for a range point y and query points x, the
@@ -254,7 +256,7 @@ class CurveBranch:
     breakpoints: tuple[float, ...] = ()
     name: str = ""
     distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    # The sampled distance solver's samplers, keyed on the sampling extent.
+    # metric's samplers (each with its sampled range), keyed on the extent.
     _samplers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -278,18 +280,6 @@ class CurveBranch:
         if self.preimage_nearest is not None:
             return self.preimage_nearest(Y, X)
         return self.inv(Y)
-
-    def nearest_range(self, Y) -> np.ndarray:
-        """eta: the point of gamma_i(D_i) closest to each y.
-
-        Exact clamp when ``range_region`` is declared; otherwise dense
-        parameter sampling plus golden-section refinement, ties resolved to
-        the smallest parameter.
-        """
-        Y = as_points(Y, self.dim)
-        if self.range_region is not None:
-            return self.range_region.clamp(Y)
-        return _sampled_nearest_range(self, Y)
 
 
 @dataclass
@@ -328,65 +318,3 @@ class HyperCurve:
         if not 0 <= i < self.r:
             raise RejectedInputError(f"branch index {i} out of range (r={self.r})")
         return self.branches[i]
-
-
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-_RANGE_SAMPLES = 4096
-_RANGE_CHUNK = 256           # queries per block of the sample argmin
-_GOLDEN_ITERS = 64
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_vec(g, a: np.ndarray, b: np.ndarray, iters: int = _GOLDEN_ITERS):
-    """Minimize g over [a, b] elementwise; returns (t_best, g_best)."""
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        left = gc < gd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        span = b - a
-        c_new = np.where(left, b - _PHI * span, d)
-        d_new = np.where(left, c, a + _PHI * span)
-        probe = np.where(left, c_new, d_new)
-        gp = g(probe)
-        gc_old = gc
-        gc = np.where(left, gp, gd)
-        gd = np.where(left, gc_old, gp)
-        c, d = c_new, d_new
-    use_c = gc <= gd
-    return np.where(use_c, c, d), np.where(use_c, gc, gd)
-
-
-def _sampled_nearest_range(b: CurveBranch, Y: np.ndarray) -> np.ndarray:
-    if b.dim != 1:
-        raise NotImplementedError(
-            "sampled range projection is implemented for 1-d parameters; "
-            "declare range_region for higher dimensions")
-    boxes = b.domain.clipped()
-    t = np.concatenate([np.linspace(bb.lo[0], bb.hi[0], _RANGE_SAMPLES)
-                        for bb in boxes])
-    lo = np.repeat([bb.lo[0] for bb in boxes], _RANGE_SAMPLES)
-    hi = np.repeat([bb.hi[0] for bb in boxes], _RANGE_SAMPLES)
-    # Sorted by parameter, argmin's first hit is the smallest tied parameter.
-    order = np.argsort(t, kind="stable")
-    t, lo, hi = t[order], lo[order], hi[order]
-    vals = b.forward(t.reshape(-1, 1))
-    k = np.empty(len(Y), dtype=int)
-    for s in range(0, len(Y), _RANGE_CHUNK):
-        d2 = np.sum((vals - Y[s:s + _RANGE_CHUNK, None]) ** 2, axis=2)
-        k[s:s + _RANGE_CHUNK] = np.argmin(d2, axis=1)
-
-    def g(p):
-        return np.sum((b.forward(p[:, None]) - Y) ** 2, axis=1)
-
-    spacing = (hi[k] - lo[k]) / (_RANGE_SAMPLES - 1)
-    t_best, g_best = _golden_vec(g, np.maximum(lo[k], t[k] - spacing),
-                                 np.minimum(hi[k], t[k] + spacing))
-    g_k = g(t[k])
-    refined = (g_best < g_k) | ((g_best == g_k) & (t_best < t[k]))
-    return b.forward(np.where(refined, t_best, t[k])[:, None])

@@ -11,16 +11,18 @@ rho takes one of two paths per branch.  A branch that declares its exact
 ``distance`` (every branch of the built-in curves does) is evaluated in
 closed form.  Any other branch falls back to the sampled solver,
 ``sampled_rho_branch_values``: it seeds each pair at its nearest dense
-curve sample, found exactly by a numpy search over capsule-bounded blocks of
-consecutive samples, and refines, splitting brackets at declared non-smooth
-parameter values:
-for n = 1 by a bracketed secant (Illinois regula falsi) on the derivative
-of the squared distance, with gamma' from the branch's ``jacobian``, and
-for n > 1 by golden-section coordinate sweeps.  On an unbounded domain the
-samples cover a box sized from each pair's own coordinates, so a pair's rho
-never depends on the other pairs of the call.  Neither path takes a thread
-count; a caller that wants parallel rho splits the pairs however it likes,
-as the dense T_eps build does with its row chunks.
+curve samples (two on a domain of several boxes), found exactly by a numpy
+search over capsule-bounded blocks of consecutive samples, and refines each
+seed within one spacing inside its own box: for n = 1 by a bracketed secant
+(Illinois regula falsi) on the derivative of the squared distance, with
+gamma' from the branch's ``jacobian``, split at declared non-smooth
+parameter values, and for n > 1 by golden-section coordinate sweeps.
+``nearest_range`` (eta) clamps onto a declared ``range_region``, else, for
+n = 1, onto the range of those samples.  Both size the samples by one rule,
+``_extents``: a box covering a bounded domain, or one sized from each
+point's own coordinates, so no point of a call changes another's bits.
+Neither path takes a thread count; a caller that wants parallel rho splits
+the pairs however it likes, as the dense T_eps build does with its rows.
 
 ``enlarged_cube`` builds Q_theta from the curve alone.  It keeps one piece
 per active branch (one whose range lies within 2 sqrt(n) side(Q) of Q),
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import Box, CurveBranch, HyperCurve, _golden_vec
+from .geometry import Box, CurveBranch, HyperCurve, Region
 from .util import BOUNDING_HALF_WIDTH, as_points, audit_pairs, pmap_chunks
 
 _SAMPLES_PER_AXIS = 4096
@@ -48,6 +50,8 @@ _QUERY_ROWS = 1024           # queries per pass of the nearest-sample search
 _CHUNK = 1 << 14
 _SECANT_STEPS = 8            # regula-falsi steps of the 1-d refine
 _SWEEPS = 6                  # coordinate sweeps of the n-d solver
+_GOLDEN_ITERS = 64
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CONTAINS_TOL = 1e-7         # Q_theta boundary tolerance, relative to side(Q)
 _PROBE_ROUNDS = 16           # most draws of 4 * probe_count separation probes
 
@@ -97,6 +101,7 @@ class _BranchSampler:
         self.radius = np.max(self._chord_distance(P.T, block)
                              .reshape(-1, _BLOCK), axis=1)
         self.scale = float(np.max(np.abs(P)))
+        self.range: Optional[Region] = None      # see _sampled_range
 
     def _chord_distance(self, cols, block) -> np.ndarray:
         """Distance from the points with coordinate columns ``cols`` to the
@@ -161,14 +166,17 @@ class _BranchSampler:
         return np.sqrt(best2), best
 
 
-def _extents(branch: CurveBranch, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The sampler half-width for each pair: BOUNDING_HALF_WIDTH on a
-    bounded domain, else the smallest BOUNDING_HALF_WIDTH 2^k (k >= 0) not
-    below 1.3 max(1, |x_k|, |y_k|) of that pair alone."""
-    extent = np.full(len(X), BOUNDING_HALF_WIDTH)
-    if all(b.is_bounded for b in branch.domain.boxes):
-        return extent
-    need = 1.3 * np.maximum(1.0, np.max(np.abs(np.hstack([X, Y])), axis=1))
+def _extents(branch: CurveBranch, P: np.ndarray) -> np.ndarray:
+    """The sampler half-width for each row of P: the smallest
+    BOUNDING_HALF_WIDTH 2^k (k >= 0) that covers every bound of a bounded
+    domain, or on an unbounded one is not below 1.3 max(1, |p_k|) of that
+    row alone."""
+    boxes = branch.domain.boxes
+    if all(b.is_bounded for b in boxes):
+        need = np.full(len(P), max(abs(v) for b in boxes for v in b.lo + b.hi))
+    else:
+        need = 1.3 * np.maximum(1.0, np.max(np.abs(P), axis=1))
+    extent = np.full(len(P), BOUNDING_HALF_WIDTH)
     while np.any(grow := extent < need):
         extent[grow] *= 2.0
     return extent
@@ -178,6 +186,49 @@ def _get_sampler(branch: CurveBranch, extent: float) -> _BranchSampler:
     if extent not in branch._samplers:
         branch._samplers[extent] = _BranchSampler(branch, extent)
     return branch._samplers[extent]
+
+
+def _golden_vec(g, a: np.ndarray, b: np.ndarray, iters: int = _GOLDEN_ITERS):
+    """Minimize g over [a, b] elementwise; returns (t_best, g_best)."""
+    c = b - _PHI * (b - a)
+    d = a + _PHI * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(iters):
+        left = gc < gd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        span = b - a
+        c_new = np.where(left, b - _PHI * span, d)
+        d_new = np.where(left, c, a + _PHI * span)
+        probe = np.where(left, c_new, d_new)
+        gp = g(probe)
+        gc_old = gc
+        gc = np.where(left, gp, gd)
+        gd = np.where(left, gc_old, gp)
+        c, d = c_new, d_new
+    use_c = gc <= gd
+    return np.where(use_c, c, d), np.where(use_c, gc, gd)
+
+
+def _sampled_range(branch: CurveBranch, extent: float) -> Region:
+    """gamma's range on the domain sampled at this extent (n = 1): per box,
+    the least and the largest sample value, each refined once by golden
+    section within one spacing of its sample."""
+    sampler = _get_sampler(branch, extent)
+    if sampler.range is None:
+        vals = sampler.axes[1].ravel()
+        first = np.arange(0, len(vals), _SAMPLES_PER_AXIS)
+        ends = []
+        for sign in (1.0, -1.0):
+            k = first + np.argmin(sign * vals.reshape(len(first), -1), axis=1)
+            t, s = sampler.t[k, 0], sampler.spacing[k, 0]
+            _, g = _golden_vec(
+                lambda p: sign * branch.forward(p[:, None])[:, 0],
+                np.maximum(sampler.lo[k, 0], t - s),
+                np.minimum(sampler.hi[k, 0], t + s))
+            ends.append(sign * np.minimum(sign * vals[k], g))
+        sampler.range = Region(tuple(Box((a,), (b,)) for a, b in zip(*ends)))
+    return sampler.range
 
 
 def _bracket_min2(branch: CurveBranch, x: np.ndarray, y: np.ndarray,
@@ -213,56 +264,48 @@ def _bracket_min2(branch: CurveBranch, x: np.ndarray, y: np.ndarray,
     return best2
 
 
-def _solve_chunk_1d(branch: CurveBranch, sampler: _BranchSampler,
-                    X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    x, y = X[:, 0], Y[:, 0]
-    Q = np.hstack([X, Y])
-    d0, idx = sampler.query(Q)
-    best2 = np.min(d0, axis=1) ** 2
-    for col in range(idx.shape[1]):
-        t0 = sampler.t[idx[:, col], 0]
-        lo = sampler.lo[idx[:, col], 0]
-        hi = sampler.hi[idx[:, col], 0]
-        s = sampler.spacing[idx[:, col], 0]
-        a = np.maximum(lo, t0 - s)
-        b = np.minimum(hi, t0 + s)
-        edges = [a]
-        for bp in branch.breakpoints:
-            edges.append(np.clip(bp, a, b))
-        edges.append(b)
-        for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-            best2 = np.minimum(best2, _bracket_min2(branch, x, y, lo_e, hi_e))
-    return np.sqrt(np.maximum(best2, 0.0))
+def _refine_1d(branch: CurveBranch, X, Y, t0, bracket) -> np.ndarray:
+    """The secant refine of every sub-bracket between the breakpoints."""
+    a, b = (e[:, 0] for e in bracket(t0))
+    edges = [a, *(np.clip(bp, a, b) for bp in branch.breakpoints), b]
+    return np.min([_bracket_min2(branch, X[:, 0], Y[:, 0], lo, hi)
+                   for lo, hi in zip(edges[:-1], edges[1:])], axis=0)
 
 
-def _solve_chunk_nd(branch: CurveBranch, sampler: _BranchSampler,
-                    X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    dim = branch.dim
-
-    def g_full(T):
+def _refine_nd(branch: CurveBranch, X, Y, T, bracket) -> np.ndarray:
+    """Golden-section coordinate sweeps, each bracket re-centred on T."""
+    def g(T):
         fwd = branch.forward(T)
         return np.sum((X - T) ** 2, axis=1) + np.sum((fwd - Y) ** 2, axis=1)
 
-    Q = np.hstack([X, Y])
-    _, idx = sampler.query(Q)
-    idx0 = idx[:, 0]
-    T = sampler.t[idx0].copy()
-    lo = sampler.lo[idx0]
-    hi = sampler.hi[idx0]
-    s = sampler.spacing[idx0]
     for _ in range(_SWEEPS):
-        for axis in range(dim):
-            a = np.maximum(lo[:, axis], T[:, axis] - s[:, axis])
-            b = np.minimum(hi[:, axis], T[:, axis] + s[:, axis])
+        for axis in range(branch.dim):
+            a, b = bracket(T)
 
             def g_axis(t):
                 Tt = T.copy()
                 Tt[:, axis] = t
-                return g_full(Tt)
+                return g(Tt)
 
-            t_best, _ = _golden_vec(g_axis, a, b, iters=32)
-            T[:, axis] = t_best
-    return np.sqrt(np.maximum(g_full(T), 0.0))
+            T[:, axis], _ = _golden_vec(g_axis, a[:, axis], b[:, axis],
+                                        iters=32)
+    return g(T)
+
+
+def _solve_chunk(branch: CurveBranch, sampler: _BranchSampler,
+                 X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """rho for a chunk of pairs: each of the k nearest samples seeds a
+    refine bracketed within one spacing inside the seed's own box, and the
+    least squared distance over the seeds and their refines is kept."""
+    d0, idx = sampler.query(np.hstack([X, Y]))
+    best2 = np.min(d0, axis=1) ** 2
+    refine = _refine_1d if branch.dim == 1 else _refine_nd
+    for k in idx.T:
+        lo, hi, s = sampler.lo[k], sampler.hi[k], sampler.spacing[k]
+        best2 = np.minimum(best2, refine(
+            branch, X, Y, sampler.t[k],
+            lambda t: (np.maximum(lo, t - s), np.minimum(hi, t + s))))
+    return np.sqrt(np.maximum(best2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +329,37 @@ def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     b = curve.branch(i)
     X = as_points(X, curve.dim)
     Y = as_points(Y, curve.dim)
-    solve = _solve_chunk_1d if curve.dim == 1 else _solve_chunk_nd
 
     def run(s, e):
         Xc, Yc = X[s:e], Y[s:e]
-        extents = _extents(b, Xc, Yc)
+        extents = _extents(b, np.hstack([Xc, Yc]))
         out = np.empty(e - s)
         for extent in sorted(set(extents.tolist())):
             sel = extents == extent
-            sampler = _get_sampler(b, float(extent))
-            out[sel] = solve(b, sampler, Xc[sel], Yc[sel])
+            out[sel] = _solve_chunk(b, _get_sampler(b, extent),
+                                    Xc[sel], Yc[sel])
         return out
 
     return pmap_chunks(run, len(X), _CHUNK)
+
+
+def nearest_range(branch: CurveBranch, Y) -> np.ndarray:
+    """eta: the point of gamma_i(D_i) nearest each y, by Region.clamp onto
+    the declared range_region, else (n = 1) onto the range sampled at the
+    point's own extent, so no other point of the call changes its bits."""
+    Y = as_points(Y, branch.dim)
+    if branch.range_region is not None:
+        return branch.range_region.clamp(Y)
+    if branch.dim != 1:
+        raise RejectedInputError(
+            f"branch {branch.index} {branch.name!r} of a {branch.dim}-d curve "
+            f"has no sampled range: declare its range_region")
+    extents = _extents(branch, Y)
+    eta = np.empty_like(Y)
+    for extent in sorted(set(extents.tolist())):
+        sel = extents == extent
+        eta[sel] = _sampled_range(branch, extent).clamp(Y[sel])
+    return eta
 
 
 def rho_values(curve: HyperCurve, X, Y):
@@ -328,7 +389,7 @@ def rho_tilde_star_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
     b = curve.branch(i)
     X = as_points(X, curve.dim)
     Y = as_points(Y, curve.dim)
-    eta = b.nearest_range(Y)
+    eta = nearest_range(b, Y)
     pre = b.nearest_preimage(eta, X)
     return (np.sqrt(np.sum((Y - eta) ** 2, axis=1))
             + np.sqrt(np.sum((X - pre) ** 2, axis=1)))
@@ -412,7 +473,7 @@ def _cube_y_samples(Q: Box, per_axis: int = 256) -> np.ndarray:
 
 def _sampled_piece_distance(branch: CurveBranch, Q: Box,
                             X: np.ndarray) -> np.ndarray:
-    eta = branch.nearest_range(_cube_y_samples(Q))
+    eta = nearest_range(branch, _cube_y_samples(Q))
     best = np.full(len(X), math.inf)
     step = max(1, _CHUNK // max(len(X), 1))
     for chunk in np.array_split(eta, range(step, len(eta), step)):
@@ -462,7 +523,7 @@ class EnlargedCube:
                 radius = (self.theta
                           + 6.0 * math.sqrt(n) * self.curve.c_gamma) * ell
                 ys = _cube_y_samples(self.base, per_axis=16)
-                eta = p.branch.nearest_range(ys)
+                eta = nearest_range(p.branch, ys)
                 pre = p.branch.nearest_preimage(eta, ys)
                 lo = np.minimum(lo, np.min(pre, axis=0) - radius)
                 hi = np.maximum(hi, np.max(pre, axis=0) + radius)
@@ -475,7 +536,7 @@ def _range_distance(branch: CurveBranch, Q: Box) -> float:
     if branch.range_region is not None:
         return branch.range_region.box_distance(Q)
     ys = _cube_y_samples(Q, per_axis=64)
-    eta = branch.nearest_range(ys)
+    eta = nearest_range(branch, ys)
     return float(np.min(np.sqrt(np.sum((ys - eta) ** 2, axis=1))))
 
 

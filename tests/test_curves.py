@@ -8,6 +8,7 @@ import pytest
 
 from czo.curves import _pm_preimage_nearest, _polyline_distance, get_curve
 from czo.geometry import Box, CurveBranch, HyperCurve, box, region, whole_space
+from czo.metric import nearest_range
 from czo.partition import build_partition
 
 SQ2 = math.sqrt(2.0)
@@ -87,7 +88,7 @@ class TestMirroredBranch:
                      (got.jac(X), want.jac(X)),
                      (got.inv(Y), want.inv(Y)),
                      (got.distance(X, Y), want.distance(X, Y)),
-                     (got.nearest_range(Y), want.nearest_range(Y)),
+                     (nearest_range(got, Y), nearest_range(want, Y)),
                      (got.nearest_preimage(Y, X),
                       want.nearest_preimage(Y, X))]:
             assert np.array_equal(a, b)

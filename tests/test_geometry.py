@@ -9,6 +9,7 @@ from czo.curves import get_curve
 from czo.errors import CurveValidityError, RegistryError, RejectedInputError
 from czo.geometry import (Box, CurveBranch, DyadicCube, HyperCurve, box,
                           region, whole_space)
+from czo.metric import nearest_range
 
 from curve_audit import validate_curve
 
@@ -122,20 +123,20 @@ class TestCurveOps:
     def test_nearest_points(self):
         c = get_curve("diamond")
         assert c.branch(0).domain.clamp(3.0)[0, 0] == 1.0
-        assert c.branch(0).nearest_range(2.0)[0, 0] == 1.0
-        assert c.branch(1).nearest_range(2.0)[0, 0] == 0.0
+        assert nearest_range(c.branch(0), 2.0)[0, 0] == 1.0
+        assert nearest_range(c.branch(1), 2.0)[0, 0] == 0.0
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_sampled_range_tie_takes_smallest_parameter(self, order):
-        # Without a declared range, y = 0 is equally far from gamma(1) = 1
-        # and gamma(-1) = -1; the smaller parameter wins whatever the box
-        # order, as it does for Region.clamp.
+        # Without a declared range, y = 0 is equally far from the sampled
+        # ranges [1, 3] and [-3, -1]; Region.clamp's tie rule (the smaller
+        # coordinate) picks -1 whatever the box order.
         boxes = (box(1.0, 3.0), box(-3.0, -1.0))[::order]
         br = CurveBranch(index=0, domain=region(*boxes),
                          forward=lambda X: X.copy(),
                          inverse=lambda Y: Y.copy(),
                          jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
-        assert br.nearest_range(0.0)[0, 0] == -1.0
+        assert nearest_range(br, 0.0)[0, 0] == -1.0
         assert region(*boxes).clamp(np.array([[0.0]]))[0, 0] == -1.0
 
     @pytest.mark.parametrize("name,i", [("diagonal", 0), ("two-lines", 0),
@@ -146,7 +147,7 @@ class TestCurveOps:
         sampled = dataclasses.replace(declared, range_region=None)
         Y = np.linspace(-30.0, 30.0, 601).reshape(-1, 1)
         want = declared.range_region.clamp(Y)
-        assert np.max(np.abs(sampled.nearest_range(Y) - want)) <= 1e-12
+        assert np.max(np.abs(nearest_range(sampled, Y) - want)) <= 1e-12
 
     def test_bad_branch_index(self):
         c = get_curve("diagonal")

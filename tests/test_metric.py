@@ -12,9 +12,10 @@ from czo.curves import CURVE_NAMES, diagonal, get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import CurveBranch, HyperCurve, box, region, whole_space
 from czo.metric import (_BranchSampler, _get_sampler, check_equivalence,
-                        check_qtheta, enlarged_cube, rho_branch_values,
-                        rho_tilde_branch_values, rho_tilde_star_branch_values,
-                        rho_values, sampled_rho_branch_values)
+                        check_qtheta, enlarged_cube, nearest_range,
+                        rho_branch_values, rho_tilde_branch_values,
+                        rho_tilde_star_branch_values, rho_values,
+                        sampled_rho_branch_values)
 
 SQ2 = math.sqrt(2.0)
 WAVE = 0.3
@@ -136,6 +137,58 @@ class TestEquivalence:
         assert "np.float64" not in repr(rep.witness)
 
 
+class TestSampledRange:
+    """eta of a branch without a declared range_region clamps onto the
+    range sampled at each point's own extent (n = 1 only)."""
+
+    def test_wavy_eta_is_y_far_from_the_origin(self):
+        Y = np.array([[40.0], [-40.0], [100.0], [-100.0]])
+        assert np.array_equal(nearest_range(wavy_curve().branch(0), Y), Y)
+
+    def test_far_wavy_pairs_keep_the_equivalence_bound(self):
+        curve = wavy_curve()
+        rng = np.random.default_rng(19)
+        X = rng.uniform(-200.0, 200.0, size=(2000, 1))
+        Y = rng.uniform(40.0, 200.0, size=(2000, 1)) * rng.choice(
+            [-1.0, 1.0], size=(2000, 1))
+        r = rho_branch_values(curve, 0, X, Y)
+        star = rho_tilde_star_branch_values(curve, 0, X, Y)
+        bound = 2.0 * (curve.c_gamma + 1.0)
+        assert np.all(star <= bound * r * (1.0 + 1e-5))
+
+    def test_far_wavy_cube_has_its_piece(self):
+        assert len(enlarged_cube(wavy_curve(), box(40.0, 41.0), 9.0)
+                   .pieces) == 1
+
+    @given(st.lists(st.floats(-60, 60), min_size=1, max_size=20),
+           st.floats(30, 400), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_each_point_is_its_own_eta_inside_any_batch(self, ys, far,
+                                                        negative):
+        # A far point in the call changes no other point's bits.  The range
+        # of sin t + sin(sqrt(2) t) / 2 grows with the sampled extent, so
+        # the clamp reads which extent each point was given.
+        branch = CurveBranch(
+            index=0, domain=whole_space(1),
+            forward=lambda X: np.sin(X) + 0.5 * np.sin(SQ2 * X),
+            inverse=None,
+            jacobian=lambda X: (np.cos(X[:, 0])
+                                + SQ2 / 2 * np.cos(SQ2 * X[:, 0])),
+            lipschitz=2.0)
+        Y = np.array([[y] for y in ys] + [[-far if negative else far]])
+        batch = nearest_range(branch, Y)
+        for j in range(len(Y)):
+            alone = nearest_range(branch, Y[j:j + 1])
+            assert alone.tobytes() == batch[j:j + 1].tobytes()
+
+    def test_undeclared_range_above_one_dimension_is_rejected(self):
+        branch = dataclasses.replace(diagonal(2).branch(0), range_region=None)
+        with pytest.raises(RejectedInputError, match="range_region"):
+            nearest_range(branch, [[0.5, 0.5]])
+        with pytest.raises(RejectedInputError, match="branch 0"):
+            check_equivalence(HyperCurve("bare", [branch]), 10, seed=0)
+
+
 class TestEnlargedCube:
     def test_two_lines_exact_measure(self):
         # Q=[2,3], theta=8: preimages [2,3] and [-3,-2], each dilated by 8,
@@ -197,7 +250,7 @@ class TestEnlargedCube:
         axes = np.linspace(0.5, 1.0, 48), np.linspace(-1.0, -0.5, 48)
         ys = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
         want = np.full(len(X), math.inf)
-        for eta in branch.nearest_range(ys):
+        for eta in nearest_range(branch, ys):
             pre = branch.nearest_preimage(np.broadcast_to(eta, X.shape), X)
             want = np.minimum(want, np.sqrt(np.sum((X - pre) ** 2, axis=1)))
         # The piece samples Q on the reference's 48 x 48 grid.
@@ -296,6 +349,29 @@ class TestSampledSolverAgainstDeclaredDistances:
         got = sampled_rho_branch_values(curve, 0, [[500.0]], [[300.0]])
         assert got[0] == pytest.approx(200.0 / SQ2, rel=1e-12)
         assert max(curve.branch(0)._samplers) >= 1.3 * 500.0
+
+    def test_bounded_domain_past_the_sampling_box(self):
+        # The samples cover every bound of a bounded domain, here [40, 50].
+        br = CurveBranch(index=0, domain=region(box(40.0, 50.0)),
+                         forward=lambda X: X.copy(),
+                         inverse=lambda Y: Y.copy(),
+                         jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
+        values, _ = rho_values(HyperCurve("far", [br]), [[45.0]], [[45.0]])
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
+        assert nearest_range(br, [[45.0], [60.0]]).ravel().tolist() == \
+            [45.0, 50.0]
+
+    def test_two_box_domain_refines_every_seed_in_2d(self):
+        # The nearest graph point is (0.02, 0.3) on the second box, at
+        # sqrt(2) 0.009; the first box's edge x = 0 is at sqrt(2) 0.011.
+        br = CurveBranch(
+            index=0, domain=region(box((-1.0, -1.0), (0.0, 1.0)),
+                                   box((0.02, -1.5), (1.0, 1.0))),
+            forward=lambda X: X.copy(), inverse=lambda Y: Y.copy(),
+            jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
+        got = sampled_rho_branch_values(HyperCurve("id2", [br]), 0,
+                                        [[0.011, 0.3]], [[0.011, 0.3]])
+        assert got[0] == pytest.approx(SQ2 * 0.009, rel=1e-6)
 
     @given(st.lists(st.tuples(st.floats(-40, 40), st.floats(-8, 8)),
                     min_size=1, max_size=8))
