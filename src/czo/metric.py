@@ -19,8 +19,9 @@ gamma' from the branch's ``jacobian``, split at declared non-smooth
 parameter values, and for n > 1 by golden-section coordinate sweeps.
 ``nearest_range`` (eta) clamps onto a declared ``range_region``, else, for
 n = 1, onto the range of those samples.  Both size the samples by one rule,
-``_extents``: a box covering a bounded domain, or one sized from each
-point's own coordinates, so no point of a call changes another's bits.
+``_extents``: a box covering the domain's finite bounds and, on an
+unbounded domain, each point's own coordinates, so no point of a call
+changes another's bits.
 Neither path takes a thread count; a caller that wants parallel rho splits
 the pairs however it likes, as the dense T_eps build does with its rows.
 
@@ -168,14 +169,14 @@ class _BranchSampler:
 
 def _extents(branch: CurveBranch, P: np.ndarray) -> np.ndarray:
     """The sampler half-width for each row of P: the smallest
-    BOUNDING_HALF_WIDTH 2^k (k >= 0) that covers every bound of a bounded
-    domain, or on an unbounded one is not below 1.3 max(1, |p_k|) of that
-    row alone."""
+    BOUNDING_HALF_WIDTH 2^k (k >= 0) that covers every finite bound of the
+    domain and, on an unbounded one, is not below 1.3 max(1, |p_k|) of
+    that row alone."""
     boxes = branch.domain.boxes
-    if all(b.is_bounded for b in boxes):
-        need = np.full(len(P), max(abs(v) for b in boxes for v in b.lo + b.hi))
-    else:
-        need = 1.3 * np.maximum(1.0, np.max(np.abs(P), axis=1))
+    need = np.full(len(P), max((abs(v) for b in boxes for v in b.lo + b.hi
+                                if math.isfinite(v)), default=0.0))
+    if not all(b.is_bounded for b in boxes):
+        need = np.maximum(need, 1.3 * np.maximum(1.0, np.max(np.abs(P), 1)))
     extent = np.full(len(P), BOUNDING_HALF_WIDTH)
     while np.any(grow := extent < need):
         extent[grow] *= 2.0

@@ -92,27 +92,26 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.cells_per_axis < 1:
+        n, bx = self.cells_per_axis, self.box
+        if n < 1:
             raise RejectedInputError("cells_per_axis must be positive")
-        if not self.box.is_bounded:
+        if not bx.is_bounded:
             raise RejectedInputError("grid functions need a bounded box")
-        for k, (a, b) in enumerate(zip(self.box.lo, self.box.hi)):
+        widths = [(b - a) / n for a, b in zip(bx.lo, bx.hi)]
+        for k, w in enumerate(widths):
             # Cells of zero volume (h ** dim underflowing included) would
             # give all-zero sums or a division by zero further down.
-            if not ((b - a) / self.cells_per_axis) ** self.box.dim > 0:
+            if not w ** len(widths) > 0:
                 raise RejectedInputError(
                     f"grid box gives cells of zero volume on axis {k}: "
-                    f"{a}..{b}")
+                    f"{bx.lo[k]}..{bx.hi[k]}")
         v = np.asarray(self.values, dtype=float).reshape(-1)
-        if len(v) != self.cells_per_axis ** self.box.dim:
+        if len(v) != n ** len(widths):
             raise RejectedInputError(
-                f"expected {self.cells_per_axis ** self.box.dim} values, "
-                f"got {len(v)}")
-        if not np.all(np.isfinite(v)):
+                f"expected {n ** len(widths)} values, got {len(v)}")
+        if np.count_nonzero(np.isfinite(v)) != len(v):
             raise RejectedInputError("grid function values must be finite")
-        widths = {round((b - a) / self.cells_per_axis, 15)
-                  for a, b in zip(self.box.lo, self.box.hi)}
-        if len(widths) != 1:
+        if len({round(w, 15) for w in widths}) != 1:
             raise RejectedInputError("cells must be cubic (equal axis widths)")
         object.__setattr__(self, "values", v)
 
@@ -308,12 +307,12 @@ def _lattice_step(kernel: KernelSpec, out_box: Box, out_n: int,
 
 
 def _lattice_taps(kernel: KernelSpec, f: GridFunction, step: int,
-                  epsilon: float):
-    """(on, taps): on = [rho_1 >= eps] as 0.0 / 1.0 and taps = on * k at
-    the offsets d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in -
-    step - 1.  x_i - y_j is the offset p = step*i - j + N_in - 1, and on
-    a symmetric box x_i + y_j is the offset step*i + j.  rho_1 and k are
-    evaluated once per grid and cached on the kernel."""
+                  epsilon: float) -> np.ndarray:
+    """(on, taps) stacked in one read-only array: on = [rho_1 >= eps] as
+    0.0 / 1.0 and taps = on * k at the offsets d_p = (p - N_in + 1 +
+    (step-1)/2) h, p = 0 .. 2 N_in - step - 1, where x_i - y_j is
+    p = step*i - j + N_in - 1 and, on a symmetric box, x_i + y_j is
+    step*i + j.  rho_1 and k are cached on the kernel, once per grid."""
     key = ("lattice", f.geometry(), step)
     hit = kernel._matrices.get(key)
     if hit is None:
@@ -323,56 +322,61 @@ def _lattice_taps(kernel: KernelSpec, f: GridFunction, step: int,
         hit = (R, K / len(kernel.reflections))
         kernel._matrices[key] = hit
     on = hit[0] >= epsilon
-    on, taps = on.astype(float), np.where(on, hit[1], 0.0)
-    on.flags.writeable = taps.flags.writeable = False
-    return on, taps
+    ot = np.zeros((2, len(on)))
+    ot[0] = on
+    np.copyto(ot[1], hit[1], where=on)
+    ot.flags.writeable = False
+    return ot
 
 
-def _lattice_block(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
-                   n_in: int, step: int, rows: slice, cells: slice,
+def _lattice_block(kernel: KernelSpec, ot: np.ndarray, n_in: int, step: int,
+                   rows: slice, cells: slice,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """The masked kernel matrix from the output rows to the input cells:
     taps[p] for the reflection +1, taps[q] for -1, and
-    on[p] on[q] (k[p] + k[q]) for both, where p = step*i - j + N_in - 1
-    and q = step*i + j.  A single reflection returns a read-only view;
-    both write into ``out`` when given."""
-    shape = (rows.stop - rows.start, cells.stop - cells.start)
-    # Every index lies in 0 .. 2 N_in - step - 1, the lattice's range.
-    at = {1: (step * rows.start - cells.start + n_in - 1, -1),
-          -1: (step * rows.start + cells.start, 1)}
-
-    def view(a, s):
-        st = a.strides[0]
-        return np.ndarray(shape, a.dtype, a, at[s][0] * st,
-                          (step * st, at[s][1] * st))
-
+    on[p] on[q] (k[p] + k[q]) for both, with (on, taps) = ot from
+    ``_lattice_taps``, p = step*i - j + N_in - 1 and q = step*i + j.  P and
+    Q view ot at p and q, every index in the lattice's range.  A single
+    reflection returns a read-only view; both write into ``out`` if given."""
+    (st0, st), i0 = ot.strides, step * rows.start
+    shape = (2, rows.stop - rows.start, cells.stop - cells.start)
+    P = np.ndarray(shape, float, ot, (i0 + n_in - 1 - cells.start) * st,
+                   (st0, step * st, -st))
+    Q = np.ndarray(shape, float, ot, (i0 + cells.start) * st,
+                   (st0, step * st, st))
     if len(kernel.reflections) == 1:
-        return view(taps, *kernel.reflections)
-    W = np.add(view(taps, 1), view(taps, -1), out=out)
-    W *= view(on, 1)
-    W *= view(on, -1)
+        return (P if 1 in kernel.reflections else Q)[1]
+    W = np.add(P[1], Q[1], out=out)
+    W *= P[0]
+    W *= Q[0]
     return W
 
 
-def _runs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, stops) of the runs of True in the non-empty bool array m."""
-    cut = np.flatnonzero(np.concatenate(([m[0]], m[1:] != m[:-1], [m[-1]])))
-    return cut[::2], cut[1::2]
+def _runs(m: np.ndarray) -> list[int]:
+    """The runs of True in the non-empty bool array m as a flat list
+    [a_0, b_0, a_1, b_1, ...]: run k holds the indices a_k < j <= b_k."""
+    cut = (m[1:] != m[:-1]).nonzero()[0].tolist()
+    if m[0]:
+        cut.insert(0, -1)
+    if m[-1]:
+        cut.append(len(m) - 1)
+    return cut
 
 
-def _band_ranges(on: np.ndarray, g: np.ndarray, step: int, n_out: int,
+def _band_ranges(off: list[int], nonzero: list[int], step: int, n_out: int,
                  extra=()) -> list[tuple[int, int]]:
-    """The rows i whose band {j : not on[step*i + j]} meets a nonzero g_j,
-    and the rows ``extra``, as sorted maximal ranges [a, b).  A masked run
-    [lo, hi) of on and a nonzero run [s, e) of g give the rows with
-    lo - e < step*i < hi - s."""
-    lo, hi = (r[:, None] for r in _runs(on == 0.0))
-    s, e = _runs(g != 0.0)
-    spans = [*zip(((lo - e) // step + 1).flat, (-((s - hi) // step)).flat),
-             *((i, i + 1) for i in extra)]
+    """The rows i whose band {j : step*i + j in a run of ``off``} meets a
+    run of ``nonzero`` (runs as ``_runs`` gives them), and the rows
+    ``extra``, as sorted maximal ranges [a, b).  An off run (lo, hi] and a
+    nonzero run (s, e] give the rows with lo - e < step*i < hi - s."""
+    spans = [(i, i + 1) for i in extra]
+    for k in range(0, len(off), 2):
+        for m in range(0, len(nonzero), 2):
+            spans.append(((off[k] - nonzero[m + 1]) // step + 1,
+                          -((nonzero[m] - off[k + 1]) // step)))
     out = []
     for a, b in sorted(spans):
-        a, b = max(int(a), 0), min(int(b), n_out)
+        a, b = max(a, 0), min(b, n_out)
         if out and a <= out[-1][1]:
             out[-1] = (out[-1][0], max(out[-1][1], b))
         elif a < b:
@@ -380,70 +384,70 @@ def _band_ranges(on: np.ndarray, g: np.ndarray, step: int, n_out: int,
     return out
 
 
-def _paired_rows(kernel: KernelSpec, rows: range, on: np.ndarray,
-                 taps: np.ndarray, g: np.ndarray, step: int) -> np.ndarray:
-    """sum over j of on[p] on[q] k[p] g_j at the consecutive rows ``rows``
-    (p, q as in ``_lattice_block``).  Cell j and its mirror N - 1 - j swap
-    p and q, and g is even, so each cell j < N/2 from g's first nonzero
-    adds on[p] on[q] (k[p] + k[q]) g_j: the kernel terms are added before
-    the row sum, as on the dense path, and for an odd k they cancel
-    exactly where x_i = 0.  Rows are summed by einsum, without BLAS, in
-    blocks of consecutive rows from rows.start."""
-    n_in = len(g)
-    half = n_in // 2
-    # g is even and not all 0, so its first nonzero lies at or below half.
-    cells = slice(int(np.argmax(g != 0.0)), half)
-    block = max(1, _BAND_BLOCK // max(half - cells.start, 1))
-    buf = np.empty((min(block, len(rows)), half - cells.start))
-    out = np.empty(len(rows))
-    for a0 in range(0, len(rows), block):
-        a1 = min(a0 + block, len(rows))
-        W = _lattice_block(kernel, on, taps, n_in, step,
-                           slice(rows[a0], rows[a1 - 1] + 1), cells,
-                           out=buf[:a1 - a0])
-        out[a0:a1] = np.einsum("ij,j->i", W, g[cells])
-    if n_in % 2:
-        out += taps[step * rows.start + half::step][:len(rows)] * g[half]
-    return out
-
-
-def _lattice_apply(kernel: KernelSpec, on: np.ndarray, taps: np.ndarray,
-                   f: GridFunction, step: int, threads: int) -> np.ndarray:
+def _lattice_apply(kernel: KernelSpec, ot: np.ndarray, f: GridFunction,
+                   step: int, threads: int) -> np.ndarray:
     """out_i = h sum_j on[p] on[q] k[p] g_j with g = sum over the declared
     reflections s of f(s y), the factor on[q] present only with both
     reflections (p, q as in ``_lattice_block``).
 
     The Toeplitz sum h sum_j taps[p] g_j is exact on every row whose band
-    {j : on[q] = 0} misses the nonzero g_j.  For it the taps and the
-    reversed g are split by residue mod step, so out_i = sum over r and v
-    of taps_r[i + v] g_r[v], summed in the same fixed chunks of v for every
-    i; splitting the outputs over threads leaves every bit unchanged.  The
-    other rows and the middle row of an odd output grid (``_band_ranges``)
-    are recomputed by ``_paired_rows``, never as the Toeplitz sum minus the
-    band, which leaves a residue where every kept term is 0."""
+    {j : on[q] = 0} misses the nonzero g_j.  For it the taps and the reversed
+    g are split by residue mod step, so out_i = sum over r and v of
+    taps_r[i + v] g_r[v], summed in the same fixed chunks of v for every i:
+    splitting the outputs over threads leaves every bit unchanged, and so
+    does skipping a chunk whose g_r is all 0, which would add only +-0 to an
+    out that starts at +0 and is never -0.  The other rows and the middle
+    row of an odd output grid (``_band_ranges``) are recomputed, never as
+    the Toeplitz sum minus the band, which leaves a residue where every kept
+    term is 0.  As g is even and cell j and its mirror N - 1 - j swap p and
+    q, each cell j < N/2 from g's first nonzero adds
+    on[p] on[q] (k[p] + k[q]) g_j: the kernel terms are added before the row
+    sum, as on the dense path, so for an odd k they cancel exactly where
+    x_i = 0.  The rows are summed by einsum, without BLAS, in blocks of
+    consecutive rows from the start of each range."""
     g = f.values if 1 in kernel.reflections else 0.0
     if -1 in kernel.reflections:
         g = g + f.values[::-1]
-    n_out = len(g) // step
-    rev = g[::-1]
-    phases = [(np.ascontiguousarray(taps[r::step]),
-               np.ascontiguousarray(rev[r::step])) for r in range(step)]
+    n_in = len(g)
+    n_out, half = n_in // step, n_in // 2
+    # With both reflections g is even, so it is its own reversal bitwise.
+    rev = g if len(kernel.reflections) == 2 else g[::-1]
+    phases = []
+    for r in range(step):
+        b = np.ascontiguousarray(rev[r::step])
+        live = [v0 for v0 in range(0, n_out, _TAP_CHUNK)
+                if np.count_nonzero(b[v0:v0 + _TAP_CHUNK])]
+        if live:
+            phases.append((np.ascontiguousarray(ot[1][r::step]), b, live))
     fix = []
-    if len(kernel.reflections) == 2 and np.any(g != 0.0):
-        fix = _band_ranges(on, g, step, n_out, [n_out // 2] * (n_out % 2))
+    if len(kernel.reflections) == 2 and phases:
+        nonzero = _runs(g != 0.0)
+        fix = _band_ranges(_runs(ot[0] == 0.0), nonzero, step, n_out,
+                           [n_out // 2] * (n_out % 2))
+        # g is even and not all 0, so its first nonzero lies at or below half.
+        cells = slice(nonzero[0] + 1, half)
+        gc = g[cells]
+        block = max(1, _BAND_BLOCK // max(len(gc), 1))
+        most = min(block, max((r1 - r0 for r0, r1 in fix), default=0))
 
     def rows(i0, i1):
         out = np.zeros(i1 - i0)
-        for a, b in phases:
-            for v0 in range(0, n_out, _TAP_CHUNK):
+        for a, b, live in phases:
+            for v0 in live:
                 v1 = min(v0 + _TAP_CHUNK, n_out)
                 out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
                                     "valid")
+        buf = np.empty((most, len(gc))) if fix else None
         for r0, r1 in fix:
             r0, r1 = max(r0, i0), min(r1, i1)
-            if r0 < r1:
-                out[r0 - i0:r1 - i0] = _paired_rows(kernel, range(r0, r1),
-                                                    on, taps, g, step)
+            for a0 in range(r0, r1, block):
+                a1 = min(a0 + block, r1)
+                W = _lattice_block(kernel, ot, n_in, step, slice(a0, a1),
+                                   cells, buf[:a1 - a0])
+                np.einsum("ij,j->i", W, gc, out=out[a0 - i0:a1 - i0])
+            if n_in % 2 and r0 < r1:
+                out[r0 - i0:r1 - i0] += (ot[1][step * r0 + half::step]
+                                         [:r1 - r0] * g[half])
         return out
 
     return pmap_chunks(rows, n_out, _TAP_CHUNK, threads) * f.h
@@ -477,8 +481,8 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
                       "truncation boundary is unreliable", stacklevel=2)
     step = _lattice_step(kernel, out_box, out_n, f)
     if step:
-        on, taps = _lattice_taps(kernel, f, step, epsilon)
-        vals = _lattice_apply(kernel, on, taps, f, step, threads)
+        vals = _lattice_apply(kernel, _lattice_taps(kernel, f, step, epsilon),
+                              f, step, threads)
     else:
         mats = _matrices_for(kernel, out_box, out_n, f, threads)
         vals = _fold_sum(*_mask(mats, epsilon), f)
@@ -494,7 +498,7 @@ def _truncated_columns(kernel: KernelSpec, f: GridFunction, epsilon: float,
     those cells alone, at most ``_BAND_BLOCK`` entries at a time."""
     step = _lattice_step(kernel, f.box, out_n, f)
     if step:
-        on, taps = _lattice_taps(kernel, f, step, epsilon)
+        ot = _lattice_taps(kernel, f, step, epsilon)
         rows, width = slice(0, out_n), max(1, _BAND_BLOCK // out_n)
 
         def column(cells, block):
@@ -502,12 +506,12 @@ def _truncated_columns(kernel: KernelSpec, f: GridFunction, epsilon: float,
             out = np.zeros(out_n)
             for c0 in range(c.start, c.stop, width):
                 c1 = min(c0 + width, c.stop)
-                W = _lattice_block(kernel, on, taps, f.cells_per_axis, step,
-                                   rows, slice(c0, c1))
+                W = _lattice_block(kernel, ot, f.cells_per_axis, step, rows,
+                                   slice(c0, c1))
                 out += W @ block[c0 - c.start:c1 - c.start]
             return out
 
-        return _lattice_apply(kernel, on, taps, f, step, threads), column
+        return _lattice_apply(kernel, ot, f, step, threads), column
     W, W_mid = _mask(_matrices_for(kernel, f.box, out_n, f, threads), epsilon)
     # Unfold before _fold_sum overwrites W.
     M = _unfold(W, W_mid).reshape((-1,) + (f.cells_per_axis,) * f.dim)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import czo
 import czo.operator as op
+import lattice_reference as ref
 from czo.decomposition import weak_type_experiment
 from czo.curves import get_curve
 from czo.errors import RejectedInputError
@@ -33,10 +34,10 @@ B8 = box(-8.0, 8.0)
 LADDER = [float(e) for e in 1.27 * 0.82 ** np.arange(16)]
 
 
-def quiet_apply(kernel, f, eps, out_geometry=None):
+def quiet_apply(kernel, f, eps, out_geometry=None, threads=1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return apply_truncated(kernel, f, eps, out_geometry)
+        return apply_truncated(kernel, f, eps, out_geometry, threads)
 
 
 def dense_twin(kernel):
@@ -212,7 +213,8 @@ def test_band_ranges_are_the_band_rows(case):
     on, g, step, n_out = case
     q = step * np.arange(n_out)[:, None] + np.arange(len(g))
     want = np.flatnonzero(np.any((on[q] == 0.0) & (g != 0.0), axis=1))
-    ranges = op._band_ranges(on, g, step, n_out)
+    ranges = op._band_ranges(op._runs(on == 0.0), op._runs(g != 0.0), step,
+                             n_out)
     assert np.array_equal(rows_of(ranges), want)
     assert all(a < b for a, b in ranges)
     assert all(b < a for (_, b), (a, _) in zip(ranges, ranges[1:]))
@@ -235,8 +237,9 @@ def test_two_line_ladder_with_a_gap_in_supp_g(n, step):
     for e in LADDER:
         on, _ = op._lattice_taps(k, f, step, e)
         want = np.flatnonzero(np.any((on[q] == 0.0) & (g != 0.0), axis=1))
-        assert np.array_equal(rows_of(op._band_ranges(on, g, step, n // step)),
-                              want)
+        ranges = op._band_ranges(op._runs(on == 0.0), op._runs(g != 0.0),
+                                 step, n // step)
+        assert np.array_equal(rows_of(ranges), want)
     outs = [quiet_apply(k, f, e, (bx, n // step)).values for e in LADDER]
     X = grid_nodes(bx, n // step)
     Ys = f.nodes()[f.values != 0.0]
@@ -280,9 +283,9 @@ def reference_paired_rows(kernel, rows, on, taps, g, step):
     for a, b in zip(starts, np.append(starts[1:], len(rows))):
         for a0 in range(a, b, block):
             a1 = min(a0 + block, b)
-            W = op._lattice_block(kernel, on, taps, n_in, step,
-                                  slice(rows[a0], rows[a1 - 1] + 1), cells,
-                                  out=buf[:a1 - a0])
+            W = ref._lattice_block(kernel, on, taps, n_in, step,
+                                   slice(rows[a0], rows[a1 - 1] + 1), cells,
+                                   out=buf[:a1 - a0])
             out[a0:a1] = np.einsum("ij,j->i", W, g[cells])
     if n_in % 2:
         out += taps[step * rows + half] * g[half]
@@ -362,6 +365,101 @@ def test_two_line_bits_equal_the_reference_in_short_chunks(monkeypatch, n,
     monkeypatch.setattr(op, "_TAP_CHUNK", 40)
     monkeypatch.setattr(op, "_BAND_BLOCK", 300)
     check_bits_against_reference(n, step)
+
+
+def ladder_inputs(n):
+    """Inputs on B8 for the reference ladders: compact ones, an odd one
+    (g = 0), a full-support one, two with a gap in supp g (the second
+    touches both ends of the box), signed zeros around a compact input,
+    all zeros negative, and, on an odd grid, an input whose g is nonzero
+    only at the middle cell."""
+    x = grid_nodes(B8, n)[:, 0]
+    a = np.random.default_rng(n).normal(size=n)
+    out = [((x >= -1.3) & (x <= 0.2)).astype(float),
+           np.where(np.abs(x - 0.4) < 1.0, (1.0 - (x - 0.4) ** 2) ** 2, 0.0),
+           np.where(np.abs(x) <= 1.0, a, 0.0),
+           a - a[::-1],
+           np.exp(-((x - 0.5) / 1.2) ** 2),
+           np.where((x >= 1.0) & (x <= 2.0), a, 0.0),
+           np.where(np.abs(x) >= 6.5, a, 0.0),
+           np.where(np.abs(x - 0.5) <= 1.0, a, -0.0),
+           np.full(n, -0.0)]
+    if n % 2:
+        out.append(np.where(np.arange(n) == n // 2, 1.5, -0.0))
+    return out
+
+
+def ladder_applies(monkeypatch, k, f, out_geometry, threads):
+    """The values of every apply_truncated call of one estimate_T0 ladder."""
+    seen = []
+    inner = op.apply_truncated
+
+    def recording(kernel, g, eps, geom=None, threads=1):
+        out = inner(kernel, g, eps, geom, threads)
+        seen.append((eps, out.values))
+        return out
+
+    monkeypatch.setattr(op, "apply_truncated", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate_T0(k, f, LADDER, out_geometry, threads)
+    monkeypatch.setattr(op, "apply_truncated", inner)
+    return seen
+
+
+@pytest.mark.parametrize("n, step", [(512, 1), (512, 2), (255, 1), (255, 3)])
+def test_ladder_bits_equal_the_earlier_lattice_path(monkeypatch, n, step):
+    # Every apply of a 16-eps ladder, signs of zero included, equals the
+    # lattice path as it stood before its fixed cost was cut.
+    k = get_kernel("two-line-hilbert")
+    for vals in ladder_inputs(n):
+        f = GridFunction(B8, n, vals)
+        for threads in (1, 2):
+            seen = ladder_applies(monkeypatch, k, f, (B8, n // step),
+                                  threads)
+            assert [e for e, _ in seen] == LADDER
+            for e, got in seen:
+                want = ref.apply_truncated(k, f, e, step, threads)
+                assert got.tobytes() == want.tobytes()
+
+
+def count_correlates(monkeypatch, fn):
+    calls = []
+    inner = np.correlate
+    monkeypatch.setattr(np, "correlate",
+                        lambda *a: calls.append(1) or inner(*a))
+    try:
+        out = fn()
+    finally:
+        monkeypatch.setattr(np, "correlate", inner)
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("name", DECLARING)
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_zero_chunks_are_skipped_bit_for_bit(monkeypatch, name, step):
+    # In chunks of 16 taps most chunks of the compact inputs' g vanish
+    # (supp f is [-1.3, 0.2], [-0.6, 1.4] or [-1, 1] of [-8, 8]), and for
+    # both reflections the odd input's g vanishes everywhere.  Skipping
+    # those chunks must leave every bit of the unskipped sum.
+    monkeypatch.setattr(op, "_TAP_CHUNK", 16)
+    k = get_kernel(name)
+    n = 384
+    for i, vals in enumerate(ladder_inputs(n)[:4]):
+        f = GridFunction(B8, n, vals)
+        for eps in LADDER[::5]:
+            for threads in (1, 2):
+                got, calls = count_correlates(monkeypatch, lambda: quiet_apply(
+                    k, f, eps, (B8, n // step), threads))
+                want, ref_calls = count_correlates(
+                    monkeypatch,
+                    lambda: ref.apply_truncated(k, f, eps, step, threads))
+                assert got.values.tobytes() == want.tobytes()
+                if i < 3:
+                    assert calls < ref_calls
+                else:
+                    assert calls == (0 if len(k.reflections) == 2
+                                     else ref_calls)
 
 
 def test_path_selection(monkeypatch):

@@ -361,6 +361,20 @@ class TestSampledSolverAgainstDeclaredDistances:
         assert nearest_range(br, [[45.0], [60.0]]).ravel().tolist() == \
             [45.0, 50.0]
 
+    def test_unbounded_domain_with_a_bound_past_the_sampling_box(self):
+        # On [40, inf) the samples must cover the finite bound 40 even for
+        # pairs near the origin, whose own coordinates ask only for 32.
+        br = CurveBranch(index=0, domain=region(box(40.0, math.inf)),
+                         forward=lambda X: X.copy(),
+                         inverse=lambda Y: Y.copy(),
+                         jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
+        values, _ = rho_values(HyperCurve("far", [br]),
+                               [[20.0], [0.0], [45.0]],
+                               [[20.0], [0.0], [45.0]])
+        assert values == pytest.approx([20.0 * SQ2, 40.0 * SQ2, 0.0],
+                                       rel=1e-12, abs=1e-12)
+        assert nearest_range(br, [[0.0]]).ravel().tolist() == [40.0]
+
     def test_two_box_domain_refines_every_seed_in_2d(self):
         # The nearest graph point is (0.02, 0.3) on the second box, at
         # sqrt(2) 0.009; the first box's edge x = 0 is at sqrt(2) 0.011.
