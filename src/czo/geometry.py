@@ -236,7 +236,7 @@ class CurveBranch:
       the distance solver splits its refinement bracket there.
     - ``distance``: the exact distance from each (x, y) to the graph of the
       branch, on point arrays of shape (m, n); without it rho falls back to
-      the sampled solver.
+      the sampled solver, which needs n = 1.
 
     A degenerate branch (e.g. a constant map) declares ``inverse=None``:
     its pointwise inverse is ill-defined, so it is handled through the

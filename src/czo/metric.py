@@ -9,16 +9,16 @@ which check_equivalence verifies empirically.
 
 rho takes one of two paths per branch.  A branch that declares its exact
 ``distance`` (every branch of the built-in curves does) is evaluated in
-closed form.  Any other branch falls back to the sampled solver,
-``sampled_rho_branch_values``: it seeds each pair at its nearest dense
-curve samples (two on a domain of several boxes), found exactly by a numpy
-search over capsule-bounded blocks of consecutive samples, and refines each
-seed within one spacing inside its own box: for n = 1 by a bracketed secant
-(Illinois regula falsi) on the derivative of the squared distance, with
-gamma' from the branch's ``jacobian``, split at declared non-smooth
-parameter values, and for n > 1 by golden-section coordinate sweeps.
-``nearest_range`` (eta) clamps onto a declared ``range_region``, else, for
-n = 1, onto the range of those samples.  Both size the samples by one rule,
+closed form.  Any other branch, which must have n = 1, falls back to the
+sampled solver, ``sampled_rho_branch_values``: it seeds each pair at its
+nearest dense curve samples (two on a domain of several boxes), found
+exactly by a numpy search over capsule-bounded blocks of consecutive
+samples, and refines each seed within one spacing inside its own box by a
+bracketed secant (Illinois regula falsi) on the derivative of the squared
+distance, with gamma' from the branch's ``jacobian``, split at declared
+non-smooth parameter values.  ``nearest_range`` (eta) clamps onto a
+declared ``range_region``, else onto the range of those samples, each end
+refined by the same secant on gamma'.  Both size the samples by one rule,
 ``_extents``: a box covering the domain's finite bounds and, on an
 unbounded domain, each point's own coordinates, so no point of a call
 changes another's bits.
@@ -49,10 +49,7 @@ _SAMPLES_PER_AXIS = 4096
 _BLOCK = 64                  # consecutive samples per nearest-search block
 _QUERY_ROWS = 1024           # queries per pass of the nearest-sample search
 _CHUNK = 1 << 14
-_SECANT_STEPS = 8            # regula-falsi steps of the 1-d refine
-_SWEEPS = 6                  # coordinate sweeps of the n-d solver
-_GOLDEN_ITERS = 64
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SECANT_STEPS = 8            # regula-falsi steps of each refine
 _CONTAINS_TOL = 1e-7         # Q_theta boundary tolerance, relative to side(Q)
 _PROBE_ROUNDS = 16           # most draws of 4 * probe_count separation probes
 
@@ -62,37 +59,34 @@ _PROBE_ROUNDS = 16           # most draws of 4 * probe_count separation probes
 # ---------------------------------------------------------------------------
 
 class _BranchSampler:
-    """Dense samples (t, gamma(t)) of one branch inside the sampling box,
-    with an exact search for the k nearest samples to a query point."""
+    """Dense samples (t, gamma(t)) of one branch (n = 1) inside the sampling
+    box, with an exact search for the k nearest samples to a query point."""
 
     def __init__(self, branch: CurveBranch, extent: float):
-        dim = branch.dim
+        if branch.dim != 1:
+            raise RejectedInputError(
+                f"branch {branch.index} {branch.name!r} of a {branch.dim}-d "
+                f"curve cannot be sampled: declare its distance and "
+                f"range_region")
         boxes = branch.domain.clipped(extent)
         if not boxes:
             raise RejectedInputError(
                 f"branch {branch.index} has empty domain inside the sampling box")
-        per_axis = _SAMPLES_PER_AXIS if dim == 1 else max(
-            8, int(round(_SAMPLES_PER_AXIS ** (1.0 / dim))))
-        ts = []
-        for bb in boxes:
-            axes = [np.linspace(bb.lo[k], bb.hi[k], per_axis)
-                    for k in range(dim)]
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            ts.append(grid.reshape(-1, dim))
-        self.t = np.concatenate(ts)
-        # Each sample's box bounds and grid spacing.
-        box_of = np.repeat(np.arange(len(boxes)), per_axis ** dim)
-        self.lo = np.array([bb.lo for bb in boxes])[box_of]
-        self.hi = np.array([bb.hi for bb in boxes])[box_of]
-        self.spacing = (self.hi - self.lo) / (per_axis - 1)
+        lo = np.array([bb.lo[0] for bb in boxes])
+        hi = np.array([bb.hi[0] for bb in boxes])
+        self.t = np.linspace(lo, hi, _SAMPLES_PER_AXIS, axis=1).reshape(-1, 1)
+        # Each sample's box bounds and spacing.
+        self.lo, self.hi = (np.repeat(e, _SAMPLES_PER_AXIS) for e in (lo, hi))
+        self.spacing = (self.hi - self.lo) / (_SAMPLES_PER_AXIS - 1)
         self.k = 1 if len(boxes) == 1 else 2
         P = np.hstack([self.t, branch.forward(self.t)])
         if not np.all(np.isfinite(P)):
             raise RejectedInputError(
                 f"branch {branch.index} maps a sample to a non-finite point")
-        # Blocks of _BLOCK consecutive samples (per_axis ** dim is a multiple
-        # of _BLOCK), each bounded by a capsule: the chord from its first to
-        # its last sample, and the largest distance of a sample from it.
+        # Blocks of _BLOCK consecutive samples (_SAMPLES_PER_AXIS is a
+        # multiple of _BLOCK), each bounded by a capsule: the chord from its
+        # first to its last sample, and the largest distance of a sample
+        # from it.
         self.axes = [np.ascontiguousarray(c.reshape(-1, _BLOCK)) for c in P.T]
         self.chord_a = [x[:, 0] for x in self.axes]
         self.chord_v = [x[:, -1] - x[:, 0] for x in self.axes]
@@ -103,6 +97,12 @@ class _BranchSampler:
                              .reshape(-1, _BLOCK), axis=1)
         self.scale = float(np.max(np.abs(P)))
         self.range: Optional[Region] = None      # see _sampled_range
+
+    def bracket(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The refine bracket of samples k: within one spacing of each,
+        inside its own box."""
+        t, s = self.t[k, 0], self.spacing[k]
+        return np.maximum(self.lo[k], t - s), np.minimum(self.hi[k], t + s)
 
     def _chord_distance(self, cols, block) -> np.ndarray:
         """Distance from the points with coordinate columns ``cols`` to the
@@ -189,123 +189,85 @@ def _get_sampler(branch: CurveBranch, extent: float) -> _BranchSampler:
     return branch._samplers[extent]
 
 
-def _golden_vec(g, a: np.ndarray, b: np.ndarray, iters: int = _GOLDEN_ITERS):
-    """Minimize g over [a, b] elementwise; returns (t_best, g_best)."""
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        left = gc < gd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        span = b - a
-        c_new = np.where(left, b - _PHI * span, d)
-        d_new = np.where(left, c, a + _PHI * span)
-        probe = np.where(left, c_new, d_new)
-        gp = g(probe)
-        gc_old = gc
-        gc = np.where(left, gp, gd)
-        gd = np.where(left, gc_old, gp)
-        c, d = c_new, d_new
-    use_c = gc <= gd
-    return np.where(use_c, c, d), np.where(use_c, gc, gd)
+def _graph(branch: CurveBranch, t: np.ndarray):
+    """gamma(t) and gamma'(t) for a flat parameter array t (n = 1)."""
+    T = t[:, None]
+    return branch.forward(T)[:, 0], np.reshape(branch.jacobian(T), len(t))
 
 
-def _sampled_range(branch: CurveBranch, extent: float) -> Region:
-    """gamma's range on the domain sampled at this extent (n = 1): per box,
-    the least and the largest sample value, each refined once by golden
-    section within one spacing of its sample."""
-    sampler = _get_sampler(branch, extent)
-    if sampler.range is None:
-        vals = sampler.axes[1].ravel()
-        first = np.arange(0, len(vals), _SAMPLES_PER_AXIS)
-        ends = []
-        for sign in (1.0, -1.0):
-            k = first + np.argmin(sign * vals.reshape(len(first), -1), axis=1)
-            t, s = sampler.t[k, 0], sampler.spacing[k, 0]
-            _, g = _golden_vec(
-                lambda p: sign * branch.forward(p[:, None])[:, 0],
-                np.maximum(sampler.lo[k, 0], t - s),
-                np.minimum(sampler.hi[k, 0], t + s))
-            ends.append(sign * np.minimum(sign * vals[k], g))
-        sampler.range = Region(tuple(Box((a,), (b,)) for a, b in zip(*ends)))
-    return sampler.range
-
-
-def _bracket_min2(branch: CurveBranch, x: np.ndarray, y: np.ndarray,
-                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The least g(t) = (t - x)^2 + (gamma(t) - y)^2 over the points that
-    Illinois regula falsi on h = g'/2 evaluates in [lo, hi] (n = 1).  h is
-    taken one ulp inside each end, so at a breakpoint it is the derivative
-    on this bracket's side; pairs without h(lo) < 0 < h(hi) keep the ends."""
-    def g_h(t, x, y):
-        T = t[:, None]
-        dy = branch.forward(T)[:, 0] - y
-        dgamma = np.reshape(branch.jacobian(T), len(t))
-        return (t - x) ** 2 + dy ** 2, (t - x) + dy * dgamma
-
+def _illinois_min(g_h, lo: np.ndarray, hi: np.ndarray, *args) -> np.ndarray:
+    """The least g over the points that Illinois regula falsi on h evaluates
+    in [lo, hi], elementwise.  g_h(t, *args) returns (g, h), h being g' or a
+    positive multiple of it; args are per-element arrays, subset along with
+    the brackets.  h is taken one ulp inside each end, so at a breakpoint it
+    is the derivative on this bracket's side; elements without
+    h(lo) < 0 < h(hi) keep the ends."""
     a, b = np.nextafter(lo, hi), np.nextafter(hi, lo)
-    ga, ha = g_h(a, x, y)
-    gb, hb = g_h(b, x, y)
-    best2 = np.minimum(ga, gb)
+    ga, ha = g_h(a, *args)
+    gb, hb = g_h(b, *args)
+    best = np.minimum(ga, gb)
     k = np.flatnonzero((ha < 0.0) & (hb > 0.0))
-    a, b, ha, hb, x, y = a[k], b[k], ha[k], hb[k], x[k], y[k]
+    a, b, ha, hb = a[k], b[k], ha[k], hb[k]
+    args = [v[k] for v in args]
     last = np.zeros(len(k))      # +1: the last step moved a, -1: moved b
     for _ in range(_SECANT_STEPS):
         t = b - hb * (b - a) / (hb - ha)
         t = np.where((a < t) & (t < b), t, 0.5 * (a + b))
-        gt, ht = g_h(t, x, y)
-        best2[k] = np.minimum(best2[k], gt)
+        gt, ht = g_h(t, *args)
+        best[k] = np.minimum(best[k], gt)
         left = ht <= 0.0
         # t replaces one end; the h of an end kept twice in a row is halved.
         ha = np.where(left, ht, np.where(last < 0, 0.5 * ha, ha))
         hb = np.where(left, np.where(last > 0, 0.5 * hb, hb), ht)
         a, b = np.where(left, t, a), np.where(left, b, t)
         last = np.where(left, 1.0, -1.0)
-    return best2
+    return best
 
 
-def _refine_1d(branch: CurveBranch, X, Y, t0, bracket) -> np.ndarray:
-    """The secant refine of every sub-bracket between the breakpoints."""
-    a, b = (e[:, 0] for e in bracket(t0))
-    edges = [a, *(np.clip(bp, a, b) for bp in branch.breakpoints), b]
-    return np.min([_bracket_min2(branch, X[:, 0], Y[:, 0], lo, hi)
-                   for lo, hi in zip(edges[:-1], edges[1:])], axis=0)
+def _refine(branch: CurveBranch, g_h, lo, hi, *args) -> np.ndarray:
+    """The least _illinois_min over the pieces of [lo, hi] between the
+    branch's breakpoints."""
+    edges = [lo, *(np.clip(bp, lo, hi) for bp in branch.breakpoints), hi]
+    return np.min([_illinois_min(g_h, a, b, *args)
+                   for a, b in zip(edges[:-1], edges[1:])], axis=0)
 
 
-def _refine_nd(branch: CurveBranch, X, Y, T, bracket) -> np.ndarray:
-    """Golden-section coordinate sweeps, each bracket re-centred on T."""
-    def g(T):
-        fwd = branch.forward(T)
-        return np.sum((X - T) ** 2, axis=1) + np.sum((fwd - Y) ** 2, axis=1)
+def _sampled_range(branch: CurveBranch, extent: float) -> Region:
+    """gamma's range on the domain sampled at this extent: per box, the
+    least and the largest sample value, each refined within one spacing of
+    its sample."""
+    sampler = _get_sampler(branch, extent)
+    if sampler.range is None:
+        vals = sampler.axes[1].ravel()
+        first = np.arange(0, len(vals), _SAMPLES_PER_AXIS)
+        ends = []
+        for sign in (1.0, -1.0):
+            def g_h(t):
+                gamma, dgamma = _graph(branch, t)
+                return sign * gamma, sign * dgamma
 
-    for _ in range(_SWEEPS):
-        for axis in range(branch.dim):
-            a, b = bracket(T)
-
-            def g_axis(t):
-                Tt = T.copy()
-                Tt[:, axis] = t
-                return g(Tt)
-
-            T[:, axis], _ = _golden_vec(g_axis, a[:, axis], b[:, axis],
-                                        iters=32)
-    return g(T)
+            k = first + np.argmin(sign * vals.reshape(len(first), -1), axis=1)
+            g = _refine(branch, g_h, *sampler.bracket(k))
+            ends.append(sign * np.minimum(sign * vals[k], g))
+        sampler.range = Region(tuple(Box((a,), (b,)) for a, b in zip(*ends)))
+    return sampler.range
 
 
 def _solve_chunk(branch: CurveBranch, sampler: _BranchSampler,
                  X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """rho for a chunk of pairs: each of the k nearest samples seeds a
-    refine bracketed within one spacing inside the seed's own box, and the
+    refine of g(t) = (t - x)^2 + (gamma(t) - y)^2, on h = g'/2, and the
     least squared distance over the seeds and their refines is kept."""
+    def g_h(t, x, y):
+        gamma, dgamma = _graph(branch, t)
+        dy = gamma - y
+        return (t - x) ** 2 + dy ** 2, (t - x) + dy * dgamma
+
     d0, idx = sampler.query(np.hstack([X, Y]))
     best2 = np.min(d0, axis=1) ** 2
-    refine = _refine_1d if branch.dim == 1 else _refine_nd
     for k in idx.T:
-        lo, hi, s = sampler.lo[k], sampler.hi[k], sampler.spacing[k]
-        best2 = np.minimum(best2, refine(
-            branch, X, Y, sampler.t[k],
-            lambda t: (np.maximum(lo, t - s), np.minimum(hi, t + s))))
+        best2 = np.minimum(best2, _refine(branch, g_h, *sampler.bracket(k),
+                                          X[:, 0], Y[:, 0]))
     return np.sqrt(np.maximum(best2, 0.0))
 
 
@@ -351,10 +313,6 @@ def nearest_range(branch: CurveBranch, Y) -> np.ndarray:
     Y = as_points(Y, branch.dim)
     if branch.range_region is not None:
         return branch.range_region.clamp(Y)
-    if branch.dim != 1:
-        raise RejectedInputError(
-            f"branch {branch.index} {branch.name!r} of a {branch.dim}-d curve "
-            f"has no sampled range: declare its range_region")
     extents = _extents(branch, Y)
     eta = np.empty_like(Y)
     for extent in sorted(set(extents.tolist())):

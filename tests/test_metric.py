@@ -145,6 +145,16 @@ class TestSampledRange:
         Y = np.array([[40.0], [-40.0], [100.0], [-100.0]])
         assert np.array_equal(nearest_range(wavy_curve().branch(0), Y), Y)
 
+    def test_interior_extrema_are_refined(self):
+        # 2 sin 3t on [-1, 0.9] peaks at t = +-pi/6, between samples: the
+        # sample values fall short of +-2 by about 5e-7.
+        branch = CurveBranch(
+            index=0, domain=region(box(-1.0, 0.9)),
+            forward=lambda X: 2.0 * np.sin(3.0 * X), inverse=None,
+            jacobian=lambda X: 6.0 * np.cos(3.0 * X[:, 0]), lipschitz=6.0)
+        eta = nearest_range(branch, [[-5.0], [5.0]])
+        assert eta.tolist() == [[-2.0], [2.0]]
+
     def test_far_wavy_pairs_keep_the_equivalence_bound(self):
         curve = wavy_curve()
         rng = np.random.default_rng(19)
@@ -334,7 +344,7 @@ class TestSampledSolverAgainstDeclaredDistances:
             want = b.distance(X, Y)
             assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) < 1e-9
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1])
     def test_diagonal_in_each_dimension(self, n):
         curve = diagonal(n)
         rng = np.random.default_rng(n)
@@ -343,6 +353,18 @@ class TestSampledSolverAgainstDeclaredDistances:
         got = sampled_rho_branch_values(curve, 0, X, Y)
         want = curve.branch(0).distance(X, Y)
         assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_n_above_one_is_rejected(self, n):
+        # The sampled solver is 1-D only: an n > 1 branch must declare its
+        # distance (and its range_region).
+        bare = HyperCurve("bare", [dataclasses.replace(diagonal(n).branch(0),
+                                                       distance=None)])
+        X = np.full((3, n), 0.5)
+        with pytest.raises(RejectedInputError, match="branch 0"):
+            sampled_rho_branch_values(bare, 0, X, X)
+        with pytest.raises(RejectedInputError, match="branch 0"):
+            rho_values(bare, X, X)
 
     def test_far_queries_grow_the_sampling_extent(self):
         curve = diagonal(1)
@@ -375,17 +397,21 @@ class TestSampledSolverAgainstDeclaredDistances:
                                        rel=1e-12, abs=1e-12)
         assert nearest_range(br, [[0.0]]).ravel().tolist() == [40.0]
 
-    def test_two_box_domain_refines_every_seed_in_2d(self):
-        # The nearest graph point is (0.02, 0.3) on the second box, at
-        # sqrt(2) 0.009; the first box's edge x = 0 is at sqrt(2) 0.011.
+    def test_two_box_refines_the_second_seed(self):
+        # gamma = 0 on [-1, 0.02] and 2 (t - tB) on [0.02001, 1], with tB
+        # halfway between two samples of the second box.  The pair (tB, 0)
+        # is on the curve, but its nearest sample is the first box's end
+        # (0.02, 0): only the second seed's refine reaches 0.
+        tB = 0.02001 + (0.97999 / 4095) / 2
         br = CurveBranch(
-            index=0, domain=region(box((-1.0, -1.0), (0.0, 1.0)),
-                                   box((0.02, -1.5), (1.0, 1.0))),
-            forward=lambda X: X.copy(), inverse=lambda Y: Y.copy(),
-            jacobian=lambda X: np.ones(len(X)), lipschitz=1.0)
-        got = sampled_rho_branch_values(HyperCurve("id2", [br]), 0,
-                                        [[0.011, 0.3]], [[0.011, 0.3]])
-        assert got[0] == pytest.approx(SQ2 * 0.009, rel=1e-6)
+            index=0, domain=region(box(-1.0, 0.02), box(0.02001, 1.0)),
+            forward=lambda X: np.where(X <= 0.02, 0.0, 2.0 * (X - tB)),
+            inverse=None,
+            jacobian=lambda X: np.where(X[:, 0] <= 0.02, 0.0, 2.0),
+            lipschitz=2.0)
+        got = sampled_rho_branch_values(HyperCurve("two-box", [br]), 0,
+                                        [[tB]], [[0.0]])
+        assert got[0] == 0.0
 
     @given(st.lists(st.tuples(st.floats(-40, 40), st.floats(-8, 8)),
                     min_size=1, max_size=8))
@@ -486,12 +512,6 @@ class TestNearestSampleSearch:
             sampler = _get_sampler(b, extent)
             assert sampler.k == (2 if i == 2 else 1)
             self.assert_matches_kd_tree(sampler, b, Q)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_diagonal(self, n):
-        b = diagonal(n).branch(0)
-        Q = np.random.default_rng(n).uniform(-40.0, 40.0, size=(1000, 2 * n))
-        self.assert_matches_kd_tree(_get_sampler(b, 64.0), b, Q)
 
     def test_tie_across_blocks_keeps_the_smaller_index(self):
         # Samples t = 0, 1, ..., 4095 on y = 0, except the inside of the
