@@ -25,9 +25,13 @@ two paths chosen from what it can observe:
   output grids, 2-D, ``apply_truncated_at``): rho and K from the output
   grid to f's grid are cached on the kernel, folded into two contiguous
   halves, the cells j < N/2 and their mirror cells N - 1 - j (an odd
-  grid's middle cell apart).  A new eps only changes the mask, and each
-  row sum adds every cell's term to its mirror's first, so integrands that
-  are exactly antisymmetric on a symmetric grid cancel bitwise.
+  grid's middle cell apart).  Beside them the folded products K f and
+  0 f of the latest input are cached, one more K-sized array per cached
+  pair of grids, so along an eps ladder each eps only selects, cell by
+  cell, the product K f where rho >= eps and the signed zero 0 f where
+  not.  Each row sum adds every cell's term to its mirror's first, so
+  integrands that are exactly antisymmetric on a symmetric grid cancel
+  bitwise.
 
 Both paths sum directly rather than by FFT.  An FFT leaves a residue of
 about 1e-16 |k| |f| at every point, even where every unmasked term is 0;
@@ -40,6 +44,7 @@ the bits do not depend on the thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -79,6 +84,26 @@ def grid_nodes(bx: Box, n_cells: int) -> np.ndarray:
     return grid.reshape(-1, bx.dim)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _grid_size(bx: Box, n: int) -> tuple[int, bool]:
+    """(n^dim, whether the cells are cubic) for n cells per axis on bx,
+    after the checks that depend on (bx, n) alone: every grid function an
+    apply returns repeats them on the same grid."""
+    if n < 1:
+        raise RejectedInputError("cells_per_axis must be positive")
+    if not bx.is_bounded:
+        raise RejectedInputError("grid functions need a bounded box")
+    widths = [(b - a) / n for a, b in zip(bx.lo, bx.hi)]
+    for k, w in enumerate(widths):
+        # Cells of zero volume (h ** dim underflowing included) would
+        # give all-zero sums or a division by zero further down.
+        if not w ** len(widths) > 0:
+            raise RejectedInputError(
+                f"grid box gives cells of zero volume on axis {k}: "
+                f"{bx.lo[k]}..{bx.hi[k]}")
+    return n ** len(widths), len({round(w, 15) for w in widths}) == 1
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Midpoint samples of a function on an N^n grid over a box.
@@ -92,26 +117,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        n, bx = self.cells_per_axis, self.box
-        if n < 1:
-            raise RejectedInputError("cells_per_axis must be positive")
-        if not bx.is_bounded:
-            raise RejectedInputError("grid functions need a bounded box")
-        widths = [(b - a) / n for a, b in zip(bx.lo, bx.hi)]
-        for k, w in enumerate(widths):
-            # Cells of zero volume (h ** dim underflowing included) would
-            # give all-zero sums or a division by zero further down.
-            if not w ** len(widths) > 0:
-                raise RejectedInputError(
-                    f"grid box gives cells of zero volume on axis {k}: "
-                    f"{bx.lo[k]}..{bx.hi[k]}")
+        size, cubic = _grid_size(self.box, self.cells_per_axis)
         v = np.asarray(self.values, dtype=float).reshape(-1)
-        if len(v) != n ** len(widths):
-            raise RejectedInputError(
-                f"expected {n ** len(widths)} values, got {len(v)}")
+        if len(v) != size:
+            raise RejectedInputError(f"expected {size} values, got {len(v)}")
         if np.count_nonzero(np.isfinite(v)) != len(v):
             raise RejectedInputError("grid function values must be finite")
-        if len({round(w, 15) for w in widths}) != 1:
+        if not cubic:
             raise RejectedInputError("cells must be cubic (equal axis widths)")
         object.__setattr__(self, "values", v)
 
@@ -262,15 +274,49 @@ def _mask(mats, epsilon: float):
     return W, None if R_mid is None else np.where(R_mid >= epsilon, K_mid, 0.0)
 
 
-def _fold_sum(W, W_mid, gf: GridFunction) -> np.ndarray:
-    """T_eps f from the masked (W, W_mid), each cell's term added to its
-    mirror's before the row sum.  Overwrites W."""
-    f, half = gf.values, W.shape[2]
-    W *= np.stack((f[:half], f[::-1][:half]))[:, None, :]
+def _fold_products(K: np.ndarray, f: np.ndarray):
+    """(KF, ZF): the folded K times f, and +0.0 times f (-0.0 where f's
+    sign bit is set) broadcast over the rows: the term of each cell the
+    mask keeps and of each one it drops.  K f is formed on dropped cells
+    too, so an overflow in it raises no warning; on a kept cell it still
+    shows as +-inf in T_eps f."""
+    half = K.shape[2]
+    F = np.stack((f[:half], f[::-1][:half]))[:, None, :]
+    with np.errstate(all="ignore"):
+        return K * F, 0.0 * F
+
+
+def _products_for(kernel: KernelSpec, out_box: Box, out_n: int,
+                  gf: GridFunction, threads: int):
+    """(mats, KF, ZF): ``_matrices_for`` and its ``_fold_products`` with
+    gf.  While the matrices are cached, so are the products of the latest
+    gf beside them, keyed on the bits of its values, since 0.0 and -0.0
+    give different zero signs."""
+    grids = ((out_box.lo, out_box.hi, out_n), gf.geometry())
+    mats = _matrices_for(kernel, out_box, out_n, gf, threads)
+    if kernel._matrices.get(grids) is not mats:
+        return (mats,) + _fold_products(mats[1], gf.values)
+    key, bits = ("products",) + grids, gf.values.tobytes()
+    hit = kernel._matrices.get(key)
+    if hit is None or hit[0].tobytes() != bits:
+        hit = (gf.values.copy(),) + _fold_products(mats[1], gf.values)
+        kernel._matrices[key] = hit
+    return (mats,) + hit[1:]
+
+
+def _dense_apply(mats, KF: np.ndarray, ZF: np.ndarray, gf: GridFunction,
+                 epsilon: float) -> np.ndarray:
+    """T_eps f from the folded mats and their products (KF, ZF) with f:
+    each cell's KF where rho >= eps, else its ZF, added to its mirror's
+    before the row sum."""
+    R, _, R_mid, K_mid = mats
+    W = KF.copy()
+    np.copyto(W, ZF, where=~(R >= epsilon))
     W[0] += W[1]
     out = np.sum(W[0], axis=1)
-    if W_mid is not None:
-        out = out + W_mid * f[half]
+    if R_mid is not None:
+        out = out + (np.where(R_mid >= epsilon, K_mid, 0.0)
+                     * gf.values[W.shape[2]])
     return out * gf.h ** gf.dim
 
 
@@ -484,8 +530,8 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
         vals = _lattice_apply(kernel, _lattice_taps(kernel, f, step, epsilon),
                               f, step, threads)
     else:
-        mats = _matrices_for(kernel, out_box, out_n, f, threads)
-        vals = _fold_sum(*_mask(mats, epsilon), f)
+        vals = _dense_apply(*_products_for(kernel, out_box, out_n, f,
+                                           threads), f, epsilon)
     return GridFunction(out_box, out_n, vals)
 
 
@@ -512,10 +558,10 @@ def _truncated_columns(kernel: KernelSpec, f: GridFunction, epsilon: float,
             return out
 
         return _lattice_apply(kernel, ot, f, step, threads), column
-    W, W_mid = _mask(_matrices_for(kernel, f.box, out_n, f, threads), epsilon)
-    # Unfold before _fold_sum overwrites W.
-    M = _unfold(W, W_mid).reshape((-1,) + (f.cells_per_axis,) * f.dim)
-    return (_fold_sum(W, W_mid, f),
+    mats, KF, ZF = _products_for(kernel, f.box, out_n, f, threads)
+    M = _unfold(*_mask(mats, epsilon)).reshape((-1,) + (f.cells_per_axis,)
+                                              * f.dim)
+    return (_dense_apply(mats, KF, ZF, f, epsilon),
             lambda cells, block: (M[(slice(None),) + cells]
                                   .reshape(len(M), -1) @ block.reshape(-1)))
 
@@ -525,7 +571,7 @@ def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,
     """T_eps f at explicit points (no caching)."""
     _require_inputs(kernel, epsilon, f)
     mats = _build_matrices(kernel, as_points(x, kernel.dim), f, 1)
-    return _fold_sum(*_mask(mats, epsilon), f)
+    return _dense_apply(mats, *_fold_products(mats[1], f.values), f, epsilon)
 
 
 @dataclass

@@ -65,6 +65,21 @@ class TestGridFunction:
         with pytest.raises(RejectedInputError, match="box"):
             GridFunction(box(lo, hi), 2, np.ones(2 ** len(lo)))
 
+    def test_checks_keep_their_order_on_a_known_grid(self):
+        # The box checks are remembered per grid; the value checks still
+        # run on every call, and a wrong count is reported before a
+        # non-cubic box.
+        tall = box((0.0, 0.0), (1.0, 2.0))
+        for _ in range(2):
+            with pytest.raises(RejectedInputError, match="expected 4 values"):
+                GridFunction(tall, 2, np.ones(3))
+            with pytest.raises(RejectedInputError, match="must be finite"):
+                GridFunction(tall, 2, [1.0, np.inf, 0.0, 0.0])
+            with pytest.raises(RejectedInputError, match="cubic"):
+                GridFunction(tall, 2, np.ones(4))
+            with pytest.raises(RejectedInputError, match="must be finite"):
+                GridFunction(B8, 4, [1.0, 2.0, np.nan, 0.0])
+
     def test_csv_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         f = GridFunction(box(-2.0, 3.0), 64, rng.normal(size=64))
@@ -429,6 +444,123 @@ class TestMirrorPairedSums:
             got = [(r.superlevel_measure, r.ratio, r.bad_integral)
                    for r in rep.rows if r.function_index == fi]
             assert got == want
+
+
+def product_entries(kernel):
+    """The cached (f, K f, 0 f) entries of a kernel, by key."""
+    return {key: v for key, v in kernel._matrices.items()
+            if key[0] == "products"}
+
+
+class TestDenseProducts:
+    """The dense path forms K f and 0 f once per input and grid pair and
+    reuses them along an eps ladder: bit for bit, never stale, and only
+    while the matrices themselves are cached."""
+
+    @pytest.mark.parametrize("n_in", [255, 256])
+    def test_interleaved_ladders_match_the_rowmajor_formula(self, n_in):
+        k = get_kernel("diamond-model")
+        ins = [GridFunction(B8, n_in, v)
+               for v in TestMirrorPairedSums.inputs(n_in, 7)[:2]]
+        outs = [(B8, 100), (B8, 131)]
+        want = {}
+        for eps in (1.0, 0.5, 0.1):
+            for f_i, f in enumerate(ins):
+                for geom in outs:
+                    M, _ = rowmajor_masked(k, grid_nodes(*geom), f, eps)
+                    want[eps, f_i, geom] = rowmajor_apply(M, f).tobytes()
+        for eps in (1.0, 0.5, 0.1):
+            for f_i, f in enumerate(ins):
+                for geom in outs:
+                    got = quiet_apply(k, f, eps, out_geometry=geom).values
+                    assert got.tobytes() == want[eps, f_i, geom]
+        assert len(product_entries(k)) == len(outs)
+
+    def test_values_changed_in_place_give_the_new_result(self):
+        k = get_kernel("diamond-model")
+        f = GridFunction(B8, 256, TestMirrorPairedSums.inputs(256, 8)[1])
+        quiet_apply(k, f, 0.5)
+        f.values[100:140] *= -3.0
+        M, _ = rowmajor_masked(k, f.nodes(), f, 0.5)
+        got = quiet_apply(k, f, 0.5).values
+        assert got.tobytes() == rowmajor_apply(M, f).tobytes()
+
+    def test_signed_zeros_are_told_apart(self):
+        # 0.0 == -0.0, but the two give 0 f different signs: the products
+        # are keyed on the bits of f, not on its values.
+        import czo.operator as op
+
+        k = get_kernel("diamond-model")
+        x = grid_nodes(B8, 255)[:, 0]
+        neg = np.where(np.abs(x) < 2.0, -np.exp(-x ** 2), -0.0)
+        pos = np.where(neg == 0.0, 0.0, neg)
+        assert np.array_equal(neg, pos) and neg.tobytes() != pos.tobytes()
+        M, _ = rowmajor_masked(k, x[:, None], GridFunction(B8, 255, neg), 0.5)
+        for vals in (neg, pos, neg):
+            f = GridFunction(B8, 255, vals)
+            got = quiet_apply(k, f, 0.5).values
+            assert got.tobytes() == rowmajor_apply(M, f).tobytes()
+            ((_, KF, ZF),) = product_entries(k).values()
+            mats = op._matrices_for(k, B8, 255, f, 1)
+            want = op._fold_products(mats[1], vals)
+            assert KF.tobytes() == want[0].tobytes()
+            assert ZF.tobytes() == want[1].tobytes()
+
+    def test_ladder_forms_the_products_once_per_input(self, monkeypatch):
+        import czo.operator as op
+
+        formed = []
+        fold = op._fold_products
+        monkeypatch.setattr(op, "_fold_products",
+                            lambda *a: formed.append(1) or fold(*a))
+        k = get_kernel("diamond-model")
+        one, two = (GridFunction(B8, 256, v)
+                    for v in TestMirrorPairedSums.inputs(256, 9)[1:])
+        ladder = [1.0, 0.5, 0.25, 0.1]
+        estimate_T0(k, one, ladder)
+        assert len(formed) == 1
+        estimate_T0(k, two, ladder)
+        assert len(formed) == 2
+        ((f, _, _),) = product_entries(k).values()
+        assert f.tobytes() == two.values.tobytes()
+        quiet_apply(k, one, 0.5)
+        assert len(formed) == 3
+
+    def test_apply_truncated_at_stores_nothing(self):
+        k = get_kernel("diamond-model")
+        f = GridFunction(B8, 64, TestMirrorPairedSums.inputs(64, 10)[1])
+        apply_truncated_at(k, f, grid_nodes(B8, 17), 0.5)
+        assert k._matrices == {}
+
+    def test_products_are_not_kept_without_the_matrices(self, monkeypatch):
+        import czo.operator as op
+
+        monkeypatch.setattr(op, "_CACHE_ENTRY_LIMIT", 100 * 256 - 1)
+        k = get_kernel("diamond-model")
+        f = GridFunction(B8, 256, TestMirrorPairedSums.inputs(256, 11)[1])
+        for eps in (1.0, 0.5):
+            M, _ = rowmajor_masked(k, grid_nodes(B8, 100), f, eps)
+            got = quiet_apply(k, f, eps, out_geometry=(B8, 100)).values
+            assert got.tobytes() == rowmajor_apply(M, f).tobytes()
+        assert k._matrices == {}
+
+    def test_dropped_cells_raise_no_overflow_warning(self):
+        # K f overflows on the cells next to the diagonal, all of which the
+        # mask drops; the kept terms and their sums stay finite.
+        kernel = KernelSpec("steep", get_curve("diagonal"),
+                            lambda X, Y, r: r ** -30.0, 1.0, 1.0)
+        f = GridFunction(B8, 256, np.full(256, 1e300))
+        X = grid_nodes(B8, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for eps in (2.0, 1.0):
+                want = rowmajor_apply(rowmajor_masked(kernel, X, f, eps)[0],
+                                      f)
+                got = apply_truncated(kernel, f, eps, out_geometry=(B8, 100))
+                assert got.values.tobytes() == want.tobytes()
+                assert np.all(np.isfinite(got.values))
+                got = apply_truncated_at(kernel, f, X, eps)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEstimateT0:
