@@ -14,17 +14,17 @@ selects its cubes, their cells are zeroed in the copy, so a cube inside a
 selected one averages 0 and is never selected, and the pass ends early:
 a cube can only average above lambda if it holds a cell with
 |f| >= lambda (1 - HOT_MARGIN), so once the copy's maximum is below that
-no finer level is visited.  Each level's selected cubes are built in one
-batch of array operations; each bad part is kept cube-local, as the
-cube's cell slices and its block f - avg (``DecompositionResult.blocks``);
-the dense N^n ``bad`` functions are built only when read.
+no finer level is visited.  Cubes of at most 8 cells are summed column
+by column, and all cubes are built in one batch after the pass.  Each bad
+part is kept cube-local, as its cell slices and block f - avg
+(``DecompositionResult.blocks``); dense ``bad`` functions are built on read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,6 +106,20 @@ def _root_cells(f: GridFunction, root: Box) -> tuple[tuple[int, ...], int]:
     return s, m
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """np.add.reduce(rows, -1) bit for bit on rows without -0.0.  numpy sums
+    a row from 0, left to right below 8 cells and by its 8-accumulator tree
+    at 8, in one inner-loop call per row; such rows are summed here column
+    by column in that order.  Longer rows keep ``np.add.reduce``."""
+    c = rows.T
+    if len(c) > 8:
+        return np.add.reduce(rows, -1)
+    if len(c) == 8:             # ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + ...)
+        c = c[0::2] + c[1::2]
+        c = c[0::2] + c[1::2]
+    return reduce(np.add, c)
+
+
 def cz_decompose(f: GridFunction, lam: float,
                  root: Optional[Box] = None) -> DecompositionResult:
     """Stopping-time decomposition of f at height lam over a root cube.
@@ -116,25 +130,24 @@ def cz_decompose(f: GridFunction, lam: float,
     cube of a private |f| and zeroes the cells of those above lam in it, so
     no cube inside a selected one is selected again and every other cube
     keeps its average's bits.  Each cube is summed as one contiguous
-    row-major block, the order ``np.mean`` uses on the cube alone.  The
+    row-major block, in the order ``np.mean`` uses on the cube alone (by
+    ``_row_sums``, column by column, for cubes of at most 8 cells).  The
     pass stops before the first level at which that |f|'s maximum is below
-    lam (1 - HOT_MARGIN), which leaves the selection unchanged.  Each
-    level's cubes are built in one batch: one gather, one reduce for the
-    signed averages (a multi-axis cube larger than numpy's reduction buffer
-    keeps ``np.mean`` on its view, which sums buffer by buffer), one scatter
-    into ``good`` and one subtraction for the bad blocks.  Cubes are listed
-    smallest side first, each side in row-major order; ``blocks`` holds each
-    cube's cell slices and f - average on them, and the dense ``bad`` list
-    is built from it on first access.
+    lam (1 - HOT_MARGIN), which leaves the selection unchanged.  It only
+    records each level's cubes.  Then each side takes one gather, one
+    reduce for the signed averages (a multi-axis cube larger than numpy's
+    reduction buffer keeps ``np.mean`` on its view, which sums buffer by
+    buffer), one scatter into ``good`` and one subtraction for the bad
+    blocks; one corners array gives every box and cell slice.  Cubes are
+    listed smallest side first, each side in row-major order; ``blocks``
+    holds their cell slices and f - average there (``bad``, when read).
     """
     if not (math.isfinite(lam) and lam > 0):
         raise RejectedInputError(f"lambda must be finite and positive: {lam}")
-    if root is None:
-        root = f.box
+    root = f.box if root is None else root
     start, m = _root_cells(f, root)
     n = f.dim
-    N = f.cells_per_axis
-    grid = f.values.reshape((N,) * n)
+    grid = f.values.reshape((f.cells_per_axis,) * n)
     sl = tuple(slice(s, s + m) for s in start)
     absf = np.abs(grid[sl])
     root_avg = float(np.mean(absf))
@@ -149,40 +162,47 @@ def cz_decompose(f: GridFunction, lam: float,
         """a (the root's cells) as a (c,)*n + (size,)*n view of its cubes."""
         return a.reshape((m // size, size) * n).transpose(axes)
 
-    lo, h = f.box.lo_a, f.h
-    levels = []                  # per level with a hit: (cubes, blocks)
+    hot, peak = lam * (1.0 - HOT_MARGIN), absf.max()
+    hits = []                    # per level with a hit: (size, idx, abs avg)
     for size in (m >> j for j in range(1, m.bit_length())):
-        if absf.max() < lam * (1.0 - HOT_MARGIN):
+        if peak < hot:
             break
         cells = size ** n
         view = blocked(absf, size)
         rows = np.ascontiguousarray(view).reshape(-1, cells)
-        abs_avg = (np.add.reduce(rows, -1) / cells).reshape(view.shape[:n])
-        idx = np.nonzero(abs_avg > lam)
-        if len(idx[0]) == 0:
-            continue
-        view[idx] = 0.0
-        corners = np.transpose(idx) * size + start
-        slices = [tuple(slice(a, a + size) for a in cs)
-                  for cs in corners.tolist()]
-        frows = blocked(grid[sl], size)[idx].reshape(len(slices), cells)
+        abs_avg = (_row_sums(rows) / cells).reshape(view.shape[:n])
+        idx = (abs_avg > lam).nonzero()
+        if len(idx[0]):
+            view[idx] = 0.0
+            hits.insert(0, (size, idx, abs_avg[idx]))  # smallest first
+            peak = absf.max()
+    if not hits:
+        return DecompositionResult(lam, root, [], f.with_values(good), [])
+
+    side = np.repeat([s for s, _, _ in hits], [len(a) for _, _, a in hits])
+    corners = np.concatenate([np.array(i).T * s for s, i, _ in hits]) + start
+    slices = [tuple(slice(a, a + s) for a in cs)
+              for cs, s in zip(corners.tolist(), side.tolist())]
+    avgs, bad = [], []
+    for size, idx, _ in hits:
+        cells = size ** n
+        frows = blocked(grid[sl], size)[idx].reshape(-1, cells)
         if n > 1 and cells > np.getbufsize():
-            avg = np.array([np.mean(grid[s]) for s in slices])
+            avg = np.array([np.mean(grid[s]) for s in
+                            slices[len(avgs):len(avgs) + len(frows)]])
         else:
             avg = np.add.reduce(frows, -1) / cells
         blocked(good[sl], size)[idx] = avg.reshape((-1,) + (1,) * n)
-        bad = (frows - avg[:, None]).reshape((-1,) + (size,) * n)
-        cubes = [SelectedCube(Box(tuple(a), tuple(b)), av, aa)
-                 for a, b, av, aa in zip((lo + corners * h).tolist(),
-                                         (lo + (corners + size) * h).tolist(),
-                                         avg.tolist(), abs_avg[idx].tolist())]
-        levels.append((cubes, list(zip(slices, bad))))
-
-    levels.reverse()
-    return DecompositionResult(lam, root,
-                               [c for cubes, _ in levels for c in cubes],
-                               GridFunction(f.box, N, good.reshape(-1)),
-                               [b for _, blocks in levels for b in blocks])
+        bad.extend((frows - avg[:, None]).reshape((-1,) + (size,) * n))
+        avgs += avg.tolist()
+    lo, h = f.box.lo_a, f.h
+    cubes = [SelectedCube(Box(tuple(a), tuple(b)), av, aa)
+             for a, b, av, aa in zip(
+                 (lo + corners * h).tolist(),
+                 (lo + (corners + side[:, None]) * h).tolist(), avgs,
+                 np.concatenate([a for _, _, a in hits]).tolist())]
+    return DecompositionResult(lam, root, cubes, f.with_values(good),
+                               list(zip(slices, bad)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ class Box:
     hi: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        object.__setattr__(self, "lo", tuple(map(float, self.lo)))
+        object.__setattr__(self, "hi", tuple(map(float, self.hi)))
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi dimension mismatch")
         for a, b in zip(self.lo, self.hi):
-            if math.isnan(a) or math.isnan(b) or a > b:
+            if not a <= b:                     # a NaN bound fails it too
                 raise ValueError(f"invalid box bounds [{a}, {b}]")
 
     @property

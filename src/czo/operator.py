@@ -559,11 +559,12 @@ def _truncated_columns(kernel: KernelSpec, f: GridFunction, epsilon: float,
 
         return _lattice_apply(kernel, ot, f, step, threads), column
     mats, KF, ZF = _products_for(kernel, f.box, out_n, f, threads)
-    M = _unfold(*_mask(mats, epsilon)).reshape((-1,) + (f.cells_per_axis,)
-                                              * f.dim)
+    # The masked matrix, unfolded on the first column read (if any).
+    M = functools.cache(lambda: _unfold(*_mask(mats, epsilon)).reshape(
+        (-1,) + (f.cells_per_axis,) * f.dim))
     return (_dense_apply(mats, KF, ZF, f, epsilon),
-            lambda cells, block: (M[(slice(None),) + cells]
-                                  .reshape(len(M), -1) @ block.reshape(-1)))
+            lambda cells, block: (M()[(slice(None),) + cells]
+                                  .reshape(len(M()), -1) @ block.reshape(-1)))
 
 
 def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,

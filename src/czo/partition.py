@@ -56,14 +56,18 @@ def _preimage_overlap_exact(curve: HyperCurve, bx: Box) -> Optional[bool]:
         if b.preimage_boxes is None:
             return None
         pre.append(b.preimage_boxes(bx))
-    for i in range(curve.r):
-        for k in range(i + 1, curve.r):
-            for a in pre[i]:
-                for c in pre[k]:
-                    inter = a.intersection(c)
-                    if inter is not None and inter.measure() > _MEASURE_TOL:
-                        return True
-    return False
+    return any(_overlaps(a, c) for i in range(curve.r)
+               for k in range(i + 1, curve.r) for a in pre[i] for c in pre[k])
+
+
+def _overlaps(a: Box, c: Box) -> bool:
+    """Whether ``a.intersection(c)`` measures > _MEASURE_TOL, from bounds."""
+    m = 1.0
+    for lo, hi in zip(map(max, a.lo, c.lo), map(min, a.hi, c.hi)):
+        if lo > hi:
+            return False
+        m *= hi - lo
+    return m > _MEASURE_TOL
 
 
 def _preimage_overlap_sampled(curve: HyperCurve, bx: Box) -> bool:

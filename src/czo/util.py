@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 # Sampling truncation for unbounded domains.
@@ -35,6 +33,8 @@ def pmap_chunks(fn, total: int, chunk: int, threads: int = 1):
     if threads <= 1 or len(ranges) <= 1:
         parts = [fn(a, b) for a, b in ranges]
     else:
+        # Imported here, as concurrent.futures (and logging) slow start-up.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda r: fn(*r), ranges))
     if not parts:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from czo.curves import get_curve
-from czo.decomposition import (WeakTypeRow, cz_decompose, lp_norm,
-                               weak_l1_quasinorm, weak_type_experiment)
+from czo.decomposition import (WeakTypeRow, _row_sums, cz_decompose,
+                               lp_norm, weak_l1_quasinorm,
+                               weak_type_experiment)
 from czo.errors import RejectedInputError
 from czo.geometry import box
 from czo.kernels import get_kernel
@@ -302,6 +303,43 @@ class TestBatchedLevels:
         assert_f_untouched(f, before, dec)
 
 
+class TestShortRows:
+    """The level pass sums rows of at most 8 cells column by column, in
+    the order numpy's row reduce uses; these pin that order."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_row_sums_equal_numpy_row_reduce(self, width):
+        rng = np.random.default_rng(width)
+        for count in (1, 2, 3, 7, 8, 9, 64, 255, 1000, 2048):
+            # Magnitudes from 1e-300 to 1e300, close within a row, so that
+            # the order of the additions shows in the rounding.
+            scale = 10.0 ** rng.uniform(-300.0, 300.0, size=(count, 1))
+            rows = rng.uniform(1.0, 1000.0, size=(count, width)) * scale
+            pick = rng.random((count, width))
+            rows[pick < 0.15] = 0.0
+            tiny = pick > 0.85
+            rows[tiny] = rng.integers(1, 2 ** 52, size=tiny.sum()) * 5e-324
+            want = np.add.reduce(rows, -1)
+            assert _row_sums(rows).tobytes() == want.tobytes()
+
+    def test_1d_cubes_at_eight_sizes(self):
+        # In eighth k of the grid, one aligned block of 2^k cells with |f|
+        # in [1.2, 1.8] amid noise below 0.05: its parent averages below
+        # lam = 1, so each block is selected at its own side, and the pass
+        # sums rows of every width from 1 to 128 cells.
+        rng = np.random.default_rng(8)
+        vals = rng.uniform(0.0, 0.05, size=4096)
+        for k in range(8):
+            size = 2 ** k
+            at = 512 * k + size * int(rng.integers(512 // size))
+            vals[at:at + size] = rng.uniform(1.2, 1.8, size=size)
+        vals *= rng.choice([-1.0, 1.0], size=4096)
+        f = GridFunction(B8, 4096, vals)
+        dec = assert_matches_recursion(f, 1.0)
+        assert sorted({round(c.box.side() / f.h) for c in dec.cubes}) == [
+            2 ** k for k in range(8)]
+
+
 # Plateau heights as multiples of lambda: at lambda, about an ulp either
 # side, and 2^-40 either side (the margin of the early stop).
 PLATEAU_FACTORS = (0.0, 1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -53,
@@ -579,6 +617,62 @@ class TestWeakType:
                                               * out_cell), bad_int))
         assert rep.rows == want
         assert 0 < len(calls) == kept < sum(r.cube_count for r in want)
+
+    @pytest.mark.parametrize("name,reads", [("diamond-model", False),
+                                            ("two-line-hilbert", True)])
+    def test_dense_matrix_built_on_first_column_read(self, monkeypatch, name,
+                                                     reads):
+        # On the dense path the masked matrix is unfolded at most once per
+        # _truncated_columns call, on its first column read, and never when
+        # B* covers every output node; the rows keep the bits of columns
+        # read from a matrix unfolded up front.
+        import dataclasses
+        import czo.decomposition as decomposition
+        import czo.operator as operator
+        from czo.cli import builtin_function
+
+        k = dataclasses.replace(get_kernel(name), reflections=frozenset())
+        family = [builtin_function(s, B8, 512) for s in ("indicator:-1,1",
+                                                         "bump")]
+
+        def bits():
+            rep = weak_type_experiment(k, family, 0.1, 8.1, out_cells=256)
+            return np.array([dataclasses.astuple(r) for r in rep.rows]
+                            ).tobytes()
+
+        def eager(kernel, f, epsilon, out_n, threads):
+            Tf, _ = operator._truncated_columns(kernel, f, epsilon, out_n,
+                                                threads)
+            mats = operator._matrices_for(kernel, f.box, out_n, f, threads)
+            M = operator._unfold(*operator._mask(mats, epsilon))
+            return Tf, lambda cells, block: M[:, cells[0]] @ block
+
+        monkeypatch.setattr(decomposition, "_truncated_columns", eager)
+        want = bits()
+        monkeypatch.undo()
+
+        unfolds, read = [], []
+        unfold = operator._unfold
+
+        def counted(*args):
+            Tf, column = operator._truncated_columns(*args)
+            read.append(0)
+
+            def counted_column(cells, block):
+                read[-1] += 1
+                return column(cells, block)
+            return Tf, counted_column
+
+        monkeypatch.setattr(operator, "_unfold",
+                            lambda *a: unfolds.append(a) or unfold(*a))
+        monkeypatch.setattr(decomposition, "_truncated_columns", counted)
+        assert bits() == want
+        assert len(read) == len(family)
+        assert len(unfolds) == sum(r > 0 for r in read)
+        if reads:
+            assert sum(read) > len(unfolds) > 0
+        else:
+            assert sum(read) == 0
 
     def test_separation_inheritance(self):
         # Every selected cube's enlargement keeps outsiders rho-far from it.

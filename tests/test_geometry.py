@@ -26,6 +26,26 @@ class TestBox:
         with pytest.raises(ValueError):
             Box((math.nan,), (0.0,))
 
+    @pytest.mark.parametrize("lo,hi,message", [
+        ((math.nan,), (0.0,), "invalid box bounds [nan, 0.0]"),
+        ((0.0,), (math.nan,), "invalid box bounds [0.0, nan]"),
+        ((0.0, math.nan), (1.0, 1.0), "invalid box bounds [nan, 1.0]"),
+        ((0.0, 2.0), (1.0, 1.0), "invalid box bounds [2.0, 1.0]"),
+        ((math.inf,), (-math.inf,), "invalid box bounds [inf, -inf]"),
+        ((0.0,), (1.0, 2.0), "lo/hi dimension mismatch"),
+        ((0.0, 0.0), (1.0,), "lo/hi dimension mismatch")])
+    def test_rejection_messages(self, lo, hi, message):
+        with pytest.raises(ValueError) as err:
+            Box(lo, hi)
+        assert str(err.value) == message
+
+    def test_bounds_become_python_floats(self):
+        b = Box(np.array([0, -1], dtype=np.int64),
+                (np.float32(0.5), np.float64(2.0)))
+        assert b == Box((0.0, -1.0), (0.5, 2.0))
+        assert all(type(v) is float for v in b.lo + b.hi)
+        assert Box((-0.0,), (0.0,)).measure() == 0.0
+
     def test_distance_euclidean(self):
         b = box((0.0, 0.0), (1.0, 1.0))
         d = b.distance(np.array([[2.0, 2.0]]))

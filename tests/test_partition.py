@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from czo import partition
 from czo.curves import CURVE_NAMES, get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import DyadicCube, box
@@ -101,6 +104,44 @@ class TestBuildPartition:
             hits = assignments[:, j]
             used = hits[hits >= 0].tolist()
             assert len(used) == len(set(used))
+
+
+def overlap_by_intersection(curve, bx):
+    """Reference: the exact preimage test by Box.intersection."""
+    pre = [b.preimage_boxes(bx) for b in curve.branches]
+    for i in range(curve.r):
+        for k in range(i + 1, curve.r):
+            for a in pre[i]:
+                for c in pre[k]:
+                    inter = a.intersection(c)
+                    if inter is not None and inter.measure() > 1e-12:
+                        return True
+    return False
+
+
+class TestExactOverlap:
+    @pytest.mark.parametrize("name", ["two-lines", "diamond"])
+    def test_bounds_decide_as_box_intersection(self, monkeypatch, name):
+        curve = get_curve(name)
+        got = [build_partition(curve, d) for d in range(4, 9)]
+        monkeypatch.setattr(partition, "_preimage_overlap_exact",
+                            overlap_by_intersection)
+        for d, p in zip(range(4, 9), got):
+            want = build_partition(curve, d)
+            assert (p.cubes, p.leftover) == (want.cubes, want.leftover)
+            assert not p.probabilistic and not want.probabilistic
+
+    def test_pairs_touching_or_thin_do_not_overlap(self):
+        # Boxes meeting in a face, or in a sliver of measure <= 1e-12, are
+        # not an overlap; unbounded boxes that overlap are.
+        a = box((0.0, 0.0), (1.0, 1.0))
+        for c, want in [(box((1.0, 0.0), (2.0, 1.0)), False),
+                        (box((0.5, 1.0 - 1e-13), (2.0, 3.0)), False),
+                        (box((0.5, 0.5), (2.0, 3.0)), True),
+                        (box((2.0, 0.0), (3.0, 1.0)), False),
+                        (box((-math.inf, 0.5), (0.5, math.inf)), True)]:
+            assert partition._overlaps(a, c) is want
+            assert partition._overlaps(c, a) is want
 
 
 def locate_reference(p, Y):
