@@ -23,6 +23,7 @@ part is kept cube-local, as its cell slices and block f - avg
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Sequence
@@ -33,8 +34,7 @@ from .errors import RejectedInputError
 from .geometry import Box
 from .kernels import KernelSpec
 from .metric import _require_separation, enlarged_cube
-from .operator import (GridFunction, _require_inputs, _truncated_columns,
-                       grid_nodes)
+from .operator import GridFunction, _require_inputs, _truncated, grid_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,9 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
     quantities (exceptional-set measure, bad-part integral off it)."""
     if len(family) == 0:
         raise RejectedInputError("family must be nonempty")
+    if not (isinstance(ladder_max, numbers.Integral) and ladder_max >= 0):
+        raise RejectedInputError(
+            f"ladder_max must be a non-negative integer: {ladder_max}")
     for f in family:
         _require_inputs(kernel, epsilon, f)
     _require_separation(kernel.curve, theta)
@@ -277,8 +280,8 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
                 rows.append(WeakTypeRow(fi, 0.0, 0, 0.0, 0.0, 0.0, 0.0))
             continue
         m_out = len(Xout)
-        Tf, column = _truncated_columns(kernel, f, epsilon, out_cells,
-                                        threads)
+        Tf, column = _truncated(kernel, f, f.box, out_cells, threads)(
+            f, epsilon, threads)
         base = l1 / f.box.measure()
         for j in range(ladder_max + 1):
             lam = (2.0 ** j) * base

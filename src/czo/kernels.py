@@ -53,9 +53,8 @@ class KernelSpec:
     delta: float
     regularity_constant: Optional[float] = None
     reflections: frozenset = frozenset()
-    # apply_truncated's dense (R, K) matrices or lattice (R, K) vectors,
-    # keyed on the grids; held per kernel, so kernels that share a name
-    # never share them.
+    # apply_truncated's summations, one per pair (output grid, input grid);
+    # held per kernel, so kernels that share a name never share them.
     _matrices: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -213,6 +212,8 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
     ``regularity_constant``.  Displacements are sampled at dyadic fractions
     of the allowance, so the estimate is stable under resampling.
     """
+    if sample_count < 1:
+        raise RejectedInputError(f"sample_count must be >= 1: {sample_count}")
     bound = kernel.regularity_constant
     if bound is None:
         raise RejectedInputError(
@@ -275,6 +276,8 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
         raise RejectedInputError("hormander_constant is implemented for n=1")
     if grid_points < 1:
         raise RejectedInputError("grid_points must be positive")
+    if not (math.isfinite(y) and math.isfinite(z)):
+        raise RejectedInputError(f"y and z must be finite: y={y}, z={z}")
     sep = abs(z - y)
     if sep <= 0:
         raise RejectedInputError("y and z must be distinct")

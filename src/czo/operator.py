@@ -5,33 +5,34 @@ An operator is a plain callable ``GridFunction -> GridFunction``;
 (``lambda f: apply_truncated(kernel, f, eps)`` for T_eps).
 
 ``apply_truncated`` realizes T_eps f(x) = sum over cells with
-rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule, on one of
-two paths chosen from what it can observe:
+rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule.  Each pair
+(output grid, f's grid) has one summation object, cached on the kernel and
+built on the first apply between them, on one of two paths chosen from
+what it can observe:
 
-- Lattice path: the kernel declares its ``reflections`` S (K(x, y) =
+- ``_Lattice``: the kernel declares its ``reflections`` S (K(x, y) =
   sum_s k(x - s y), rho = min_s rho_1(x - s y)), n = 1, the output grid
   lies on f's box and its cell count divides f's (s = N_in / N_out), and
   for the reflection -1 the box is symmetric about 0.  Every x_i - y_j is
   then one of the 2 N_in - s lattice offsets (s i + (s-1)/2 - j) h, and
   x_i + y_j one of the same offsets, so rho_1 and k are evaluated once on
-  them, cached on the kernel (O(N) memory), and each eps is summed
+  them and held on the object (O(N) memory), and each eps is summed
   directly: the Toeplitz sum over g = sum_s f(s y), in fixed chunks of at
   most ``_TAP_CHUNK`` taps.  With both reflections that sum is exact
   except on rows whose Hankel band (|x_i + y_j| too close for eps) meets
   a nonzero g_j, found as row ranges from the runs of the band mask and
   of g != 0, and on the middle row of an odd output grid; those rows are
   recomputed by a direct masked sum over cell pairs (j, N - 1 - j).
-- Dense path, everything else (kernels without a declaration, other
-  output grids, 2-D, ``apply_truncated_at``): rho and K from the output
-  grid to f's grid are cached on the kernel, folded into two contiguous
+- ``_Dense``, everything else (kernels without a declaration, other
+  output grids, 2-D, ``apply_truncated_at``, which caches nothing): rho
+  and K from the output grid to f's grid, folded into two contiguous
   halves, the cells j < N/2 and their mirror cells N - 1 - j (an odd
-  grid's middle cell apart).  Beside them the folded products K f and
-  0 f of the latest input are cached, one more K-sized array per cached
-  pair of grids, so along an eps ladder each eps only selects, cell by
-  cell, the product K f where rho >= eps and the signed zero 0 f where
-  not.  Each row sum adds every cell's term to its mirror's first, so
-  integrands that are exactly antisymmetric on a symmetric grid cancel
-  bitwise.
+  grid's middle cell apart).  Beside them the object keeps the folded
+  products K f and 0 f of the latest input, one more K-sized array, so
+  along an eps ladder each eps only selects, cell by cell, the product
+  K f where rho >= eps and the signed zero 0 f where not.  Each row sum
+  adds every cell's term to its mirror's first, so integrands that are
+  exactly antisymmetric on a symmetric grid cancel bitwise.
 
 Both paths sum directly rather than by FFT.  An FFT leaves a residue of
 about 1e-16 |k| |f| at every point, even where every unmasked term is 0;
@@ -226,106 +227,6 @@ def interpolate(gf: GridFunction, X) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 _CACHE_ENTRY_LIMIT = 1 << 24
-
-
-def _build_matrices(kernel: KernelSpec, Xout: np.ndarray,
-                    gf: GridFunction, threads: int):
-    """(R, K, R_mid, K_mid): rho and K from Xout to gf's nodes, folded:
-    [0] the nodes j < m_in // 2, [1] their mirrors m_in - 1 - j, *_mid an
-    odd grid's middle node (None otherwise).  The row chunks are folded
-    after the last one is built, so the output never coexists with rho's
-    temporaries."""
-    Yin = gf.nodes()
-    m_out, m_in = len(Xout), len(Yin)
-    half = m_in // 2
-
-    def rows(s, e):
-        RK = _rho_and_kernel(kernel, np.repeat(Xout[s:e], m_in, axis=0),
-                             np.tile(Yin, (e - s, 1)))
-        return np.stack([a.reshape(e - s, m_in) for a in RK], axis=1)
-
-    RK = pmap_chunks(rows, m_out, max(1, _CACHE_ENTRY_LIMIT // (8 * m_in)),
-                     threads).reshape(m_out, 2, m_in).transpose(1, 0, 2)
-    R, K = np.empty((2, m_out, half)), np.empty((2, m_out, half))
-    for a, folded in zip(RK, (R, K)):
-        folded[0], folded[1] = a[:, :half], a[:, ::-1][:, :half]
-    if m_in % 2 == 0:
-        return R, K, None, None
-    return (R, K) + tuple(RK[..., half].copy())
-
-
-def _matrices_for(kernel: KernelSpec, out_box: Box, out_n: int,
-                  gf: GridFunction, threads: int):
-    """``_build_matrices`` from the grid (out_box, out_n), cached."""
-    key = ((out_box.lo, out_box.hi, out_n), gf.geometry())
-    hit = kernel._matrices.get(key)
-    if hit is not None:
-        return hit
-    mats = _build_matrices(kernel, grid_nodes(out_box, out_n), gf, threads)
-    if mats[0].shape[1] * gf.values.size <= _CACHE_ENTRY_LIMIT:
-        kernel._matrices[key] = mats
-    return mats
-
-
-def _mask(mats, epsilon: float):
-    """(W, W_mid): the folded K, zero where rho < eps."""
-    R, K, R_mid, K_mid = mats
-    W = np.where(R >= epsilon, K, 0.0)
-    return W, None if R_mid is None else np.where(R_mid >= epsilon, K_mid, 0.0)
-
-
-def _fold_products(K: np.ndarray, f: np.ndarray):
-    """(KF, ZF): the folded K times f, and +0.0 times f (-0.0 where f's
-    sign bit is set) broadcast over the rows: the term of each cell the
-    mask keeps and of each one it drops.  K f is formed on dropped cells
-    too, so an overflow in it raises no warning; on a kept cell it still
-    shows as +-inf in T_eps f."""
-    half = K.shape[2]
-    F = np.stack((f[:half], f[::-1][:half]))[:, None, :]
-    with np.errstate(all="ignore"):
-        return K * F, 0.0 * F
-
-
-def _products_for(kernel: KernelSpec, out_box: Box, out_n: int,
-                  gf: GridFunction, threads: int):
-    """(mats, KF, ZF): ``_matrices_for`` and its ``_fold_products`` with
-    gf.  While the matrices are cached, so are the products of the latest
-    gf beside them, keyed on the bits of its values, since 0.0 and -0.0
-    give different zero signs."""
-    grids = ((out_box.lo, out_box.hi, out_n), gf.geometry())
-    mats = _matrices_for(kernel, out_box, out_n, gf, threads)
-    if kernel._matrices.get(grids) is not mats:
-        return (mats,) + _fold_products(mats[1], gf.values)
-    key, bits = ("products",) + grids, gf.values.tobytes()
-    hit = kernel._matrices.get(key)
-    if hit is None or hit[0].tobytes() != bits:
-        hit = (gf.values.copy(),) + _fold_products(mats[1], gf.values)
-        kernel._matrices[key] = hit
-    return (mats,) + hit[1:]
-
-
-def _dense_apply(mats, KF: np.ndarray, ZF: np.ndarray, gf: GridFunction,
-                 epsilon: float) -> np.ndarray:
-    """T_eps f from the folded mats and their products (KF, ZF) with f:
-    each cell's KF where rho >= eps, else its ZF, added to its mirror's
-    before the row sum."""
-    R, _, R_mid, K_mid = mats
-    W = KF.copy()
-    np.copyto(W, ZF, where=~(R >= epsilon))
-    W[0] += W[1]
-    out = np.sum(W[0], axis=1)
-    if R_mid is not None:
-        out = out + (np.where(R_mid >= epsilon, K_mid, 0.0)
-                     * gf.values[W.shape[2]])
-    return out * gf.h ** gf.dim
-
-
-def _unfold(W, W_mid) -> np.ndarray:
-    """The folded (W, W_mid) as one (m_out, m_in) matrix."""
-    mid = [] if W_mid is None else [W_mid]
-    return np.column_stack([W[0], *mid, W[1][:, ::-1]])
-
-
 # Taps per dot product, and output rows per task, on the lattice path.
 # BLAS may split longer dot products over threads, which would make the
 # bits depend on the thread count; below this length each one runs on a
@@ -337,65 +238,137 @@ _TAP_CHUNK = 4096
 _BAND_BLOCK = 1 << 16
 
 
-def _lattice_step(kernel: KernelSpec, out_box: Box, out_n: int,
-                  f: GridFunction) -> int:
-    """s = N_in / N_out when T_eps f can be summed on the lattice (a 1-D
-    kernel that declares its reflections, the output grid on f's box with
-    a cell count dividing f's, and for the reflection -1 a box symmetric
-    about 0, whose nodes reflect bitwise), else 0."""
-    n_in = f.cells_per_axis
-    refl = kernel.reflections
-    if (refl and kernel.dim == 1 and out_box == f.box and 0 < out_n
-            and n_in % out_n == 0
-            and (-1 not in refl or f.box.lo[0] == -f.box.hi[0])):
-        return n_in // out_n
-    return 0
+class _Dense:
+    """T_eps from gf's grid to the points Xout by folded matrices: R and K
+    hold rho and K from Xout to [0] the nodes j < m_in // 2 and [1] their
+    mirrors m_in - 1 - j, R_mid and K_mid to an odd grid's middle node
+    (None otherwise).  The row chunks are folded after the last one is
+    built, so the output never coexists with rho's temporaries.  KF and ZF
+    are the folded K f and 0 f of the latest f, kept under the bits of its
+    values, since 0.0 and -0.0 give different zero signs."""
+
+    def __init__(self, kernel: KernelSpec, Xout: np.ndarray,
+                 gf: GridFunction, threads: int):
+        Yin = gf.nodes()
+        m_out, m_in = len(Xout), len(Yin)
+        half = m_in // 2
+
+        def rows(s, e):
+            RK = _rho_and_kernel(kernel, np.repeat(Xout[s:e], m_in, axis=0),
+                                 np.tile(Yin, (e - s, 1)))
+            return np.stack([a.reshape(e - s, m_in) for a in RK], axis=1)
+
+        RK = pmap_chunks(rows, m_out, max(1, _CACHE_ENTRY_LIMIT // (8 * m_in)),
+                         threads).reshape(m_out, 2, m_in).transpose(1, 0, 2)
+        self.R, self.K = np.empty((2, m_out, half)), np.empty((2, m_out, half))
+        for a, folded in zip(RK, (self.R, self.K)):
+            folded[0], folded[1] = a[:, :half], a[:, ::-1][:, :half]
+        self.R_mid, self.K_mid = ((None, None) if m_in % 2 == 0
+                                  else RK[..., half].copy())
+        self.entries, self.bits = m_out * m_in, None
+
+    def unfold(self, epsilon: float) -> np.ndarray:
+        """The eps-masked kernel as one (m_out, m_in) matrix."""
+        W = np.where(self.R >= epsilon, self.K, 0.0)
+        mid = ([] if self.R_mid is None
+               else [np.where(self.R_mid >= epsilon, self.K_mid, 0.0)])
+        return np.column_stack([W[0], *mid, W[1][:, ::-1]])
+
+    def __call__(self, gf: GridFunction, epsilon: float, threads: int):
+        """(T_eps gf, column): each cell's K f where rho >= eps, else its
+        0 f, added to its mirror's before the row sum.  K f is formed on
+        dropped cells too, so an overflow in it raises no warning; on a
+        kept cell it still shows as +-inf in T_eps f.  column(cells, block)
+        is the sum over gf's cells ``cells`` (one slice per axis) of the
+        masked kernel times ``block``, on the output nodes and without the
+        factor h^n; the masked matrix is unfolded on the first read."""
+        f, half = gf.values, self.K.shape[2]
+        bits = f.tobytes()
+        if bits != self.bits:
+            F = np.stack((f[:half], f[::-1][:half]))[:, None, :]
+            with np.errstate(all="ignore"):
+                self.KF, self.ZF = self.K * F, 0.0 * F
+            self.bits = bits
+        W = self.KF.copy()
+        np.copyto(W, self.ZF, where=~(self.R >= epsilon))
+        W[0] += W[1]
+        out = np.sum(W[0], axis=1)
+        if self.R_mid is not None:
+            out = out + (np.where(self.R_mid >= epsilon, self.K_mid, 0.0)
+                         * f[half])
+        M = functools.cache(lambda: self.unfold(epsilon).reshape(
+            (-1,) + (gf.cells_per_axis,) * gf.dim))
+        return (out * gf.h ** gf.dim,
+                lambda cells, block: (M()[(slice(None),) + cells]
+                                      .reshape(len(M()), -1)
+                                      @ block.reshape(-1)))
 
 
-def _lattice_taps(kernel: KernelSpec, f: GridFunction, step: int,
-                  epsilon: float) -> np.ndarray:
-    """(on, taps) stacked in one read-only array: on = [rho_1 >= eps] as
-    0.0 / 1.0 and taps = on * k at the offsets d_p = (p - N_in + 1 +
-    (step-1)/2) h, p = 0 .. 2 N_in - step - 1, where x_i - y_j is
-    p = step*i - j + N_in - 1 and, on a symmetric box, x_i + y_j is
-    step*i + j.  rho_1 and k are cached on the kernel, once per grid."""
-    key = ("lattice", f.geometry(), step)
-    hit = kernel._matrices.get(key)
-    if hit is None:
-        n_in = f.cells_per_axis
-        d = (np.arange(1 - n_in, n_in - step + 1) + (step - 1) / 2) * f.h
-        R, K = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
-        hit = (R, K / len(kernel.reflections))
-        kernel._matrices[key] = hit
-    on = hit[0] >= epsilon
-    ot = np.zeros((2, len(on)))
-    ot[0] = on
-    np.copyto(ot[1], hit[1], where=on)
-    ot.flags.writeable = False
-    return ot
+class _Lattice:
+    """T_eps from gf's grid onto N_in / step cells on its box, summed on
+    the lattice: R and k hold rho_1 and k = K / |S| at the offsets
+    d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in - step - 1, where
+    x_i - y_j is p = step*i - j + N_in - 1 and, on a symmetric box,
+    x_i + y_j is step*i + j."""
 
+    def __init__(self, kernel: KernelSpec, gf: GridFunction, step: int):
+        n_in = gf.cells_per_axis
+        d = (np.arange(1 - n_in, n_in - step + 1) + (step - 1) / 2) * gf.h
+        self.R, K = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
+        self.k = K / len(kernel.reflections)
+        self.reflections, self.step = kernel.reflections, step
+        self.n_in, self.entries = n_in, len(d)
 
-def _lattice_block(kernel: KernelSpec, ot: np.ndarray, n_in: int, step: int,
-                   rows: slice, cells: slice,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The masked kernel matrix from the output rows to the input cells:
-    taps[p] for the reflection +1, taps[q] for -1, and
-    on[p] on[q] (k[p] + k[q]) for both, with (on, taps) = ot from
-    ``_lattice_taps``, p = step*i - j + N_in - 1 and q = step*i + j.  P and
-    Q view ot at p and q, every index in the lattice's range.  A single
-    reflection returns a read-only view; both write into ``out`` if given."""
-    (st0, st), i0 = ot.strides, step * rows.start
-    shape = (2, rows.stop - rows.start, cells.stop - cells.start)
-    P = np.ndarray(shape, float, ot, (i0 + n_in - 1 - cells.start) * st,
-                   (st0, step * st, -st))
-    Q = np.ndarray(shape, float, ot, (i0 + cells.start) * st,
-                   (st0, step * st, st))
-    if len(kernel.reflections) == 1:
-        return (P if 1 in kernel.reflections else Q)[1]
-    W = np.add(P[1], Q[1], out=out)
-    W *= P[0]
-    W *= Q[0]
-    return W
+    def taps(self, epsilon: float) -> np.ndarray:
+        """(on, taps) stacked in one read-only array: on = [rho_1 >= eps]
+        as 0.0 / 1.0 and taps = on * k."""
+        on = self.R >= epsilon
+        ot = np.zeros((2, len(on)))
+        ot[0] = on
+        np.copyto(ot[1], self.k, where=on)
+        ot.flags.writeable = False
+        return ot
+
+    def block(self, ot: np.ndarray, rows: slice, cells: slice,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The masked kernel matrix from the output rows to the input cells:
+        taps[p] for the reflection +1, taps[q] for -1, and
+        on[p] on[q] (k[p] + k[q]) for both, with (on, taps) = ot from
+        ``taps``, p = step*i - j + N_in - 1 and q = step*i + j.  P and Q
+        view ot at p and q, every index in the lattice's range.  A single
+        reflection returns a read-only view; both write into ``out`` if
+        given."""
+        (st0, st), i0 = ot.strides, self.step * rows.start
+        shape = (2, rows.stop - rows.start, cells.stop - cells.start)
+        P = np.ndarray(shape, float, ot, (i0 + self.n_in - 1 - cells.start)
+                       * st, (st0, self.step * st, -st))
+        Q = np.ndarray(shape, float, ot, (i0 + cells.start) * st,
+                       (st0, self.step * st, st))
+        refl = self.reflections
+        if len(refl) == 1:
+            return (P if 1 in refl else Q)[1]
+        W = np.add(P[1], Q[1], out=out)
+        W *= P[0]
+        W *= Q[0]
+        return W
+
+    def __call__(self, gf: GridFunction, epsilon: float, threads: int):
+        """(T_eps gf, column) as for ``_Dense``; column gathers the kernel
+        from the taps on the cells it reads alone, at most ``_BAND_BLOCK``
+        entries at a time."""
+        ot = self.taps(epsilon)
+
+        def column(cells, block):
+            (c,) = cells
+            out = np.zeros(self.n_in // self.step)
+            width = max(1, _BAND_BLOCK // len(out))
+            for c0 in range(c.start, c.stop, width):
+                c1 = min(c0 + width, c.stop)
+                W = self.block(ot, slice(0, len(out)), slice(c0, c1))
+                out += W @ block[c0 - c.start:c1 - c.start]
+            return out
+
+        return _lattice_apply(self, ot, gf, threads), column
 
 
 def _runs(m: np.ndarray) -> list[int]:
@@ -430,11 +403,11 @@ def _band_ranges(off: list[int], nonzero: list[int], step: int, n_out: int,
     return out
 
 
-def _lattice_apply(kernel: KernelSpec, ot: np.ndarray, f: GridFunction,
-                   step: int, threads: int) -> np.ndarray:
+def _lattice_apply(lat: _Lattice, ot: np.ndarray, f: GridFunction,
+                   threads: int) -> np.ndarray:
     """out_i = h sum_j on[p] on[q] k[p] g_j with g = sum over the declared
     reflections s of f(s y), the factor on[q] present only with both
-    reflections (p, q as in ``_lattice_block``).
+    reflections (p, q and ot = (on, taps) as in ``_Lattice.block``).
 
     The Toeplitz sum h sum_j taps[p] g_j is exact on every row whose band
     {j : on[q] = 0} misses the nonzero g_j.  For it the taps and the reversed
@@ -451,13 +424,14 @@ def _lattice_apply(kernel: KernelSpec, ot: np.ndarray, f: GridFunction,
     sum, as on the dense path, so for an odd k they cancel exactly where
     x_i = 0.  The rows are summed by einsum, without BLAS, in blocks of
     consecutive rows from the start of each range."""
-    g = f.values if 1 in kernel.reflections else 0.0
-    if -1 in kernel.reflections:
+    refl, step = lat.reflections, lat.step
+    g = f.values if 1 in refl else 0.0
+    if -1 in refl:
         g = g + f.values[::-1]
     n_in = len(g)
     n_out, half = n_in // step, n_in // 2
     # With both reflections g is even, so it is its own reversal bitwise.
-    rev = g if len(kernel.reflections) == 2 else g[::-1]
+    rev = g if len(refl) == 2 else g[::-1]
     phases = []
     for r in range(step):
         b = np.ascontiguousarray(rev[r::step])
@@ -466,7 +440,7 @@ def _lattice_apply(kernel: KernelSpec, ot: np.ndarray, f: GridFunction,
         if live:
             phases.append((np.ascontiguousarray(ot[1][r::step]), b, live))
     fix = []
-    if len(kernel.reflections) == 2 and phases:
+    if len(refl) == 2 and phases:
         nonzero = _runs(g != 0.0)
         fix = _band_ranges(_runs(ot[0] == 0.0), nonzero, step, n_out,
                            [n_out // 2] * (n_out % 2))
@@ -488,8 +462,7 @@ def _lattice_apply(kernel: KernelSpec, ot: np.ndarray, f: GridFunction,
             r0, r1 = max(r0, i0), min(r1, i1)
             for a0 in range(r0, r1, block):
                 a1 = min(a0 + block, r1)
-                W = _lattice_block(kernel, ot, n_in, step, slice(a0, a1),
-                                   cells, buf[:a1 - a0])
+                W = lat.block(ot, slice(a0, a1), cells, buf[:a1 - a0])
                 np.einsum("ij,j->i", W, gc, out=out[a0 - i0:a1 - i0])
             if n_in % 2 and r0 < r1:
                 out[r0 - i0:r1 - i0] += (ot[1][step * r0 + half::step]
@@ -525,54 +498,38 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
     if epsilon < 4.0 * f.h:
         warnings.warn("epsilon below 4 cell widths: quadrature near the "
                       "truncation boundary is unreliable", stacklevel=2)
-    step = _lattice_step(kernel, out_box, out_n, f)
-    if step:
-        vals = _lattice_apply(kernel, _lattice_taps(kernel, f, step, epsilon),
-                              f, step, threads)
-    else:
-        vals = _dense_apply(*_products_for(kernel, out_box, out_n, f,
-                                           threads), f, epsilon)
-    return GridFunction(out_box, out_n, vals)
+    summation = _truncated(kernel, f, out_box, out_n, threads)
+    return GridFunction(out_box, out_n, summation(f, epsilon, threads)[0])
 
 
-def _truncated_columns(kernel: KernelSpec, f: GridFunction, epsilon: float,
-                       out_n: int, threads: int):
-    """(T_eps f on the grid (f.box, out_n), column): column(cells, block)
-    is sum over f's cells ``cells`` (one slice per axis) of the eps-masked
-    kernel times ``block``, on the output nodes and without the factor
-    h^n.  On the lattice path the kernel is gathered from the taps on
-    those cells alone, at most ``_BAND_BLOCK`` entries at a time."""
-    step = _lattice_step(kernel, f.box, out_n, f)
-    if step:
-        ot = _lattice_taps(kernel, f, step, epsilon)
-        rows, width = slice(0, out_n), max(1, _BAND_BLOCK // out_n)
-
-        def column(cells, block):
-            (c,) = cells
-            out = np.zeros(out_n)
-            for c0 in range(c.start, c.stop, width):
-                c1 = min(c0 + width, c.stop)
-                W = _lattice_block(kernel, ot, f.cells_per_axis, step, rows,
-                                   slice(c0, c1))
-                out += W @ block[c0 - c.start:c1 - c.start]
-            return out
-
-        return _lattice_apply(kernel, ot, f, step, threads), column
-    mats, KF, ZF = _products_for(kernel, f.box, out_n, f, threads)
-    # The masked matrix, unfolded on the first column read (if any).
-    M = functools.cache(lambda: _unfold(*_mask(mats, epsilon)).reshape(
-        (-1,) + (f.cells_per_axis,) * f.dim))
-    return (_dense_apply(mats, KF, ZF, f, epsilon),
-            lambda cells, block: (M()[(slice(None),) + cells]
-                                  .reshape(len(M()), -1) @ block.reshape(-1)))
+def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
+               threads: int):
+    """The summation of T_eps from f's grid onto (out_box, out_n), cached
+    on the kernel per pair of grids while it holds at most
+    ``_CACHE_ENTRY_LIMIT`` entries: a ``_Lattice`` of step N_in / N_out for
+    a 1-D kernel that declares its reflections, an output grid on f's box
+    whose cell count divides f's and, for the reflection -1, a box
+    symmetric about 0 (whose nodes reflect bitwise); else a ``_Dense``."""
+    key = ((out_box.lo, out_box.hi, out_n), f.geometry())
+    hit = kernel._matrices.get(key)
+    if hit is None:
+        n_in, refl = f.cells_per_axis, kernel.reflections
+        if (refl and kernel.dim == 1 and out_box == f.box and 0 < out_n
+                and n_in % out_n == 0
+                and (-1 not in refl or f.box.lo[0] == -f.box.hi[0])):
+            hit = _Lattice(kernel, f, n_in // out_n)
+        else:
+            hit = _Dense(kernel, grid_nodes(out_box, out_n), f, threads)
+        if hit.entries <= _CACHE_ENTRY_LIMIT:
+            kernel._matrices[key] = hit
+    return hit
 
 
 def apply_truncated_at(kernel: KernelSpec, f: GridFunction, x,
                        epsilon: float) -> np.ndarray:
     """T_eps f at explicit points (no caching)."""
     _require_inputs(kernel, epsilon, f)
-    mats = _build_matrices(kernel, as_points(x, kernel.dim), f, 1)
-    return _dense_apply(mats, *_fold_products(mats[1], f.values), f, epsilon)
+    return _Dense(kernel, as_points(x, kernel.dim), f, 1)(f, epsilon, 1)[0]
 
 
 @dataclass
@@ -740,8 +697,8 @@ class MultiplierBoundReport:
 def multiplier_bound_check(curve: HyperCurve, b: MultiplierField,
                            cap: float) -> MultiplierBoundReport:
     """Verify sup_x sum-free per-branch bound |b_i(x)|^2 |J_i(x)|^{-1} <= cap."""
-    if cap <= 0:
-        raise RejectedInputError("cap must be positive")
+    if not (math.isfinite(cap) and cap > 0):
+        raise RejectedInputError(f"cap must be finite and positive: {cap}")
     nodes = b.nodes()
     sups = []
     for i, br in enumerate(curve.branches):

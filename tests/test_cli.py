@@ -114,9 +114,20 @@ class TestExitCodes:
         ["hormander", "a_list="],
         ["hormander", "hormander_grid=0"],
         ["qtheta", "mc_samples=0"],
+        ["kernel-audit", "samples=0"],
     ], ids=" ".join)
     def test_bad_value_exits_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_hormander_rejects_a_non_finite_point_before_computing(
+            self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["hormander", "a_list=inf",
+                         "--out", str(tmp_path)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert "y and z must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("probes", ["0", "-3"])

@@ -14,7 +14,8 @@ from czo.geometry import box
 from czo.kernels import get_kernel
 from czo.metric import check_qtheta, enlarged_cube, rho_values
 from czo.operator import (GridFunction, apply_truncated, apply_truncated_at,
-                          estimate_T0, grid_function, grid_nodes)
+                          estimate_T0, grid_function, grid_nodes,
+                          multiplier_bound_check, multiplier_field)
 
 B8 = box(-8.0, 8.0)
 
@@ -571,7 +572,7 @@ class TestWeakType:
         # still equals the one that builds a column for each cube.
         import czo.decomposition as decomposition
         from czo.cli import builtin_function
-        from czo.operator import _truncated_columns
+        from czo.operator import _truncated
 
         k = get_kernel("two-line-hilbert")
         family = [builtin_function(s, B8, 512) for s in ("indicator:-1,1",
@@ -580,14 +581,18 @@ class TestWeakType:
         calls = []
 
         def counted(*args):
-            Tf, column = _truncated_columns(*args)
+            summation = _truncated(*args)
 
-            def counted_column(cells, block):
-                calls.append(cells)
-                return column(cells, block)
-            return Tf, counted_column
+            def call(*a):
+                Tf, column = summation(*a)
 
-        monkeypatch.setattr(decomposition, "_truncated_columns", counted)
+                def counted_column(cells, block):
+                    calls.append(cells)
+                    return column(cells, block)
+                return Tf, counted_column
+            return call
+
+        monkeypatch.setattr(decomposition, "_truncated", counted)
         rep = weak_type_experiment(k, family, eps, theta, out_cells=out_cells)
 
         Xout = grid_nodes(B8, out_cells)
@@ -595,7 +600,7 @@ class TestWeakType:
         want, kept = [], 0
         for fi, f in enumerate(family):
             l1 = lp_norm(f, 1.0)
-            Tf, column = _truncated_columns(k, f, eps, out_cells, 1)
+            Tf, column = _truncated(k, f, B8, out_cells, 1)(f, eps, 1)
             for j in range(13):
                 lam = 2.0 ** j * l1 / B8.measure()
                 dec = cz_decompose(f, lam)
@@ -623,9 +628,9 @@ class TestWeakType:
     def test_dense_matrix_built_on_first_column_read(self, monkeypatch, name,
                                                      reads):
         # On the dense path the masked matrix is unfolded at most once per
-        # _truncated_columns call, on its first column read, and never when
-        # B* covers every output node; the rows keep the bits of columns
-        # read from a matrix unfolded up front.
+        # call of the pair's summation, on its first column read, and never
+        # when B* covers every output node; the rows keep the bits of
+        # columns read from a matrix unfolded up front.
         import dataclasses
         import czo.decomposition as decomposition
         import czo.operator as operator
@@ -640,32 +645,38 @@ class TestWeakType:
             return np.array([dataclasses.astuple(r) for r in rep.rows]
                             ).tobytes()
 
-        def eager(kernel, f, epsilon, out_n, threads):
-            Tf, _ = operator._truncated_columns(kernel, f, epsilon, out_n,
-                                                threads)
-            mats = operator._matrices_for(kernel, f.box, out_n, f, threads)
-            M = operator._unfold(*operator._mask(mats, epsilon))
-            return Tf, lambda cells, block: M[:, cells[0]] @ block
+        def eager(*args):
+            summation = operator._truncated(*args)
 
-        monkeypatch.setattr(decomposition, "_truncated_columns", eager)
+            def call(f, epsilon, threads):
+                Tf, _ = summation(f, epsilon, threads)
+                M = summation.unfold(epsilon)
+                return Tf, lambda cells, block: M[:, cells[0]] @ block
+            return call
+
+        monkeypatch.setattr(decomposition, "_truncated", eager)
         want = bits()
         monkeypatch.undo()
 
         unfolds, read = [], []
-        unfold = operator._unfold
+        unfold = operator._Dense.unfold
 
         def counted(*args):
-            Tf, column = operator._truncated_columns(*args)
-            read.append(0)
+            summation = operator._truncated(*args)
 
-            def counted_column(cells, block):
-                read[-1] += 1
-                return column(cells, block)
-            return Tf, counted_column
+            def call(*a):
+                Tf, column = summation(*a)
+                read.append(0)
 
-        monkeypatch.setattr(operator, "_unfold",
+                def counted_column(cells, block):
+                    read[-1] += 1
+                    return column(cells, block)
+                return Tf, counted_column
+            return call
+
+        monkeypatch.setattr(operator._Dense, "unfold",
                             lambda *a: unfolds.append(a) or unfold(*a))
-        monkeypatch.setattr(decomposition, "_truncated_columns", counted)
+        monkeypatch.setattr(decomposition, "_truncated", counted)
         assert bits() == want
         assert len(read) == len(family)
         assert len(unfolds) == sum(r > 0 for r in read)
@@ -693,7 +704,8 @@ class TestWeakType:
             assert np.all(r >= 2.0 * ell * (1 - 1e-5))
 
 
-# Each entry point that takes epsilon or theta, called with one bad value v.
+# Each entry point that takes epsilon, theta, a cap or a ladder length,
+# called with one bad value v.
 NON_FINITE_CALLS = {
     "apply_truncated": ("epsilon", lambda k, f, v: apply_truncated(k, f, v)),
     "apply_truncated_at": (
@@ -706,6 +718,12 @@ NON_FINITE_CALLS = {
     "weak_type_experiment-theta": (
         "theta", lambda k, f, v: weak_type_experiment(
             k, [f], 0.5, v, out_cells=32, ladder_max=2)),
+    "weak_type_experiment-ladder_max": (
+        "ladder_max", lambda k, f, v: weak_type_experiment(
+            k, [f], 0.5, 8.1, out_cells=32, ladder_max=v)),
+    "multiplier_bound_check": (
+        "cap", lambda k, f, v: multiplier_bound_check(
+            k.curve, multiplier_field(k.curve, B8, 16, [1.0, 0.0]), v)),
     "enlarged_cube": (
         "theta", lambda k, f, v: enlarged_cube(k.curve, box(2.0, 3.0), v)),
     "check_qtheta": (
@@ -715,7 +733,7 @@ NON_FINITE_CALLS = {
 
 
 class TestNonFiniteParameters:
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1])
     @pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
     def test_rejected_by_name(self, call, value):
         name, run = NON_FINITE_CALLS[call]

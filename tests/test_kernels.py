@@ -114,6 +114,12 @@ class TestRegularityAudit:
         with pytest.raises(RejectedInputError):
             audit_regularity(get_kernel("diamond-model"), 1000, seed=0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_count_below_one_rejected(self, samples):
+        # Without samples the supremum would be 0.0, a vacuous pass.
+        with pytest.raises(RejectedInputError, match="sample_count"):
+            audit_regularity(get_kernel("hilbert"), samples)
+
     def test_both_argument_sides_estimated(self):
         rep = audit_regularity(get_kernel("two-line-hilbert"), 3000, seed=0)
         assert rep.supremum_y > 0 and rep.supremum_x > 0

@@ -235,7 +235,7 @@ def test_two_line_ladder_with_a_gap_in_supp_g(n, step):
     g = f.values + f.values[::-1]
     q = step * np.arange(n // step)[:, None] + np.arange(n)
     for e in LADDER:
-        on, _ = op._lattice_taps(k, f, step, e)
+        on, _ = op._Lattice(k, f, step).taps(e)
         want = np.flatnonzero(np.any((on[q] == 0.0) & (g != 0.0), axis=1))
         ranges = op._band_ranges(op._runs(on == 0.0), op._runs(g != 0.0),
                                  step, n // step)
@@ -341,7 +341,7 @@ def check_bits_against_reference(n, step):
         f = GridFunction(B8, n, vals)
         # Below h = 16 / n, inside the box, and above its width.
         for eps in (0.01, 0.3, 20.0):
-            on, taps = op._lattice_taps(k, f, step, eps)
+            on, taps = op._Lattice(k, f, step).taps(eps)
             for threads in (1, 2):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -464,9 +464,10 @@ def test_zero_chunks_are_skipped_bit_for_bit(monkeypatch, name, step):
 
 def test_path_selection(monkeypatch):
     builds = []
-    build = op._build_matrices
-    monkeypatch.setattr(op, "_build_matrices",
-                        lambda *a: builds.append(len(a[1])) or build(*a))
+    build = op._Dense.__init__
+    monkeypatch.setattr(op._Dense, "__init__",
+                        lambda self, *a: builds.append(len(a[1]))
+                        or build(self, *a))
     f = GridFunction(B8, 96, inputs(96, 1)[2])
     k = get_kernel("hilbert")
     two = get_kernel("two-line-hilbert")
@@ -489,6 +490,28 @@ def test_path_selection(monkeypatch):
     assert builds == [48, 64, 192, 96, 96]
 
 
+def test_one_cached_summation_per_pair_of_grids(monkeypatch):
+    # The first apply between two grids builds their summation; a second
+    # apply, with another input and eps, evaluates no rho and no kernel.
+    evals = []
+    inner = op._rho_and_kernel
+    monkeypatch.setattr(op, "_rho_and_kernel",
+                        lambda *a: evals.append(1) or inner(*a))
+    k = get_kernel("hilbert")
+    n = 96
+    f, g = (GridFunction(B8, n, v) for v in inputs(n, 5)[:2])
+    for out_n in (n // 2, n + 3):
+        quiet_apply(k, f, 0.5, (B8, out_n))
+        built = len(evals)
+        assert built > 0
+        quiet_apply(k, g, 0.3, (B8, out_n))
+        assert len(evals) == built
+        evals.clear()
+    assert {key: type(v) for key, v in k._matrices.items()} == {
+        ((B8.lo, B8.hi, n // 2), f.geometry()): op._Lattice,
+        ((B8.lo, B8.hi, n + 3), f.geometry()): op._Dense}
+
+
 @pytest.mark.parametrize("out_n", [0, -2])
 def test_empty_output_grid_rejected(out_n):
     f = GridFunction(B8, 16, np.ones(16))
@@ -503,7 +526,8 @@ def test_large_grid_keeps_the_cache_small():
         k = get_kernel(name)
         _, rep = estimate_T0(k, f, LADDER)
         assert len(rep.sup_diffs) == 15
-        held = sum(a.nbytes for entry in k._matrices.values() for a in entry)
+        held = sum(entry.R.nbytes + entry.k.nbytes
+                   for entry in k._matrices.values())
         assert 0 < held < 1 << 20
 
 

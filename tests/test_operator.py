@@ -250,8 +250,8 @@ class TestMatrixCache:
         f = grid_function(B8, 64, lambda X: np.exp(-X[:, 0] ** 2))
         quiet_apply(kernel, f, 0.5)
         builds = []
-        build = op._build_matrices
-        monkeypatch.setattr(op, "_build_matrices",
+        build = op._Dense.__init__
+        monkeypatch.setattr(op._Dense, "__init__",
                             lambda *a: builds.append(1) or build(*a))
         quiet_apply(kernel, f, 0.25)
         assert builds == []
@@ -365,7 +365,8 @@ class TestMirrorPairedSums:
 
         k = get_kernel("diamond-model")
         f = GridFunction(B8, n_in, self.inputs(n_in, 1)[1])
-        R, K, R_mid, K_mid = op._matrices_for(k, B8, 100, f, 1)
+        dense = op._truncated(k, f, B8, 100, 1)
+        R, K, R_mid, K_mid = dense.R, dense.K, dense.R_mid, dense.K_mid
         Rw = rowmajor_masked(k, grid_nodes(B8, 100), f, 0.0)[1]
         half = n_in // 2
         assert R.shape == K.shape == (2, 100, half)
@@ -447,9 +448,12 @@ class TestMirrorPairedSums:
 
 
 def product_entries(kernel):
-    """The cached (f, K f, 0 f) entries of a kernel, by key."""
+    """The cached dense summations of a kernel, holding the bits of the
+    latest f and its K f and 0 f, by key."""
+    import czo.operator as op
+
     return {key: v for key, v in kernel._matrices.items()
-            if key[0] == "products"}
+            if isinstance(v, op._Dense)}
 
 
 class TestDenseProducts:
@@ -488,8 +492,6 @@ class TestDenseProducts:
     def test_signed_zeros_are_told_apart(self):
         # 0.0 == -0.0, but the two give 0 f different signs: the products
         # are keyed on the bits of f, not on its values.
-        import czo.operator as op
-
         k = get_kernel("diamond-model")
         x = grid_nodes(B8, 255)[:, 0]
         neg = np.where(np.abs(x) < 2.0, -np.exp(-x ** 2), -0.0)
@@ -500,19 +502,26 @@ class TestDenseProducts:
             f = GridFunction(B8, 255, vals)
             got = quiet_apply(k, f, 0.5).values
             assert got.tobytes() == rowmajor_apply(M, f).tobytes()
-            ((_, KF, ZF),) = product_entries(k).values()
-            mats = op._matrices_for(k, B8, 255, f, 1)
-            want = op._fold_products(mats[1], vals)
-            assert KF.tobytes() == want[0].tobytes()
-            assert ZF.tobytes() == want[1].tobytes()
+            (dense,) = product_entries(k).values()
+            F = np.stack((vals[:127], vals[::-1][:127]))[:, None, :]
+            assert dense.KF.tobytes() == (dense.K * F).tobytes()
+            assert dense.ZF.tobytes() == (0.0 * F).tobytes()
 
     def test_ladder_forms_the_products_once_per_input(self, monkeypatch):
         import czo.operator as op
 
+        # A product is formed when the cached K f is a new array.
         formed = []
-        fold = op._fold_products
-        monkeypatch.setattr(op, "_fold_products",
-                            lambda *a: formed.append(1) or fold(*a))
+        inner = op.apply_truncated
+
+        def recording(*a):
+            out = inner(*a)
+            (dense,) = product_entries(k).values()
+            if not any(dense.KF is KF for KF in formed):
+                formed.append(dense.KF)
+            return out
+
+        monkeypatch.setattr(op, "apply_truncated", recording)
         k = get_kernel("diamond-model")
         one, two = (GridFunction(B8, 256, v)
                     for v in TestMirrorPairedSums.inputs(256, 9)[1:])
@@ -521,9 +530,9 @@ class TestDenseProducts:
         assert len(formed) == 1
         estimate_T0(k, two, ladder)
         assert len(formed) == 2
-        ((f, _, _),) = product_entries(k).values()
-        assert f.tobytes() == two.values.tobytes()
-        quiet_apply(k, one, 0.5)
+        (dense,) = product_entries(k).values()
+        assert dense.bits == two.values.tobytes()
+        recording(k, one, 0.5)
         assert len(formed) == 3
 
     def test_apply_truncated_at_stores_nothing(self):
