@@ -20,8 +20,8 @@ import numpy as np
 from .curves import get_curve
 from .errors import RegistryError, RejectedInputError
 from .geometry import HyperCurve
-from .metric import rho_values
-from .util import AUDIT_HALF_WIDTH, audit_pairs
+from .metric import _CHUNK, rho_values
+from .util import AUDIT_HALF_WIDTH, audit_pairs, chunk_ranges
 
 _RHO_FLOOR = 1e-12
 _SIZE_ROUNDS = 40            # shrinking-neighbourhood rounds of audit_size
@@ -270,7 +270,8 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
     the two unbounded tails are transformed by x -> 1/u and integrated by
     midpoint quadrature in u, which is accurate because the transformed
     integrand is smooth.  With ``transpose`` the roles of the arguments are
-    swapped, giving the adjoint-side integral.
+    swapped, giving the adjoint-side integral.  The integrand is formed
+    ``_CHUNK`` nodes at a time, so memory is one float per node.
     """
     if kernel.dim != 1:
         raise RejectedInputError("hormander_constant is implemented for n=1")
@@ -293,15 +294,22 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
         mask = r1 >= 2.0 * sep
         return np.where(mask, np.abs(k1 - k2), 0.0)
 
+    def integral(integrand, total: int, step: float) -> float:
+        """step * the sum of integrand(step * (j + 1/2)), j < total, formed
+        chunk by chunk into one array and summed once, in numpy's pairwise
+        order, as one call on all nodes would sum it."""
+        vals = np.empty(total)
+        for s, e in chunk_ranges(total, _CHUNK):
+            vals[s:e] = integrand(step * (np.arange(s, e) + 0.5))
+        return float(np.sum(vals) * step)
+
     H = _BOX_FACTOR * sep
-    h = 2.0 * H / grid_points
-    xs = -H + h * (np.arange(grid_points) + 0.5)
-    value_box = float(np.sum(diff(xs)) * h)
+    value_box = integral(lambda t: diff(-H + t), grid_points,
+                         2.0 * H / grid_points)
 
     # Tails: int_H^inf f(x) dx = int_0^{1/H} f(1/u) / u^2 du (and mirrored).
     m = max(1024, grid_points // 64)
     hu = (1.0 / H) / m
-    us = hu * (np.arange(m) + 0.5)
-    tail = float(np.sum(diff(1.0 / us) / us ** 2) * hu)
-    tail += float(np.sum(diff(-1.0 / us) / us ** 2) * hu)
+    tail = integral(lambda u: diff(1.0 / u) / u ** 2, m, hu)
+    tail += integral(lambda u: diff(-1.0 / u) / u ** 2, m, hu)
     return HormanderReport(value_box + tail, value_box, tail, sep, grid_points)

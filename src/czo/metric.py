@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .geometry import Box, CurveBranch, HyperCurve, Region
-from .util import BOUNDING_HALF_WIDTH, as_points, audit_pairs, pmap_chunks
+from .util import (BOUNDING_HALF_WIDTH, as_points, audit_pairs, chunk_ranges,
+                   pmap_chunks)
 
 _SAMPLES_PER_AXIS = 4096
 _BLOCK = 64                  # consecutive samples per nearest-search block
@@ -571,6 +572,8 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     half always runs.  Its probes outside Q_theta are drawn in at most
     ``_PROBE_ROUNDS`` rounds; when Q_theta covers the probe box none is
     found, and the half holds vacuously with ``min_probe_rho`` = inf.
+    The ``mc_samples`` points are drawn and tested ``_CHUNK`` at a time,
+    so memory does not grow with ``mc_samples``.
     """
     if probe_count < 1:
         raise RejectedInputError(
@@ -593,9 +596,11 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     if all(p.branch.inverse is not None for p in ec.pieces):
         bbox = ec.bounding_box()
         vol = bbox.measure()
-        S = rng.uniform(bbox.lo_a, bbox.hi_a, size=(mc_samples, n))
-        inside = ec.contains(S)
-        p = float(np.mean(inside))
+        # Drawn in chunks: the same doubles in the same order as one draw.
+        hits = sum(np.count_nonzero(ec.contains(
+            rng.uniform(bbox.lo_a, bbox.hi_a, size=(e - s, n))))
+            for s, e in chunk_ranges(mc_samples, _CHUNK))
+        p = int(hits) / mc_samples
         est = p * vol
         hw = 2.576 * math.sqrt(max(p * (1 - p), 1e-12) / mc_samples) * vol
         if est - hw > bound:

@@ -1,12 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import czo.kernels as kernels_module
 from czo.errors import RegistryError, RejectedInputError
-from czo.kernels import (KERNEL_NAMES, audit_regularity, audit_size,
-                         _rho_and_kernel, get_kernel, hormander_constant)
+from czo.kernels import (_BOX_FACTOR, KERNEL_NAMES, audit_regularity,
+                         audit_size, _rho_and_kernel, get_kernel,
+                         hormander_constant)
+from czo.metric import _CHUNK
+from test_operator import wavy_kernel
 
 SQ2 = math.sqrt(2.0)
 # Closed-form value of the smoothness integral for the 1/(x-y) kernel with
@@ -147,3 +152,84 @@ class TestHormander:
     def test_coincident_points_rejected(self):
         with pytest.raises(RejectedInputError):
             hormander_constant(get_kernel("hilbert"), y=1.0, z=1.0)
+
+
+def one_shot_hormander(kernel, y, z, grid_points, transpose):
+    """hormander_constant as it was before its integrand was streamed:
+    every node and temporary of the box and of each tail at once."""
+    sep = abs(z - y)
+    ya = np.array([[float(y)]])
+    za = np.array([[float(z)]])
+
+    def diff(xs):
+        X = xs.reshape(-1, 1)
+        Yv = np.broadcast_to(ya, X.shape)
+        Zv = np.broadcast_to(za, X.shape)
+        pairs = ((Yv, X), (Zv, X)) if transpose else ((X, Yv), (X, Zv))
+        (r1, k1), (_, k2) = (_rho_and_kernel(kernel, A, B) for A, B in pairs)
+        return np.where(r1 >= 2.0 * sep, np.abs(k1 - k2), 0.0)
+
+    H = _BOX_FACTOR * sep
+    h = 2.0 * H / grid_points
+    xs = -H + h * (np.arange(grid_points) + 0.5)
+    value_box = float(np.sum(diff(xs)) * h)
+    m = max(1024, grid_points // 64)
+    hu = (1.0 / H) / m
+    us = hu * (np.arange(m) + 0.5)
+    tail = float(np.sum(diff(1.0 / us) / us ** 2) * hu)
+    tail += float(np.sum(diff(-1.0 / us) / us ** 2) * hu)
+    return value_box + tail, value_box, tail
+
+
+HORMANDER_KERNELS = {"hilbert": lambda: get_kernel("hilbert"),
+                     "two-line-hilbert": lambda: get_kernel("two-line-hilbert"),
+                     "sampled-rho": wavy_kernel}
+
+
+def hex_fields(rep):
+    return (rep.value_total.hex(), rep.value_box.hex(), rep.tail.hex(),
+            rep.separation.hex(), rep.grid_points)
+
+
+class TestStreamedHormander:
+    """The integrand is formed in fixed chunks of nodes and summed once over
+    the assembled array, so every field keeps the one-shot bits."""
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("grid", [1, _CHUNK - 1, _CHUNK + 1,
+                                      3 * _CHUNK + 7])
+    @pytest.mark.parametrize("name", sorted(HORMANDER_KERNELS))
+    def test_fields_equal_the_one_shot_quadrature(self, name, grid,
+                                                  transpose):
+        k = HORMANDER_KERNELS[name]()
+        rep = hormander_constant(k, y=0.5, z=1.75, grid_points=grid,
+                                 transpose=transpose)
+        total, box_part, tail = one_shot_hormander(k, 0.5, 1.75, grid,
+                                                   transpose)
+        assert hex_fields(rep) == (total.hex(), box_part.hex(), tail.hex(),
+                                   (1.25).hex(), grid)
+
+    def test_tails_in_several_chunks(self, monkeypatch):
+        # At the real chunk a tail of max(1024, N / 64) nodes spans several
+        # chunks only from N = 2^20 + 64 on; a chunk of 1000 splits both
+        # the box and the tails here, each with a short last chunk.
+        monkeypatch.setattr(kernels_module, "_CHUNK", 1000)
+        k = get_kernel("two-line-hilbert")
+        rep = hormander_constant(k, z=1.0, grid_points=1 << 18)
+        total, box_part, tail = one_shot_hormander(k, 0.0, 1.0, 1 << 18,
+                                                   False)
+        assert hex_fields(rep)[:3] == (total.hex(), box_part.hex(),
+                                       tail.hex())
+
+    def test_memory_is_about_one_array_of_node_values(self):
+        # At 2^20 nodes one array of values is 8 MiB; holding every node and
+        # temporary at once peaked at 72.0 MB.
+        k = get_kernel("two-line-hilbert")
+        hormander_constant(k, z=1.0, grid_points=1024)
+        tracemalloc.start()
+        try:
+            hormander_constant(k, z=1.0, grid_points=1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 << 20

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from czo.curves import CURVE_NAMES, diagonal, get_curve
 from czo.errors import RejectedInputError
 from czo.geometry import CurveBranch, HyperCurve, box, region, whole_space
-from czo.metric import (_BranchSampler, _get_sampler, check_equivalence,
-                        check_qtheta, enlarged_cube, nearest_range,
+from czo.metric import (_CHUNK, _PROBE_ROUNDS, _BranchSampler, _get_sampler,
+                        _require_separation, _unit_ball_volume,
+                        check_equivalence, check_qtheta, enlarged_cube,
+                        nearest_range,
                         rho_branch_values, rho_tilde_branch_values,
                         rho_tilde_star_branch_values, rho_values,
                         sampled_rho_branch_values)
@@ -327,6 +330,88 @@ class TestQTheta:
         assert kind == "separation" and min_rho == 0.0
         assert all(type(v) is float for v in x + y)
         assert "np.float64" not in repr(rep.witness)
+
+
+def one_shot_qtheta(curve, Q, theta, probe_count, seed, mc_samples):
+    """check_qtheta as it was before its Monte Carlo was streamed: all
+    mc_samples points drawn and tested at once, then ``np.mean``."""
+    _require_separation(curve, theta)
+    ec = enlarged_cube(curve, Q, theta)
+    n = curve.dim
+    ell = Q.side()
+    rng = np.random.default_rng(seed)
+    C = (_unit_ball_volume(n) * curve.r
+         * (1.0 + 6.0 * math.sqrt(n) * curve.c_gamma / theta) ** n)
+    bound = C * theta ** n * Q.measure()
+    est = hw = None
+    passed = True
+    witness = None
+    if all(p.branch.inverse is not None for p in ec.pieces):
+        bbox = ec.bounding_box()
+        vol = bbox.measure()
+        S = rng.uniform(bbox.lo_a, bbox.hi_a, size=(mc_samples, n))
+        p = float(np.mean(ec.contains(S)))
+        est = p * vol
+        hw = 2.576 * math.sqrt(max(p * (1 - p), 1e-12) / mc_samples) * vol
+        if est - hw > bound:
+            passed = False
+            witness = ("measure", est, bound)
+    sep_bound = 2.0 * math.sqrt(n) * ell * (1.0 - 1e-5)
+    bbox = ec.bounding_box().dilate(4.0 * theta * ell)
+    xs = []
+    for _ in range(_PROBE_ROUNDS):
+        cand = rng.uniform(bbox.lo_a, bbox.hi_a, size=(4 * probe_count, n))
+        xs.append(cand[~ec.contains(cand)])
+        if sum(len(a) for a in xs) >= probe_count:
+            break
+    Xp = np.concatenate(xs)[:probe_count]
+    Yp = rng.uniform(Q.lo_a, Q.hi_a, size=(len(Xp), n))
+    rv, _ = rho_values(curve, Xp, Yp)
+    min_rho = float(np.min(rv, initial=math.inf))
+    if min_rho < sep_bound:
+        passed = False
+        j = int(np.argmin(rv))
+        witness = ("separation", tuple(Xp[j].tolist()),
+                   tuple(Yp[j].tolist()), min_rho)
+    return (passed, est, hw, bound, min_rho, sep_bound, witness)
+
+
+QTHETA_CASES = {
+    "two-lines": (get_curve("two-lines"), box(2.0, 3.0), 8.1),
+    "diagonal(2)": (diagonal(2), box((0.0, 1.0), (1.0, 2.0)), 10.0),
+    "diagonal(3)": (diagonal(3), box((0.0, 0.0, 1.0), (1.0, 1.0, 2.0)), 12.5),
+    "diamond": (get_curve("diamond"), box(0.25, 0.5), 9.0),
+}
+
+
+class TestStreamedQTheta:
+    """The Monte Carlo of check_qtheta draws its points chunk by chunk; the
+    report keeps every bit of the one-shot draw, and the separation probes
+    drawn after it show that the generator's stream is unchanged."""
+
+    @pytest.mark.parametrize("mc", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                    3 * _CHUNK + 5])
+    @pytest.mark.parametrize("name", sorted(QTHETA_CASES))
+    def test_report_equals_the_one_shot_draw(self, name, mc):
+        curve, Q, theta = QTHETA_CASES[name]
+        rep = check_qtheta(curve, Q, theta, probe_count=64, seed=7,
+                           mc_samples=mc)
+        want = one_shot_qtheta(curve, Q, theta, 64, 7, mc)
+        got = dataclasses.astuple(rep)
+        assert repr(got) == repr(want)
+        assert (rep.measure_estimate is None) == (name == "diamond")
+
+    def test_memory_does_not_grow_with_mc_samples(self):
+        # Holding all 10^6 points and their flags at once peaked at 31.5 MB.
+        args = (get_curve("two-lines"), box(2.0, 3.0), 8.1)
+        check_qtheta(*args, mc_samples=100)
+        tracemalloc.start()
+        try:
+            check_qtheta(*args, mc_samples=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestSampledSolverAgainstDeclaredDistances:
