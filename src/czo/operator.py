@@ -27,12 +27,13 @@ what it can observe:
   output grids, 2-D, ``apply_truncated_at``, which caches nothing): rho
   and K from the output grid to f's grid, folded into two contiguous
   halves, the cells j < N/2 and their mirror cells N - 1 - j (an odd
-  grid's middle cell apart).  Beside them the object keeps the folded
-  products K f and 0 f of the latest input, one more K-sized array, so
-  along an eps ladder each eps only selects, cell by cell, the product
-  K f where rho >= eps and the signed zero 0 f where not.  Each row sum
-  adds every cell's term to its mirror's first, so integrands that are
-  exactly antisymmetric on a symmetric grid cancel bitwise.
+  grid's middle cell apart).  A cell's term is K f where rho >= eps and
+  the signed zero 0 f where not; each row sum adds every cell's term to
+  its mirror's first, so integrands that are exactly antisymmetric on a
+  symmetric grid cancel bitwise.  The object keeps those folded sums of
+  the latest input and eps (half of K's size) and the cells ordered by
+  rho, so a new eps re-forms, by the same operations, only the sums of
+  the cells whose rho lies between it and the previous eps.
 
 Both paths sum directly rather than by FFT.  An FFT leaves a residue of
 about 1e-16 |k| |f| at every point, even where every unmasked term is 0;
@@ -243,9 +244,12 @@ class _Dense:
     hold rho and K from Xout to [0] the nodes j < m_in // 2 and [1] their
     mirrors m_in - 1 - j, R_mid and K_mid to an odd grid's middle node
     (None otherwise).  The row chunks are folded after the last one is
-    built, so the output never coexists with rho's temporaries.  KF and ZF
-    are the folded K f and 0 f of the latest f, kept under the bits of its
-    values, since 0.0 and -0.0 give different zero signs."""
+    built, so the output never coexists with rho's temporaries.  S is the
+    folded sum [0] + [1] of the masked terms of the latest f and eps, kept
+    under the bits of f's values (0.0 and -0.0 give different zero signs).
+    order holds the folded position and column of the cells with rho < top
+    by ascending rho (in ``rho``), one of two mirror cells of equal rho; it
+    is built on the first new eps for an f, and again for an eps above top."""
 
     def __init__(self, kernel: KernelSpec, Xout: np.ndarray,
                  gf: GridFunction, threads: int):
@@ -266,6 +270,7 @@ class _Dense:
         self.R_mid, self.K_mid = ((None, None) if m_in % 2 == 0
                                   else RK[..., half].copy())
         self.entries, self.bits = m_out * m_in, None
+        self.S, self.order, self.top = np.empty((m_out, half)), None, -math.inf
 
     def unfold(self, epsilon: float) -> np.ndarray:
         """The eps-masked kernel as one (m_out, m_in) matrix."""
@@ -281,18 +286,37 @@ class _Dense:
         kept cell it still shows as +-inf in T_eps f.  column(cells, block)
         is the sum over gf's cells ``cells`` (one slice per axis) of the
         masked kernel times ``block``, on the output nodes and without the
-        factor h^n; the masked matrix is unfolded on the first read."""
+        factor h^n; the masked matrix is unfolded on the first read.  A
+        new eps for the same f re-forms S only where a mask changed."""
         f, half = gf.values, self.K.shape[2]
-        bits = f.tobytes()
+        bits, F = f.tobytes(), np.stack((f[:half], f[::-1][:half]))
         if bits != self.bits:
-            F = np.stack((f[:half], f[::-1][:half]))[:, None, :]
             with np.errstate(all="ignore"):
-                self.KF, self.ZF = self.K * F, 0.0 * F
+                W = self.K * F[:, None, :]
+            np.copyto(W, 0.0 * F[:, None, :], where=~(self.R >= epsilon))
+            np.add(W[0], W[1], out=self.S)
             self.bits = bits
-        W = self.KF.copy()
-        np.copyto(W, self.ZF, where=~(self.R >= epsilon))
-        W[0] += W[1]
-        out = np.sum(W[0], axis=1)
+        elif epsilon != self.eps:
+            lo, hi = sorted((self.eps, epsilon))
+            if hi > self.top:
+                below = self.R < hi
+                below[1] &= self.R[1] != self.R[0]
+                below = np.flatnonzero(below)
+                below = below[np.argsort(self.R.reshape(-1)[below])]
+                self.rho, self.top = self.R.reshape(-1)[below], hi
+                self.order = np.empty((2, len(below)), np.int32)
+                self.order[0] = below % self.S.size
+                self.order[1] = self.order[0] % half
+            a, b = self.rho.searchsorted((lo, hi))
+            p, j = self.order[:, a:b].astype(np.intp)
+            F = F.take(j, axis=1)
+            R, K = self.R.reshape(2, -1), self.K.reshape(2, -1)
+            with np.errstate(all="ignore"):
+                W = np.where(R.take(p, axis=1) >= epsilon,
+                             K.take(p, axis=1) * F, 0.0 * F)
+            self.S.reshape(-1)[p] = W[0] + W[1]
+        self.eps = epsilon
+        out = np.sum(self.S, axis=1)
         if self.R_mid is not None:
             out = out + (np.where(self.R_mid >= epsilon, self.K_mid, 0.0)
                          * f[half])

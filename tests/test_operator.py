@@ -449,17 +449,27 @@ class TestMirrorPairedSums:
 
 def product_entries(kernel):
     """The cached dense summations of a kernel, holding the bits of the
-    latest f and its K f and 0 f, by key."""
+    latest f and its folded masked sums S, by key."""
     import czo.operator as op
 
     return {key: v for key, v in kernel._matrices.items()
             if isinstance(v, op._Dense)}
 
 
+def folded_sums(dense, vals, eps):
+    """The folded masked sums S of ``vals`` at eps from the cached
+    matrices, by the row-major formula's operations."""
+    half = dense.K.shape[2]
+    F = np.stack((vals[:half], vals[::-1][:half]))[:, None, :]
+    W = np.where(dense.R >= eps, dense.K * F, 0.0 * F)
+    return W[0] + W[1]
+
+
 class TestDenseProducts:
-    """The dense path forms K f and 0 f once per input and grid pair and
-    reuses them along an eps ladder: bit for bit, never stale, and only
-    while the matrices themselves are cached."""
+    """The dense path forms its folded masked sums S once per input and
+    grid pair and, along an eps ladder, re-forms only the cells whose mask
+    changed: bit for bit, never stale, and only while the matrices
+    themselves are cached."""
 
     @pytest.mark.parametrize("n_in", [255, 256])
     def test_interleaved_ladders_match_the_rowmajor_formula(self, n_in):
@@ -503,22 +513,28 @@ class TestDenseProducts:
             got = quiet_apply(k, f, 0.5).values
             assert got.tobytes() == rowmajor_apply(M, f).tobytes()
             (dense,) = product_entries(k).values()
-            F = np.stack((vals[:127], vals[::-1][:127]))[:, None, :]
-            assert dense.KF.tobytes() == (dense.K * F).tobytes()
-            assert dense.ZF.tobytes() == (0.0 * F).tobytes()
+            assert dense.bits == vals.tobytes()
+            assert (dense.S.tobytes()
+                    == folded_sums(dense, vals, 0.5).tobytes())
 
     def test_ladder_forms_the_products_once_per_input(self, monkeypatch):
         import czo.operator as op
 
-        # A product is formed when the cached K f is a new array.
-        formed = []
+        # S is formed afresh when the cached bits are a new object; along
+        # a ladder it is only re-formed where a mask changed, from one
+        # order of the cells by rho.
+        formed, orders = [], []
         inner = op.apply_truncated
 
         def recording(*a):
             out = inner(*a)
             (dense,) = product_entries(k).values()
-            if not any(dense.KF is KF for KF in formed):
-                formed.append(dense.KF)
+            if not any(dense.bits is bits for bits in formed):
+                formed.append(dense.bits)
+            if not any(dense.order is order for order in orders):
+                orders.append(dense.order)
+            assert (dense.S.tobytes()
+                    == folded_sums(dense, a[1].values, a[2]).tobytes())
             return out
 
         monkeypatch.setattr(op, "apply_truncated", recording)
@@ -534,6 +550,77 @@ class TestDenseProducts:
         assert dense.bits == two.values.tobytes()
         recording(k, one, 0.5)
         assert len(formed) == 3
+        # The first apply built no order; one order served both ladders.
+        assert orders[0] is None and len(orders) == 2
+        assert dense.top == 1.0
+        recording(k, one, 2.0)
+        assert len(formed) == 3 and len(orders) == 3 and dense.top == 2.0
+
+    @staticmethod
+    def eps_walk(R, rng, steps):
+        """A random eps walk from 1.0: down, up, repeated, an attained rho,
+        its neighbours on either side, above every rho, below every
+        positive rho."""
+        pos = R[R > 0.0]
+        eps = 1.0
+        for _ in range(steps):
+            move = rng.integers(8)
+            if move < 3:
+                eps = eps * rng.uniform(0.6, 1.0) ** (1 - move)
+            elif move < 6:
+                at = pos[rng.integers(len(pos))]
+                eps = float(np.nextafter(at, (0.0, at, math.inf)[move - 3]))
+            else:
+                eps = (5e-324, 2.0 * float(np.max(R)))[move - 6]
+            yield max(eps, 5e-324)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("n_in, n_out", [(255, 255), (256, 256),
+                                             (257, 131), (256, 100)])
+    def test_eps_walks_match_a_fresh_summation(self, sampled, n_in, n_out):
+        # Every step of the cached summation, and its folded sums, equal
+        # bit for bit a full pass on an object with no input, for any
+        # order of eps.
+        import czo.operator as op
+
+        k = wavy_kernel() if sampled else get_kernel("diamond-model")
+        Xout = grid_nodes(B8, n_out)
+        rng = np.random.default_rng([n_in, n_out, sampled])
+        x = grid_nodes(B8, n_in)[:, 0]
+        signed = np.where(rng.random(n_in) < 0.5, 0.0, -0.0)
+        middle = np.full(n_in, -0.0)
+        middle[n_in // 2] = 1.5
+        inputs = [np.where(np.abs(x - 0.7) <= 2.0, rng.normal(size=n_in),
+                           signed),
+                  np.full(n_in, -0.0), middle, np.exp(-(x + 0.4) ** 2)]
+        f = GridFunction(B8, n_in, inputs[0])
+        dense, fresh = op._Dense(k, Xout, f, 1), op._Dense(k, Xout, f, 1)
+        for i, vals in enumerate(inputs):
+            f = GridFunction(B8, n_in, vals.copy())
+            for eps in self.eps_walk(dense.R, rng, 33):
+                if i == 3 and rng.random() < 0.2:
+                    f.values[rng.integers(n_in)] = rng.choice([-0.0, 2.5])
+                fresh.bits = None
+                want, _ = fresh(f, eps, 1)
+                assert dense(f, eps, 1)[0].tobytes() == want.tobytes()
+                assert dense.S.tobytes() == fresh.S.tobytes()
+
+    def test_one_shot_applies_build_no_order(self, monkeypatch):
+        import czo.operator as op
+
+        k = get_kernel("diamond-model")
+        one, two = (GridFunction(B8, 256, v)
+                    for v in TestMirrorPairedSums.inputs(256, 12)[:2])
+        for f, eps in ((one, 0.5), (one, 0.5), (two, 0.25)):
+            quiet_apply(k, f, eps)
+        (dense,) = product_entries(k).values()
+        assert dense.order is None
+        built = []
+        build = op._Dense.__init__
+        monkeypatch.setattr(op._Dense, "__init__",
+                            lambda s, *a: built.append(s) or build(s, *a))
+        apply_truncated_at(k, one, grid_nodes(B8, 17), 0.5)
+        assert len(built) == 1 and built[0].order is None
 
     def test_apply_truncated_at_stores_nothing(self):
         k = get_kernel("diamond-model")
