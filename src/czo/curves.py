@@ -21,13 +21,10 @@ def _identity(X: np.ndarray) -> np.ndarray:
 def _segment_distance(X: np.ndarray, Y: np.ndarray,
                       p: tuple, q: tuple) -> np.ndarray:
     """Distance in the (x, y) plane from (x_j, y_j) to segment p-q (n=1)."""
-    P = np.column_stack([X[:, 0], Y[:, 0]])
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    d = q - p
-    t = np.clip(((P - p) @ d) / (d @ d), 0.0, 1.0)
-    proj = p + t[:, None] * d
-    return np.sqrt(np.sum((P - proj) ** 2, axis=1))
+    x, y, (px, py) = X[:, 0], Y[:, 0], p
+    dx, dy = q[0] - px, q[1] - py
+    t = np.clip(((x - px) * dx + (y - py) * dy) / (dx * dx + dy * dy), 0, 1)
+    return np.sqrt((x - (px + t * dx)) ** 2 + (y - (py + t * dy)) ** 2)
 
 
 def _polyline_distance(*vertices: tuple):

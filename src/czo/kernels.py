@@ -282,6 +282,9 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
     sep = abs(z - y)
     if sep <= 0:
         raise RejectedInputError("y and z must be distinct")
+    if sep < _RHO_FLOOR:
+        raise RejectedInputError(f"|y - z| = {sep!r} is below the rho floor "
+                                 f"{_RHO_FLOOR!r}, where K is set to 0")
     ya = np.array([[float(y)]])
     za = np.array([[float(z)]])
 

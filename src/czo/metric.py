@@ -1,11 +1,11 @@
 """Curve distances and enlarged cubes.
 
 ``rho_values`` is the Euclidean distance from each point (x, y) in R^{2n} to
-the curve, the minimum over branches of ``rho_branch_values``;
-``rho_tilde_branch_values`` and ``rho_tilde_star_branch_values`` are the
-cheap projection-based surrogates per branch, built from nearest domain /
-range points.  All three are equivalent up to the factor 2(c_gamma + 1),
-which check_equivalence verifies empirically.
+the curve, ``rho_branch_values`` folded over the branches by np.minimum, as
+(values, None) (perfbench/child.py unpacks two); ``rho_tilde_branch_values``
+and ``rho_tilde_star_branch_values`` are cheap projection-based surrogates
+per branch, from nearest domain / range points.  All three are equivalent
+up to the factor 2(c_gamma + 1), which check_equivalence verifies.
 
 rho takes one of two paths per branch.  A branch that declares its exact
 ``distance`` (every branch of the built-in curves does) is evaluated in
@@ -323,10 +323,12 @@ def nearest_range(branch: CurveBranch, Y) -> np.ndarray:
 
 
 def rho_values(curve: HyperCurve, X, Y):
-    """min over branches of rho_i; returns (values, attaining branch indices)."""
-    stacked = np.stack([rho_branch_values(curve, i, X, Y)
-                        for i in range(curve.r)])
-    return np.min(stacked, axis=0), np.argmin(stacked, axis=0)
+    """min over branches of rho_i, folded by np.minimum in np.min's order;
+    returns (values, None), as perfbench/child.py unpacks two slots."""
+    values = rho_branch_values(curve, 0, X, Y)
+    for i in range(1, curve.r):
+        values = np.minimum(values, rho_branch_values(curve, i, X, Y))
+    return values, None
 
 
 def rho_tilde_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:

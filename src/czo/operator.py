@@ -103,7 +103,10 @@ def _grid_size(bx: Box, n: int) -> tuple[int, bool]:
             raise RejectedInputError(
                 f"grid box gives cells of zero volume on axis {k}: "
                 f"{bx.lo[k]}..{bx.hi[k]}")
-    return n ** len(widths), len({round(w, 15) for w in widths}) == 1
+    # Cubic: every width within 8 float epsilons of the largest, relative
+    # to it, so the check reads the same at every scale.
+    top = max(widths) * (1.0 - 8.0 * np.finfo(float).eps)
+    return n ** len(widths), min(widths) >= top
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,7 @@ class TestExitCodes:
         ["partition", "threads=0"],
         ["hormander", "a_list="],
         ["hormander", "hormander_grid=0"],
+        ["hormander", "a_list=1,1e-200"],   # below the rho floor
         ["qtheta", "mc_samples=0"],
         ["kernel-audit", "samples=0"],
     ], ids=" ".join)

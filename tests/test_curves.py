@@ -1,12 +1,14 @@
 """The mirrored branches of the built-in curves against explicit
-declarations of the same maps, written field by field."""
+declarations of the same maps, written field by field, and the polyline
+distance against the matmul formula it replaced."""
 
 import math
 
 import numpy as np
 import pytest
 
-from czo.curves import _pm_preimage_nearest, _polyline_distance, get_curve
+from czo.curves import (_pm_preimage_nearest, _polyline_distance,
+                        _segment_distance, get_curve)
 from czo.geometry import Box, CurveBranch, HyperCurve, box, region, whole_space
 from czo.metric import nearest_range
 from czo.partition import build_partition
@@ -106,3 +108,42 @@ class TestMirroredBranch:
         want = build_partition(explicit_curve(name), depth)
         assert (got.cubes, got.leftover, got.probabilistic) == \
             (want.cubes, want.leftover, want.probabilistic)
+
+
+DIAMOND_SEGMENTS = [((-1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0)),
+                    ((-1.0, 0.0), (0.0, -1.0)), ((0.0, -1.0), (1.0, 0.0))]
+
+
+def matmul_segment_distance(X, Y, p, q):
+    """The segment distance on (m, 2) points with a matmul: the form that
+    _segment_distance replaced, kept as its bitwise reference."""
+    P = np.column_stack([X[:, 0], Y[:, 0]])
+    p = np.asarray(p, float)
+    q = np.asarray(q, float)
+    d = q - p
+    t = np.clip(((P - p) @ d) / (d @ d), 0.0, 1.0)
+    proj = p + t[:, None] * d
+    return np.sqrt(np.sum((P - proj) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("p, q", DIAMOND_SEGMENTS)
+def test_segment_distance_keeps_the_matmul_bits(p, q):
+    rng = np.random.default_rng(21)
+    a, b = np.array(p), np.array(q)
+    d = b - a
+    s = rng.uniform(0.0, 1.0, size=(4096, 1))
+    off = rng.uniform(-3.0, 3.0, size=(4096, 1)) * np.array([-d[1], d[0]])
+    on = a + s * d
+    before = a - (s + 1e-3) * d + off          # t clips to 0
+    past = b + (s + 1e-3) * d + off            # t clips to 1
+    corners = [[u, v] for u in (-1.0, -0.0, 0.0, 1.0)
+               for v in (-1.0, -0.0, 0.0, 1.0)]
+    P = np.vstack([on, before, past, on + off, corners,
+                   rng.uniform(-40.0, 40.0, size=(1 << 20, 2))])
+    X, Y = P[:, :1], P[:, 1:]
+    got = _segment_distance(X, Y, p, q)
+    assert got.tobytes() == matmul_segment_distance(X, Y, p, q).tobytes()
+    on_got, before_got, past_got = got[:3 * 4096].reshape(3, 4096)
+    assert np.all(on_got < 1e-15)
+    assert before_got == pytest.approx(np.hypot(*(before - a).T), rel=1e-12)
+    assert past_got == pytest.approx(np.hypot(*(past - b).T), rel=1e-12)

@@ -7,9 +7,9 @@ import pytest
 
 import czo.kernels as kernels_module
 from czo.errors import RegistryError, RejectedInputError
-from czo.kernels import (_BOX_FACTOR, KERNEL_NAMES, audit_regularity,
-                         audit_size, _rho_and_kernel, get_kernel,
-                         hormander_constant)
+from czo.kernels import (_BOX_FACTOR, _RHO_FLOOR, KERNEL_NAMES,
+                         audit_regularity, audit_size, _rho_and_kernel,
+                         get_kernel, hormander_constant)
 from czo.metric import _CHUNK
 from test_operator import wavy_kernel
 
@@ -138,9 +138,10 @@ class TestHormander:
         assert rep.tail > 0.0
 
     def test_scale_invariance(self):
+        # Down to |y - z| = _RHO_FLOOR, the least separation accepted.
         k = get_kernel("hilbert")
         vals = [hormander_constant(k, z=a, grid_points=1 << 16).value_total
-                for a in (0.1, 1.0, 10.0)]
+                for a in (_RHO_FLOOR, 0.1, 1.0, 10.0)]
         assert max(vals) / min(vals) - 1.0 < 0.01
 
     def test_transpose_matches_for_symmetric_metric(self):
@@ -152,6 +153,14 @@ class TestHormander:
     def test_coincident_points_rejected(self):
         with pytest.raises(RejectedInputError):
             hormander_constant(get_kernel("hilbert"), y=1.0, z=1.0)
+
+    @pytest.mark.parametrize("y, z", [(0.0, 7e-13), (0.0, 1e-13),
+                                      (0.0, 1e-200), (1.0, 1.0 + 2e-16)])
+    def test_separation_below_the_rho_floor_rejected(self, y, z):
+        # Below the floor K is zeroed at nodes the integral needs: hilbert
+        # returned 0.273 for 0.739 at 1e-13, and 0.0 at 1e-200.
+        with pytest.raises(RejectedInputError, match="rho floor"):
+            hormander_constant(get_kernel("hilbert"), y=y, z=z)
 
 
 def one_shot_hormander(kernel, y, z, grid_points, transpose):

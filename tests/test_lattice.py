@@ -552,7 +552,8 @@ import numpy as np
 from czo.geometry import box
 from czo.kernels import get_kernel
 from czo.operator import GridFunction, apply_truncated
-for name, n in (("hilbert", 1 << 15), ("two-line-hilbert", 1 << 13)):
+for name, n in (("hilbert", 1 << 15), ("two-line-hilbert", 1 << 13),
+                ("diamond-model", 512)):
     f = GridFunction(box(-8.0, 8.0), n,
                      np.random.default_rng(3).normal(size=n))
     with warnings.catch_warnings():
@@ -572,7 +573,7 @@ def test_bits_do_not_depend_on_blas_threads():
                              env=env, capture_output=True, text=True,
                              check=True)
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 2
+    assert len(digests[0]) == 3
     assert all(len(d) == len(hashlib.sha256().hexdigest())
                for d in digests[0])
     assert digests[0] == digests[1]

@@ -80,6 +80,26 @@ class TestGridFunction:
             with pytest.raises(RejectedInputError, match="must be finite"):
                 GridFunction(B8, 4, [1.0, 2.0, np.nan, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e6])
+    def test_cubic_cells_are_judged_relative_to_the_box(self, scale):
+        # Widths a few ulps apart are one width at every scale; widths a
+        # factor 3 or a relative 1e-12 apart are not, however small.
+        def grid(tall):
+            return GridFunction(box((0.0, 0.0), (scale, tall)), 2,
+                                np.ones(4))
+
+        for tall in (scale, scale * (1.0 + 4e-16),
+                     np.nextafter(scale, 0.0)):
+            assert grid(tall).h == scale / 2
+        for tall in (3.0 * scale, scale * (1.0 + 1e-12)):
+            with pytest.raises(RejectedInputError, match="cubic"):
+                grid(tall)
+
+    def test_cubic_cells_keep_rounded_sums_and_large_boxes(self):
+        GridFunction(box((0.0, 0.0), (0.3, 0.1 + 0.2)), 3, np.ones(9))
+        GridFunction(box((0.0, 0.0), (1e6, 1e6 + 1e-9)), 2, np.ones(4))
+        GridFunction(box((-0.1, 0.0), (0.2, 0.3)), 3, np.ones(9))
+
     def test_csv_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         f = GridFunction(box(-2.0, 3.0), 64, rng.normal(size=64))
@@ -225,6 +245,78 @@ class TestAxisCounts:
                            r"but the kernel 'two-line-hilbert' has 1"):
             apply_truncated(get_kernel("two-line-hilbert"), f, 0.5,
                             out_geometry=(B88, 16))
+
+
+def riesz_2d():
+    """K(x, y) = (x_1 - y_1) / |x - y|^3 on diagonal(2), where
+    rho = |x - y| / sqrt(2); it declares no reflections, so every apply
+    takes the dense path."""
+    def fn(X, Y, rho):
+        D = X - Y
+        return D[:, 0] / np.sqrt(np.sum(D ** 2, axis=1)) ** 3
+
+    # |K| rho^2 = |x_1 - y_1| / (2 |x - y|) <= 1/2.
+    return KernelSpec("riesz-2d", get_curve("diagonal", 2), fn,
+                      size_constant=0.5 + 1e-3, delta=1.0)
+
+
+def brute_force_2d(X, f, eps):
+    """(T_eps f at X, sum |K f| h^2) for ``riesz_2d``, summed by numpy
+    from the formula, without czo's rho or its folded sums."""
+    D = X[:, None, :] - f.nodes()[None, :, :]
+    r = np.sqrt(np.sum(D ** 2, axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.where(r / math.sqrt(2.0) >= eps, D[..., 0] / r ** 3, 0.0)
+    h2 = f.h ** 2
+    return (K @ f.values) * h2, (np.abs(K) @ np.abs(f.values)) * h2
+
+
+class TestDense2D:
+    """The dense T_eps path on a 2-D grid, against a brute-force sum."""
+
+    B = box((-2.0, -2.0), (2.0, 2.0))
+
+    def even_input(self, n):
+        v = np.random.default_rng(n).normal(size=n * n)
+        return GridFunction(self.B, n, v + v[::-1])     # f(-x) = f(x)
+
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_apply_matches_a_brute_force_sum(self, n):
+        f = self.even_input(n)
+        for eps in (0.5, 1.5):
+            got = quiet_apply(riesz_2d(), f, eps).values
+            want, scale = brute_force_2d(f.nodes(), f, eps)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.max(scale))
+            assert np.any(got != 0.0)
+
+    def test_odd_kernel_on_an_even_input_is_zero_at_the_centre(self):
+        # K(-x, -y) = -K(x, y): at x = 0 each cell's term cancels its
+        # mirror's exactly.
+        f = self.even_input(15)
+        centre = f.nodes()[112]
+        assert centre.tolist() == [0.0, 0.0]
+        for eps in (0.5, 1.5):
+            assert quiet_apply(riesz_2d(), f, eps).values[112] == 0.0
+
+    def test_apply_at_points_matches_a_brute_force_sum(self):
+        f = self.even_input(16)
+        X = np.array([[0.0, 0.0], [0.3, -1.1], [-1.9, 1.7], [5.0, 0.2]])
+        got = apply_truncated_at(riesz_2d(), f, X, 0.5)
+        want, scale = brute_force_2d(X, f, 0.5)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.max(scale))
+
+    def test_weak_type_rows_are_finite(self):
+        wide = box((-32.0, -32.0), (32.0, 32.0))
+        x = grid_nodes(wide, 32)
+        family = [GridFunction(wide, 32, np.where(
+                      np.max(np.abs(x - [1.0, 3.0]), axis=1) < 2.0, 1.0, 0.0)),
+                  GridFunction(wide, 32, np.exp(-np.sum(x ** 2, axis=1) / 8))]
+        rep = weak_type_experiment(riesz_2d(), family, 4.0, 10.0,
+                                   out_cells=32, ladder_max=6)
+        assert len(rep.rows) == 14
+        assert all(np.isfinite(dataclasses.astuple(r)).all() for r in rep.rows)
+        # A cube's bad part reaches nodes outside B*: the column path ran.
+        assert any(r.bad_integral > 0.0 for r in rep.rows)
 
 
 class TestMatrixCache:
