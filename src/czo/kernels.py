@@ -306,13 +306,17 @@ def hormander_constant(kernel: KernelSpec, y: float = 0.0, z: float = 10.0,
             vals[s:e] = integrand(step * (np.arange(s, e) + 0.5))
         return float(np.sum(vals) * step)
 
+    # Tails: int_H^inf f(x) dx = int_0^{1/H} f(1/u) / u^2 du (and mirrored),
+    # on m nodes u from hu / 2, where u ** 2 must not underflow to 0.
     H = _BOX_FACTOR * sep
-    value_box = integral(lambda t: diff(-H + t), grid_points,
-                         2.0 * H / grid_points)
-
-    # Tails: int_H^inf f(x) dx = int_0^{1/H} f(1/u) / u^2 du (and mirrored).
     m = max(1024, grid_points // 64)
     hu = (1.0 / H) / m
+    if not (0.5 * hu) ** 2 > 0.0:
+        top = 2.0 ** 536.5 / _BOX_FACTOR / m
+        raise RejectedInputError(f"|y - z| = {sep!r} is above about {top:.4g}"
+                                 f", the most {m} tail nodes can take")
+    value_box = integral(lambda t: diff(-H + t), grid_points,
+                         2.0 * H / grid_points)
     tail = integral(lambda u: diff(1.0 / u) / u ** 2, m, hu)
     tail += integral(lambda u: diff(-1.0 / u) / u ** 2, m, hu)
     return HormanderReport(value_box + tail, value_box, tail, sep, grid_points)

@@ -8,7 +8,7 @@ An operator is a plain callable ``GridFunction -> GridFunction``;
 rho(x, y_cell) >= eps of K(x, y) f(y) h^n by the midpoint rule.  Each pair
 (output grid, f's grid) has one summation object, cached on the kernel and
 built on the first apply between them, on one of two paths chosen from
-what it can observe:
+what it can observe (it keeps its latest input, keyed on f's bits):
 
 - ``_Lattice``: the kernel declares its ``reflections`` S (K(x, y) =
   sum_s k(x - s y), rho = min_s rho_1(x - s y)), n = 1, the output grid
@@ -244,15 +244,15 @@ _BAND_BLOCK = 1 << 16
 
 class _Dense:
     """T_eps from gf's grid to the points Xout by folded matrices: R and K
-    hold rho and K from Xout to [0] the nodes j < m_in // 2 and [1] their
-    mirrors m_in - 1 - j, R_mid and K_mid to an odd grid's middle node
-    (None otherwise).  The row chunks are folded after the last one is
-    built, so the output never coexists with rho's temporaries.  S is the
-    folded sum [0] + [1] of the masked terms of the latest f and eps, kept
-    under the bits of f's values (0.0 and -0.0 give different zero signs).
-    order holds the folded position and column of the cells with rho < top
-    by ascending rho (in ``rho``), one of two mirror cells of equal rho; it
-    is built on the first new eps for an f, and again for an eps above top."""
+    (RK, one allocation) hold rho and K from Xout to [0] the nodes j <
+    m_in // 2 and [1] their mirrors m_in - 1 - j, R_mid and K_mid to an odd
+    grid's middle node (None otherwise), folded once the last row chunk is
+    built, never beside rho's temporaries.  It keeps its latest input: S,
+    the folded sum [0] + [1] of the masked terms of that f and eps, under
+    the bits of f's values (0.0 and -0.0 give different zero signs).
+    order holds the folded position, column and mirror column of the cells
+    with rho < top by ascending rho (in ``rho``), one of two mirror cells
+    of equal rho, built on the first new eps for an f and on one above top."""
 
     def __init__(self, kernel: KernelSpec, Xout: np.ndarray,
                  gf: GridFunction, threads: int):
@@ -267,8 +267,8 @@ class _Dense:
 
         RK = pmap_chunks(rows, m_out, max(1, _CACHE_ENTRY_LIMIT // (8 * m_in)),
                          threads).reshape(m_out, 2, m_in).transpose(1, 0, 2)
-        self.R, self.K = np.empty((2, m_out, half)), np.empty((2, m_out, half))
-        for a, folded in zip(RK, (self.R, self.K)):
+        self.R, self.K = self.RK = np.empty((2, 2, m_out, half))
+        for a, folded in zip(RK, self.RK):
             folded[0], folded[1] = a[:, :half], a[:, ::-1][:, :half]
         self.R_mid, self.K_mid = ((None, None) if m_in % 2 == 0
                                   else RK[..., half].copy())
@@ -290,10 +290,11 @@ class _Dense:
         is the sum over gf's cells ``cells`` (one slice per axis) of the
         masked kernel times ``block``, on the output nodes and without the
         factor h^n; the masked matrix is unfolded on the first read.  A
-        new eps for the same f re-forms S only where a mask changed."""
-        f, half = gf.values, self.K.shape[2]
-        bits, F = f.tobytes(), np.stack((f[:half], f[::-1][:half]))
+        new eps for the same f re-forms S only where a mask changed, from
+        one gather of both halves' rho, K and f per ``_BAND_BLOCK`` cells."""
+        f, half, bits = gf.values, self.K.shape[2], gf.values.tobytes()
         if bits != self.bits:
+            F = np.stack((f[:half], f[::-1][:half]))
             with np.errstate(all="ignore"):
                 W = self.K * F[:, None, :]
             np.copyto(W, 0.0 * F[:, None, :], where=~(self.R >= epsilon))
@@ -307,28 +308,33 @@ class _Dense:
                 below = np.flatnonzero(below)
                 below = below[np.argsort(self.R.reshape(-1)[below])]
                 self.rho, self.top = self.R.reshape(-1)[below], hi
-                self.order = np.empty((2, len(below)), np.int32)
+                self.order = np.empty((3, len(below)), np.int32)
                 self.order[0] = below % self.S.size
                 self.order[1] = self.order[0] % half
+                self.order[2] = len(f) - 1 - self.order[1]
             a, b = self.rho.searchsorted((lo, hi))
-            p, j = self.order[:, a:b].astype(np.intp)
-            F = F.take(j, axis=1)
-            R, K = self.R.reshape(2, -1), self.K.reshape(2, -1)
-            with np.errstate(all="ignore"):
-                W = np.where(R.take(p, axis=1) >= epsilon,
-                             K.take(p, axis=1) * F, 0.0 * F)
-            self.S.reshape(-1)[p] = W[0] + W[1]
+            RK, S = self.RK.reshape(4, -1), self.S.reshape(-1)
+            for c in range(a, b, _BAND_BLOCK):
+                p = self.order[0, c:min(c + _BAND_BLOCK, b)].astype(np.intp)
+                G, F = RK.take(p, axis=1), f.take(self.order[1:, c:c + len(p)])
+                with np.errstate(all="ignore"):
+                    W = G[2:] * F
+                np.copyto(W, 0.0 * F, where=~(G[:2] >= epsilon))
+                S[p] = W[0] + W[1]
         self.eps = epsilon
         out = np.sum(self.S, axis=1)
         if self.R_mid is not None:
             out = out + (np.where(self.R_mid >= epsilon, self.K_mid, 0.0)
                          * f[half])
-        M = functools.cache(lambda: self.unfold(epsilon).reshape(
-            (-1,) + (gf.cells_per_axis,) * gf.dim))
-        return (out * gf.h ** gf.dim,
-                lambda cells, block: (M()[(slice(None),) + cells]
-                                      .reshape(len(M()), -1)
-                                      @ block.reshape(-1)))
+        M = []
+
+        def column(cells, block):
+            M[:] = M or [self.unfold(epsilon).reshape(
+                (-1,) + (gf.cells_per_axis,) * gf.dim)]
+            return M[0][(slice(None),) + cells].reshape(len(M[0]), -1) @ \
+                block.reshape(-1)
+
+        return out * gf.h ** gf.dim, column
 
 
 class _Lattice:
@@ -336,7 +342,9 @@ class _Lattice:
     the lattice: R and k hold rho_1 and k = K / |S| at the offsets
     d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in - step - 1, where
     x_i - y_j is p = step*i - j + N_in - 1 and, on a symmetric box,
-    x_i + y_j is step*i + j."""
+    x_i + y_j is step*i + j.  It keeps its latest input as ``_Dense``
+    does, under the bits of f's values: ``_lattice_apply``'s g, the phases
+    of its reversal and g's nonzero runs (``memo``)."""
 
     def __init__(self, kernel: KernelSpec, gf: GridFunction, step: int):
         n_in = gf.cells_per_axis
@@ -344,7 +352,7 @@ class _Lattice:
         self.R, K = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
         self.k = K / len(kernel.reflections)
         self.reflections, self.step = kernel.reflections, step
-        self.n_in, self.entries = n_in, len(d)
+        self.n_in, self.entries, self.bits = n_in, len(d), None
 
     def taps(self, epsilon: float) -> np.ndarray:
         """(on, taps) stacked in one read-only array: on = [rho_1 >= eps]
@@ -451,24 +459,28 @@ def _lattice_apply(lat: _Lattice, ot: np.ndarray, f: GridFunction,
     sum, as on the dense path, so for an odd k they cancel exactly where
     x_i = 0.  The rows are summed by einsum, without BLAS, in blocks of
     consecutive rows from the start of each range."""
-    refl, step = lat.reflections, lat.step
-    g = f.values if 1 in refl else 0.0
-    if -1 in refl:
-        g = g + f.values[::-1]
+    refl, step, bits = lat.reflections, lat.step, f.values.tobytes()
+    if bits != lat.bits:
+        g = f.values if 1 in refl else 0.0
+        if -1 in refl:
+            g = g + f.values[::-1]
+        # With both reflections g is even, so it is its own reversal bitwise.
+        rev, parts = g if len(refl) == 2 else g[::-1], []
+        for r in range(step):
+            b = np.ascontiguousarray(rev[r::step])
+            live = [v0 for v0 in range(0, len(b), _TAP_CHUNK)
+                    if np.count_nonzero(b[v0:v0 + _TAP_CHUNK])]
+            if live:
+                parts.append((r, b, live))
+        nonzero = _runs(g != 0.0) if len(refl) == 2 and parts else []
+        lat.bits, lat.memo = bits, (g, parts, nonzero)
+    g, parts, nonzero = lat.memo
     n_in = len(g)
     n_out, half = n_in // step, n_in // 2
-    # With both reflections g is even, so it is its own reversal bitwise.
-    rev = g if len(refl) == 2 else g[::-1]
-    phases = []
-    for r in range(step):
-        b = np.ascontiguousarray(rev[r::step])
-        live = [v0 for v0 in range(0, n_out, _TAP_CHUNK)
-                if np.count_nonzero(b[v0:v0 + _TAP_CHUNK])]
-        if live:
-            phases.append((np.ascontiguousarray(ot[1][r::step]), b, live))
+    phases = [(np.ascontiguousarray(ot[1][r::step]), b, live)
+              for r, b, live in parts]
     fix = []
-    if len(refl) == 2 and phases:
-        nonzero = _runs(g != 0.0)
+    if nonzero:
         fix = _band_ranges(_runs(ot[0] == 0.0), nonzero, step, n_out,
                            [n_out // 2] * (n_out % 2))
         # g is even and not all 0, so its first nonzero lies at or below half.
@@ -494,9 +506,10 @@ def _lattice_apply(lat: _Lattice, ot: np.ndarray, f: GridFunction,
             if n_in % 2 and r0 < r1:
                 out[r0 - i0:r1 - i0] += (ot[1][step * r0 + half::step]
                                          [:r1 - r0] * g[half])
+        out *= f.h
         return out
 
-    return pmap_chunks(rows, n_out, _TAP_CHUNK, threads) * f.h
+    return pmap_chunks(rows, n_out, _TAP_CHUNK, threads)
 
 
 def _require_inputs(kernel: KernelSpec, epsilon: float, f: GridFunction,

@@ -28,7 +28,10 @@ def chunk_ranges(total: int, chunk: int):
 
 
 def pmap_chunks(fn, total: int, chunk: int, threads: int = 1):
-    """Apply fn(start, stop) over fixed chunks, concatenating results in order."""
+    """Apply fn(start, stop) over fixed chunks, concatenating results in
+    order; one chunk's result is returned as fn gives it."""
+    if 0 < total <= chunk:
+        return fn(0, total)
     ranges = list(chunk_ranges(total, chunk))
     if threads <= 1 or len(ranges) <= 1:
         parts = [fn(a, b) for a, b in ranges]

@@ -114,6 +114,7 @@ class TestExitCodes:
         ["hormander", "a_list="],
         ["hormander", "hormander_grid=0"],
         ["hormander", "a_list=1,1e-200"],   # below the rho floor
+        ["hormander", "a_list=1,1e300"],    # beyond the tail grid
         ["qtheta", "mc_samples=0"],
         ["kernel-audit", "samples=0"],
     ], ids=" ".join)

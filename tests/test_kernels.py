@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ class TestHormander:
         # returned 0.273 for 0.739 at 1e-13, and 0.0 at 1e-200.
         with pytest.raises(RejectedInputError, match="rho floor"):
             hormander_constant(get_kernel("hilbert"), y=y, z=z)
+
+    @pytest.mark.parametrize("y, z", [(0.0, 1e300), (0.0, 4.9e156),
+                                      (-1e308, 1e308)])
+    def test_separation_beyond_the_tail_grid_rejected(self, y, z):
+        # The first tail node's u ** 2 underflowed to 0: two divisions by
+        # zero and a total of inf.  |y - z| = inf (from -1e308 and 1e308)
+        # leaves no tail grid at all.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RejectedInputError,
+                               match=r"above about 4\.854e\+156, .* 1024 tail"):
+                hormander_constant(get_kernel("two-line-hilbert"), y=y, z=z,
+                                   grid_points=1 << 16)
+
+    def test_largest_separations_keep_their_bits(self):
+        k = get_kernel("two-line-hilbert")
+        rep = hormander_constant(k, z=1e154, grid_points=1 << 16)
+        assert rep.value_total == 0.2671237970569726
+        assert math.isfinite(hormander_constant(k, z=4.8e156,
+                                                grid_points=1 << 16).tail)
 
 
 def one_shot_hormander(kernel, y, z, grid_points, transpose):

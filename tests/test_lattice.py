@@ -462,6 +462,72 @@ def test_zero_chunks_are_skipped_bit_for_bit(monkeypatch, name, step):
                                      else ref_calls)
 
 
+def memo_inputs(n):
+    """A compact input, a full-support one, the compact one again, the
+    compact one with -0.0 for its zeros, an odd one (g = 0 for both
+    reflections) and the compact one after it."""
+    x = grid_nodes(B8, n)[:, 0]
+    a = np.random.default_rng(n).normal(size=n)
+    compact = np.where(np.abs(x - 0.4) <= 1.0, a, 0.0)
+    return [compact, np.exp(-(x - 0.3) ** 2), compact,
+            np.where(compact == 0.0, -0.0, compact), a - a[::-1], compact]
+
+
+def check_memo_apply(lat, k, f, eps, step, threads):
+    got = lat(f, eps, threads)[0]
+    fresh = op._Lattice(k, f, step)(f, eps, threads)[0]
+    want = ref.apply_truncated(k, f, eps, step, threads)
+    assert got.tobytes() == fresh.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", DECLARING)
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_the_latest_input_is_never_stale(name, step):
+    # One _Lattice keeps the derived arrays of its latest input under the
+    # bits of f: inputs that alternate, 0.0 against -0.0, an odd input
+    # with no phases before a compact one, and an input changed in place
+    # (hilbert keeps f's own values as g) give the bits of a fresh object
+    # and of the reference path.
+    k = get_kernel(name)
+    n = 384
+    vals = memo_inputs(n)
+    lat = op._Lattice(k, GridFunction(B8, n, vals[0]), step)
+    for threads in (1, 2):
+        for v in vals:
+            f = GridFunction(B8, n, v)
+            for eps in LADDER[::5]:
+                check_memo_apply(lat, k, f, eps, step, threads)
+        f = GridFunction(B8, n, vals[0].copy())
+        v = f.values
+        for change in (lambda: v[40:47].fill(2.5),
+                       lambda: np.copyto(v, -0.0, where=v == 0.0),
+                       lambda: np.negative(v, out=v)):
+            check_memo_apply(lat, k, f, LADDER[3], step, threads)
+            change()
+            check_memo_apply(lat, k, f, LADDER[3], step, threads)
+            check_memo_apply(lat, k, f, LADDER[9], step, threads)
+
+
+def test_nonzero_runs_are_found_once_per_input(monkeypatch):
+    # Along a 16-eps ladder the band's off runs are found on every eps,
+    # g's nonzero runs once per input, and not at all for an odd input,
+    # whose g is 0.
+    n = 384
+    calls = []
+    inner = op._runs
+    monkeypatch.setattr(op, "_runs",
+                        lambda m: calls.append(len(m)) or inner(m))
+    k = get_kernel("two-line-hilbert")
+    for step in (1, 2):
+        for v, per_input in zip(memo_inputs(n)[3:], (1, 0, 1)):
+            calls.clear()
+            _, rep = estimate_T0(k, GridFunction(B8, n, v), LADDER,
+                                 (B8, n // step))
+            assert len(rep.sup_diffs) == len(LADDER) - 1
+            assert calls.count(n) == per_input
+            assert calls.count(2 * n - step) == per_input * len(LADDER)
+
+
 def test_path_selection(monkeypatch):
     builds = []
     build = op._Dense.__init__

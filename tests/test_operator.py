@@ -697,6 +697,29 @@ class TestDenseProducts:
                 assert dense(f, eps, 1)[0].tobytes() == want.tobytes()
                 assert dense.S.tobytes() == fresh.S.tobytes()
 
+    def test_a_step_changing_every_cell_matches_a_fresh_summation(self):
+        # For a full-support input, from an eps above every rho to one below
+        # every positive rho, the first step re-forms every folded
+        # position, more than 2 _BAND_BLOCK of them, so the chunk loop runs
+        # three times.
+        import czo.operator as op
+
+        k = get_kernel("diamond-model")
+        n = 520
+        f = GridFunction(B8, n, TestMirrorPairedSums.inputs(n, 13)[1])
+        dense, fresh = (op._Dense(k, grid_nodes(B8, n), f, 1)
+                        for _ in range(2))
+        top = 2.0 * float(np.max(dense.R))
+        walk = [top, 5e-324, 0.3, top, 1.0, 5e-324]
+        for i, eps in enumerate(walk):
+            fresh.bits = None
+            want, _ = fresh(f, eps, 1)
+            assert dense(f, eps, 1)[0].tobytes() == want.tobytes()
+            assert dense.S.tobytes() == fresh.S.tobytes()
+            if i == 1:
+                a, b = dense.rho.searchsorted((eps, top))
+                assert b - a > 2 * op._BAND_BLOCK
+
     def test_one_shot_applies_build_no_order(self, monkeypatch):
         import czo.operator as op
 
@@ -749,6 +772,38 @@ class TestDenseProducts:
                 assert np.all(np.isfinite(got.values))
                 got = apply_truncated_at(kernel, f, X, eps)
                 assert got.tobytes() == want.tobytes()
+
+
+class TestPmapChunks:
+    @staticmethod
+    def parts(a, b):
+        return np.arange(a, b) * 0.1
+
+    @pytest.mark.parametrize("total", [1, 7, 8])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_chunk_gives_the_concatenated_bits(self, total, threads):
+        from czo.util import pmap_chunks
+
+        calls = []
+        got = pmap_chunks(lambda a, b: calls.append((a, b))
+                          or self.parts(a, b), total, 8, threads)
+        want = np.concatenate([self.parts(0, total)])
+        assert calls == [(0, total)]
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_range_gives_an_empty_array(self):
+        from czo.util import pmap_chunks
+
+        for threads in (1, 2):
+            got = pmap_chunks(lambda a, b: pytest.fail("called"), 0, 8,
+                              threads)
+            assert got.shape == (0,) and got.dtype == float
+
+    def test_several_chunks_concatenate_in_order(self):
+        from czo.util import pmap_chunks
+
+        got = pmap_chunks(self.parts, 19, 8, 2)
+        assert got.tobytes() == self.parts(0, 19).tobytes()
 
 
 class TestEstimateT0:
