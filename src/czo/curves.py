@@ -47,7 +47,8 @@ def diagonal(dim: int = 1) -> HyperCurve:
         preimage_boxes=lambda b: [b],
         preimage_nearest=lambda Y, X: Y.copy(),
         name="identity",
-        distance=lambda X, Y: np.sqrt(np.sum((X - Y) ** 2, axis=1)) / _SQRT2,
+        distance=(lambda X, Y: np.abs(X[:, 0] - Y[:, 0]) / _SQRT2) if dim == 1
+            else lambda X, Y: np.sqrt(np.sum((X - Y) ** 2, axis=1)) / _SQRT2,
     )
     return HyperCurve("diagonal", [br],
                       intersection_points=np.empty((0, dim)))
@@ -78,9 +79,7 @@ def _mirror(branch: CurveBranch, index: int, name: str) -> CurveBranch:
 
 def two_lines() -> HyperCurve:
     """gamma(x) = +-x on R: two lines crossing at the origin (n = 1)."""
-    plus = dataclasses.replace(
-        diagonal(1).branches[0], name="plus",
-        distance=lambda X, Y: np.abs(X[:, 0] - Y[:, 0]) / _SQRT2)
+    plus = dataclasses.replace(diagonal(1).branches[0], name="plus")
     return HyperCurve("two-lines", [plus, _mirror(plus, 1, "minus")],
                       intersection_points=np.array([[0.0]]))
 

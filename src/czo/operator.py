@@ -143,9 +143,6 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return grid_nodes(self.box, self.cells_per_axis)
 
-    def geometry(self) -> tuple:
-        return (self.box.lo, self.box.hi, self.cells_per_axis)
-
     def integral(self) -> float:
         return float(np.sum(self.values) * self.h ** self.dim)
 
@@ -343,7 +340,7 @@ class _Lattice:
     d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in - step - 1, where
     x_i - y_j is p = step*i - j + N_in - 1 and, on a symmetric box,
     x_i + y_j is step*i + j.  It keeps its latest input as ``_Dense``
-    does, under the bits of f's values: ``_lattice_apply``'s g, the phases
+    does, under the bits of f's values: g (see ``__call__``), the phases
     of its reversal and g's nonzero runs (``memo``)."""
 
     def __init__(self, kernel: KernelSpec, gf: GridFunction, step: int):
@@ -388,22 +385,88 @@ class _Lattice:
         return W
 
     def __call__(self, gf: GridFunction, epsilon: float, threads: int):
-        """(T_eps gf, column) as for ``_Dense``; column gathers the kernel
-        from the taps on the cells it reads alone, at most ``_BAND_BLOCK``
-        entries at a time."""
+        """(T_eps gf, column) as for ``_Dense``: out_i = h sum_j on[p]
+        on[q] k[p] g_j, g = sum over the declared reflections s of f(s y),
+        on[q] only with both (p, q and ot = (on, taps) as in ``block``).
+
+        The Toeplitz sum h sum_j taps[p] g_j is exact on every row whose band
+        {j : on[q] = 0} misses the nonzero g_j.  For it the taps and the
+        reversed g are split by residue mod step, so out_i = sum over r and v
+        of taps_r[i + v] g_r[v], summed in the same fixed chunks of v for
+        every i: splitting the outputs over threads leaves every bit
+        unchanged, and so does skipping a chunk whose g_r is all 0, which
+        would add only +-0 to an out that starts at +0 and is never -0.  The
+        other rows and the middle row of an odd output grid
+        (``_band_ranges``) are recomputed, never as the Toeplitz sum minus
+        the band, which leaves a residue where every kept term is 0.  As g
+        is even and cell j and its mirror N - 1 - j swap p and q, each cell
+        j < N/2 from g's first nonzero adds on[p] on[q] (k[p] + k[q]) g_j:
+        the kernel terms are added before the row sum, as on the dense path,
+        so for an odd k they cancel exactly where x_i = 0.  The rows are
+        summed by einsum, without BLAS, in blocks of consecutive rows from
+        the start of each range.  column gathers the kernel from the taps on
+        the cells it reads alone, ``_BAND_BLOCK`` entries at a time."""
         ot = self.taps(epsilon)
+        refl, step, bits = self.reflections, self.step, gf.values.tobytes()
+        if bits != self.bits:
+            g = gf.values if 1 in refl else 0.0
+            if -1 in refl:
+                g = g + gf.values[::-1]
+            # With both reflections g is even: its own reversal, bitwise.
+            rev, parts = g if len(refl) == 2 else g[::-1], []
+            for r in range(step):
+                b = np.ascontiguousarray(rev[r::step])
+                live = [v0 for v0 in range(0, len(b), _TAP_CHUNK)
+                        if np.count_nonzero(b[v0:v0 + _TAP_CHUNK])]
+                if live:
+                    parts.append((r, b, live))
+            nonzero = _runs(g != 0.0) if len(refl) == 2 and parts else []
+            self.bits, self.memo = bits, (g, parts, nonzero)
+        g, parts, nonzero = self.memo
+        n_in, n_out, half = self.n_in, self.n_in // step, self.n_in // 2
+        phases = [(np.ascontiguousarray(ot[1][r::step]), b, live)
+                  for r, b, live in parts]
+        fix = []
+        if nonzero:
+            fix = _band_ranges(_runs(ot[0] == 0.0), nonzero, step, n_out,
+                               [n_out // 2] * (n_out % 2))
+            # g is even and not all 0: its first nonzero is at or below half.
+            cells = slice(nonzero[0] + 1, half)
+            gc = g[cells]
+            block = max(1, _BAND_BLOCK // max(len(gc), 1))
+            most = min(block, max((r1 - r0 for r0, r1 in fix), default=0))
+
+        def rows(i0, i1):
+            out = np.zeros(i1 - i0)
+            for a, b, live in phases:
+                for v0 in live:
+                    v1 = min(v0 + _TAP_CHUNK, n_out)
+                    out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
+                                        "valid")
+            buf = np.empty((most, len(gc))) if fix else None
+            for r0, r1 in fix:
+                r0, r1 = max(r0, i0), min(r1, i1)
+                for a0 in range(r0, r1, block):
+                    a1 = min(a0 + block, r1)
+                    W = self.block(ot, slice(a0, a1), cells, buf[:a1 - a0])
+                    np.einsum("ij,j->i", W, gc, out=out[a0 - i0:a1 - i0])
+                if n_in % 2 and r0 < r1:
+                    out[r0 - i0:r1 - i0] += (ot[1][step * r0 + half::step]
+                                             [:r1 - r0] * g[half])
+            out *= gf.h
+            return out
 
         def column(cells, block):
             (c,) = cells
-            out = np.zeros(self.n_in // self.step)
-            width = max(1, _BAND_BLOCK // len(out))
+            out = np.zeros(n_out)
+            width = max(1, _BAND_BLOCK // n_out)
             for c0 in range(c.start, c.stop, width):
                 c1 = min(c0 + width, c.stop)
-                W = self.block(ot, slice(0, len(out)), slice(c0, c1))
+                W = self.block(ot, slice(0, n_out), slice(c0, c1))
                 out += W @ block[c0 - c.start:c1 - c.start]
             return out
 
-        return _lattice_apply(self, ot, gf, threads), column
+        return pmap_chunks(rows, n_out, _TAP_CHUNK, threads), column
 
 
 def _runs(m: np.ndarray) -> list[int]:
@@ -436,80 +499,6 @@ def _band_ranges(off: list[int], nonzero: list[int], step: int, n_out: int,
         elif a < b:
             out.append((a, b))
     return out
-
-
-def _lattice_apply(lat: _Lattice, ot: np.ndarray, f: GridFunction,
-                   threads: int) -> np.ndarray:
-    """out_i = h sum_j on[p] on[q] k[p] g_j with g = sum over the declared
-    reflections s of f(s y), the factor on[q] present only with both
-    reflections (p, q and ot = (on, taps) as in ``_Lattice.block``).
-
-    The Toeplitz sum h sum_j taps[p] g_j is exact on every row whose band
-    {j : on[q] = 0} misses the nonzero g_j.  For it the taps and the reversed
-    g are split by residue mod step, so out_i = sum over r and v of
-    taps_r[i + v] g_r[v], summed in the same fixed chunks of v for every i:
-    splitting the outputs over threads leaves every bit unchanged, and so
-    does skipping a chunk whose g_r is all 0, which would add only +-0 to an
-    out that starts at +0 and is never -0.  The other rows and the middle
-    row of an odd output grid (``_band_ranges``) are recomputed, never as
-    the Toeplitz sum minus the band, which leaves a residue where every kept
-    term is 0.  As g is even and cell j and its mirror N - 1 - j swap p and
-    q, each cell j < N/2 from g's first nonzero adds
-    on[p] on[q] (k[p] + k[q]) g_j: the kernel terms are added before the row
-    sum, as on the dense path, so for an odd k they cancel exactly where
-    x_i = 0.  The rows are summed by einsum, without BLAS, in blocks of
-    consecutive rows from the start of each range."""
-    refl, step, bits = lat.reflections, lat.step, f.values.tobytes()
-    if bits != lat.bits:
-        g = f.values if 1 in refl else 0.0
-        if -1 in refl:
-            g = g + f.values[::-1]
-        # With both reflections g is even, so it is its own reversal bitwise.
-        rev, parts = g if len(refl) == 2 else g[::-1], []
-        for r in range(step):
-            b = np.ascontiguousarray(rev[r::step])
-            live = [v0 for v0 in range(0, len(b), _TAP_CHUNK)
-                    if np.count_nonzero(b[v0:v0 + _TAP_CHUNK])]
-            if live:
-                parts.append((r, b, live))
-        nonzero = _runs(g != 0.0) if len(refl) == 2 and parts else []
-        lat.bits, lat.memo = bits, (g, parts, nonzero)
-    g, parts, nonzero = lat.memo
-    n_in = len(g)
-    n_out, half = n_in // step, n_in // 2
-    phases = [(np.ascontiguousarray(ot[1][r::step]), b, live)
-              for r, b, live in parts]
-    fix = []
-    if nonzero:
-        fix = _band_ranges(_runs(ot[0] == 0.0), nonzero, step, n_out,
-                           [n_out // 2] * (n_out % 2))
-        # g is even and not all 0, so its first nonzero lies at or below half.
-        cells = slice(nonzero[0] + 1, half)
-        gc = g[cells]
-        block = max(1, _BAND_BLOCK // max(len(gc), 1))
-        most = min(block, max((r1 - r0 for r0, r1 in fix), default=0))
-
-    def rows(i0, i1):
-        out = np.zeros(i1 - i0)
-        for a, b, live in phases:
-            for v0 in live:
-                v1 = min(v0 + _TAP_CHUNK, n_out)
-                out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
-                                    "valid")
-        buf = np.empty((most, len(gc))) if fix else None
-        for r0, r1 in fix:
-            r0, r1 = max(r0, i0), min(r1, i1)
-            for a0 in range(r0, r1, block):
-                a1 = min(a0 + block, r1)
-                W = lat.block(ot, slice(a0, a1), cells, buf[:a1 - a0])
-                np.einsum("ij,j->i", W, gc, out=out[a0 - i0:a1 - i0])
-            if n_in % 2 and r0 < r1:
-                out[r0 - i0:r1 - i0] += (ot[1][step * r0 + half::step]
-                                         [:r1 - r0] * g[half])
-        out *= f.h
-        return out
-
-    return pmap_chunks(rows, n_out, _TAP_CHUNK, threads)
 
 
 def _require_inputs(kernel: KernelSpec, epsilon: float, f: GridFunction,
@@ -550,7 +539,8 @@ def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
     a 1-D kernel that declares its reflections, an output grid on f's box
     whose cell count divides f's and, for the reflection -1, a box
     symmetric about 0 (whose nodes reflect bitwise); else a ``_Dense``."""
-    key = ((out_box.lo, out_box.hi, out_n), f.geometry())
+    key = ((out_box.lo, out_box.hi, out_n),
+           (f.box.lo, f.box.hi, f.cells_per_axis))
     hit = kernel._matrices.get(key)
     if hit is None:
         n_in, refl = f.cells_per_axis, kernel.reflections

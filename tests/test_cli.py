@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+import czo.cli as cli
 from czo.cli import (ExperimentConfig, builtin_function, main,
                      parse_config_file, run_experiment)
 from czo.curves import get_curve
-from czo.errors import RegistryError, RejectedInputError
+from czo.errors import ConsistencyError, RegistryError, RejectedInputError
 from czo.geometry import HyperCurve, box
 from czo.kernels import KernelSpec, get_kernel
+from czo.metric import EquivalenceReport
 from czo.operator import grid_function, write_grid_csv
 
 
@@ -117,10 +119,18 @@ class TestExitCodes:
         ["hormander", "a_list=1,1e300"],    # beyond the tail grid
         ["qtheta", "mc_samples=0"],
         ["kernel-audit", "samples=0"],
+        ["recover", "b=1"],                 # two-lines has 2 branches
+        ["recover", "b=1,0,0"],
     ], ids=" ".join)
     def test_bad_value_exits_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
+
+    def test_hormander_near_the_tail_limit_exits_0(self, tmp_path):
+        # diagonal's rho overflowed at 1e154, so hilbert's value_total
+        # there read 1.93 for 0.739 and the spread rule exited 1.
+        assert main(["hormander", "kernel=hilbert", "a_list=1,1e154",
+                     "--out", str(tmp_path)]) == 0
 
     def test_hormander_rejects_a_non_finite_point_before_computing(
             self, tmp_path, capsys):
@@ -258,6 +268,48 @@ class TestExitCodes:
         body = (tmp_path / "metric_equivalence.csv").read_text()
         assert body.splitlines()[-1].endswith(",1")
         assert (tmp_path / "manifest.csv").exists()
+
+
+class TestFailureExits:
+    """Exit 1 paths that no built-in curve reaches, driven by replacing
+    the library call that the kind makes."""
+
+    def test_library_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ConsistencyError("the check could not run")
+
+        monkeypatch.setattr(cli, "check_equivalence", fail)
+        assert main(["metric-equivalence", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "czo: failure: the check could not run" in err
+        assert "Traceback" not in err
+
+    def test_metric_equivalence_writes_its_witness(self, tmp_path,
+                                                   monkeypatch):
+        rep = EquivalenceReport(False, 10, 9.5, 1.0, 4.0,
+                                witness=((0.5,), (-0.5,), 0))
+        monkeypatch.setattr(cli, "check_equivalence", lambda *a: rep)
+        assert main(["metric-equivalence", "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "metric_equivalence.csv").read_text().splitlines()
+        assert lines[1] == "two-lines,10,9.5,1.0,4.0,0"
+        witness = lines[2]
+        assert witness.startswith("witness,") and witness.endswith(",0")
+        assert "((0.5,), (-0.5,), 0)" in witness
+
+    def test_recover_beyond_its_tolerance_exits_1(self, tmp_path,
+                                                  monkeypatch):
+        # Every recovered value off by 1, against a tolerance of 2 h = 0.25.
+        def off_by_one(*args):
+            rec = recover(*args)
+            return dataclasses.replace(rec, fields=rec.fields + 1.0)
+
+        recover = cli.recover_multipliers
+        monkeypatch.setattr(cli, "recover_multipliers", off_by_one)
+        assert main(["recover", "n=128", "max_depth=5",
+                     "--out", str(tmp_path)]) == 1
+        rows = (tmp_path / "recover.csv").read_text().splitlines()
+        assert rows[0] == "# tolerance=0.25"
+        assert [r.split(",")[1] for r in rows[2:]] == ["1.0", "1.0"]
 
 
 class TestExperiments:

@@ -10,7 +10,7 @@ import pytest
 from czo.curves import (_pm_preimage_nearest, _polyline_distance,
                         _segment_distance, get_curve)
 from czo.geometry import Box, CurveBranch, HyperCurve, box, region, whole_space
-from czo.metric import nearest_range
+from czo.metric import nearest_range, rho_values
 from czo.partition import build_partition
 
 SQ2 = math.sqrt(2.0)
@@ -147,3 +147,10 @@ def test_segment_distance_keeps_the_matmul_bits(p, q):
     assert np.all(on_got < 1e-15)
     assert before_got == pytest.approx(np.hypot(*(before - a).T), rel=1e-12)
     assert past_got == pytest.approx(np.hypot(*(past - b).T), rel=1e-12)
+
+
+def test_diagonal_distance_is_finite_at_huge_separations():
+    # Squaring x - y overflowed to inf once |x - y| passed about 1.3e154.
+    with np.errstate(all="raise"):
+        rho = rho_values(get_curve("diagonal"), [[1e200]], [[-1e200]])[0]
+    assert rho[0] == 2e200 / SQ2

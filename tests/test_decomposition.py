@@ -73,6 +73,21 @@ class TestCzDecompose:
         with pytest.raises(RejectedInputError):
             cz_decompose(f, 1.0, box(-1.5, 0.0))  # 6 cells: not a power of 2
 
+    @pytest.mark.parametrize("dim, root, match", [
+        (1, box(6.0, 10.0), "not aligned"),        # cells 56..72 of 64
+        (1, box(-10.0, -6.0), "not aligned"),      # cells -8..8
+        (2, box((0.0, 0.0), (2.0, 1.0)), "a cube in grid cells"),
+    ], ids=["past-the-top", "past-the-bottom", "not-a-cube"])
+    def test_rejects_aligned_root_off_the_grid_or_not_a_cube(self, dim, root,
+                                                             match):
+        # Aligned with the cells (h = 0.25 in 1-D, h = 1 in 2-D), yet the
+        # root leaves the grid or spans 2 x 1 cells.
+        n = 64 if dim == 1 else 16
+        bx = B8 if dim == 1 else box((-8.0, -8.0), (8.0, 8.0))
+        f = GridFunction(bx, n, np.zeros(n ** dim))
+        with pytest.raises(RejectedInputError, match=match):
+            cz_decompose(f, 1.0, root)
+
     def test_rejects_root_of_other_dimension(self):
         f = GridFunction(B8, 64, np.zeros(64))
         with pytest.raises(RejectedInputError, match="root"):

@@ -120,6 +120,20 @@ class TestRegion:
         assert d <= abs(q - x) + 1e-12
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: region(), "at least one box"),
+    (lambda: region(box(0.0, 1.0), box((0.0, 0.0), (1.0, 1.0))),
+     "mixed-dimension region"),
+    (lambda: HyperCurve("bare", []), "at least one branch"),
+    (lambda: HyperCurve("mixed", [get_curve("diagonal").branch(0),
+                                  get_curve("diagonal", 2).branch(0)]),
+     "mixed-dimension branches"),
+], ids=["empty-region", "mixed-region", "empty-curve", "mixed-curve"])
+def test_empty_or_mixed_dimension_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestDyadicCube:
     def test_box_and_children(self):
         c = DyadicCube(1, (1,))

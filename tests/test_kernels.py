@@ -12,7 +12,7 @@ from czo.kernels import (_BOX_FACTOR, _RHO_FLOOR, KERNEL_NAMES,
                          audit_regularity, audit_size, _rho_and_kernel,
                          get_kernel, hormander_constant)
 from czo.metric import _CHUNK
-from test_operator import wavy_kernel
+from test_operator import riesz_2d, wavy_kernel
 
 SQ2 = math.sqrt(2.0)
 # Closed-form value of the smoothness integral for the 1/(x-y) kernel with
@@ -151,6 +151,10 @@ class TestHormander:
         b = hormander_constant(k, z=2.0, grid_points=1 << 14, transpose=True)
         assert a.value_total == pytest.approx(b.value_total, rel=1e-9)
 
+    def test_kernel_of_two_dimensions_rejected(self):
+        with pytest.raises(RejectedInputError, match="n=1"):
+            hormander_constant(riesz_2d(), z=1.0)
+
     def test_coincident_points_rejected(self):
         with pytest.raises(RejectedInputError):
             hormander_constant(get_kernel("hilbert"), y=1.0, z=1.0)
@@ -175,6 +179,16 @@ class TestHormander:
                                match=r"above about 4\.854e\+156, .* 1024 tail"):
                 hormander_constant(get_kernel("two-line-hilbert"), y=y, z=z,
                                    grid_points=1 << 16)
+
+    def test_diagonal_keeps_its_value_near_the_tail_limit(self):
+        # diagonal's rho squared x - y, which overflows past about 1.3e154:
+        # hilbert gave 1.9293521 at 1e154 for 0.7390842 at 1.
+        k = get_kernel("hilbert")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = hormander_constant(k, z=1e154, grid_points=1 << 16)
+        near = hormander_constant(k, z=1.0, grid_points=1 << 16)
+        assert far.value_total == pytest.approx(near.value_total, rel=1e-9)
 
     def test_largest_separations_keep_their_bits(self):
         k = get_kernel("two-line-hilbert")

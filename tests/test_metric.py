@@ -11,14 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from czo.curves import CURVE_NAMES, diagonal, get_curve
 from czo.errors import RejectedInputError
-from czo.geometry import CurveBranch, HyperCurve, box, region, whole_space
+from czo.geometry import (Box, CurveBranch, HyperCurve, box, region,
+                          whole_space)
 from czo.metric import (_CHUNK, _PROBE_ROUNDS, _BranchSampler, _get_sampler,
-                        _require_separation, _unit_ball_volume,
-                        check_equivalence, check_qtheta, enlarged_cube,
-                        nearest_range,
+                        _require_separation, _unit_ball_volume, CubePiece,
+                        EnlargedCube, check_equivalence, check_qtheta,
+                        enlarged_cube, nearest_range,
                         rho_branch_values, rho_tilde_branch_values,
                         rho_tilde_star_branch_values, rho_values,
                         sampled_rho_branch_values)
+from czo.util import as_points
 
 SQ2 = math.sqrt(2.0)
 WAVE = 0.3
@@ -248,6 +250,30 @@ class TestEnlargedCube:
         sampled = ec.contains(X)
         assert np.array_equal(exact, sampled)
 
+    @pytest.mark.parametrize("curve", ["two-lines", "wavy"])
+    def test_bounding_box_without_preimage_boxes_holds_q_theta(self, curve):
+        # wavy declares no preimage boxes; two-lines has them stripped.  The
+        # box is then the covering-ball extent around the sampled preimages.
+        curve = wavy_curve() if curve == "wavy" else get_curve(curve)
+        ec = enlarged_cube(curve, box(2.0, 3.0), 8.0)
+        for p in ec.pieces:
+            p.preimage_boxes = None
+        bbox = ec.bounding_box()
+        assert bbox.is_bounded and bbox != ec.base
+        X = np.linspace(-80.0, 80.0, 16001).reshape(-1, 1)
+        inside = X[ec.contains(X)]
+        assert len(inside) > 0
+        assert np.all(bbox.contains(inside, tol=0.0))
+
+    def test_bounding_box_skips_a_preimage_beyond_the_sampling_box(self):
+        # An unbounded preimage box that misses [-32, 32] has no clipped
+        # part, so it adds nothing to the box; the bounded one still does.
+        branch = get_curve("diagonal").branch(0)
+        far = Box((-math.inf,), (-40.0,))
+        ec = EnlargedCube(box(2.0, 3.0), 8.0, get_curve("diagonal"),
+                          [CubePiece(branch, [far, box(2.0, 3.0)])])
+        assert ec.bounding_box() == box(2.0, 3.0).dilate(8.0 * 1.001)
+
     def test_sampled_path_matches_per_eta_loop_2d(self, monkeypatch):
         import czo.metric as metric
 
@@ -310,6 +336,28 @@ class TestQTheta:
         rep = check_qtheta(curve, Q, 9.0, probe_count=300, seed=4)
         assert rep.passed, rep.witness
         assert rep.min_probe_rho < 0.15
+
+    def test_measure_half_fails_on_an_understated_lipschitz_constant(self):
+        # gamma(x) = x / 100 declares lipschitz 1, but its inverse's constant
+        # is 100: Q_theta = [-8, 108] has measure 116, above the bound
+        # 2 (1 + 6 c_gamma / 8) 8 |Q| = 28 that a constant of 1 gives.
+        dom = whole_space(1)
+        br = CurveBranch(
+            index=0, domain=dom, forward=lambda X: X / 100.0,
+            inverse=lambda Y: 100.0 * Y,
+            jacobian=lambda X: np.full(len(X), 0.01), lipschitz=1.0,
+            range_region=dom,
+            preimage_boxes=lambda b: [Box((100.0 * b.lo[0],),
+                                          (100.0 * b.hi[0],))],
+            preimage_nearest=lambda Y, X: 100.0 * Y, name="slow",
+            distance=lambda X, Y: (np.abs(X[:, 0] / 100.0 - Y[:, 0])
+                                   / math.sqrt(1.0 + 1e-4)))
+        rep = check_qtheta(HyperCurve("slow", [br]), box(0.0, 1.0), 8.0,
+                           probe_count=100, seed=1, mc_samples=20000)
+        assert not rep.passed
+        assert rep.measure_bound == pytest.approx(28.0)
+        assert rep.measure_estimate == pytest.approx(116.0, rel=0.02)
+        assert rep.measure_estimate - rep.measure_halfwidth > 28.0
 
     def test_theta_hypothesis_enforced(self):
         with pytest.raises(RejectedInputError):
@@ -675,3 +723,29 @@ def test_partition_rho_and_recovery_import_no_numpy_ma():
     # np.unique imports numpy.ma, about 10 ms, on its first call.
     run = run_fresh(_NO_MA_PROBE)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("X, dim, want", [
+    ([1.0, 2.0, 3.0], 1, (3, 1)),    # a 1-D array of scalars in R
+    ([1.0, 2.0], 2, (1, 2)),         # a 1-D array as one point in R^2
+    (4.0, 1, (1, 1)),
+])
+def test_as_points_shapes(X, dim, want):
+    assert as_points(X, dim).shape == want
+
+
+@pytest.mark.parametrize("X, dim, match", [
+    ([1.0, 2.0, 3.0], 2, r"a point in R\^2, got shape \(3,\)"),
+    (np.zeros((2, 3)), 2, r"points in R\^2, got shape \(2, 3\)"),
+    (np.zeros((2, 2, 2)), 2, r"points in R\^2, got shape \(2, 2, 2\)"),
+    ([[math.nan]], 1, "finite"),
+    ([[0.0, math.inf]], 2, "finite"),
+], ids=["short-vector", "wrong-width", "3-d", "nan", "inf"])
+def test_as_points_rejections(X, dim, match):
+    with pytest.raises(ValueError, match=match):
+        as_points(X, dim)
+
+
+def test_rho_rejects_a_non_finite_point():
+    with pytest.raises(ValueError, match="finite"):
+        rho_values(get_curve("two-lines"), [[math.nan]], [[0.0]])

@@ -864,6 +864,12 @@ class TestApplyMultiplier:
                            r"the curve 'two-lines' has 1"):
             multiplier_field(get_curve("two-lines"), B88, 16, [1.0, 0.0])
 
+    @pytest.mark.parametrize("funcs", [[1.0], [1.0, 0.0, 0.0]])
+    def test_wrong_multiplier_count_is_rejected(self, funcs):
+        with pytest.raises(RejectedInputError,
+                           match="expected 2 multiplier functions"):
+            multiplier_field(get_curve("two-lines"), B8, 16, funcs)
+
     @pytest.mark.parametrize("funcs", [[math.inf, 0.0], [0.0, math.nan],
                                        [lambda X: X[:, 0] / 0.0, 1.0]],
                              ids=["inf", "nan", "callable"])
@@ -917,6 +923,17 @@ class TestRecovery:
                            r"the curve 'two-lines' has 1"):
             recover_multipliers(zero_operator, curve,
                                 build_partition(curve, max_depth=4), B88, 16)
+
+    def test_operator_that_changes_the_grid_is_rejected(self):
+        curve = get_curve("two-lines")
+
+        def refine(f):
+            return GridFunction(f.box, 2 * f.cells_per_axis,
+                                np.repeat(f.values, 2))
+
+        with pytest.raises(ConsistencyError, match="changed the grid"):
+            recover_multipliers(refine, curve,
+                                build_partition(curve, max_depth=4), B8, 16)
 
     def test_overlapping_branches_rejected(self):
         # Two identity branches send every node into the one cube [0, 1].
@@ -972,6 +989,16 @@ class TestMultiplierBound:
         rep = multiplier_bound_check(curve, mf, 1.0)
         assert not rep.passed
         assert rep.supremum == pytest.approx(64.0, rel=1e-2)
+
+    def test_branch_without_a_node_has_supremum_zero(self):
+        # diamond's flat branch lives on |x| >= 1, so no node of a box
+        # inside (-0.5, 0.5) is in its domain.
+        curve = get_curve("diamond")
+        mf = multiplier_field(curve, box(-0.25, 0.25), 16, [1.0, 1.0, 5.0])
+        assert not np.any(mf.support[2])
+        rep = multiplier_bound_check(curve, mf, 1.0)
+        assert rep.per_branch[2] == 0.0
+        assert rep.passed and rep.supremum == 1.0
 
     def test_cap_must_be_positive(self):
         curve = get_curve("two-lines")
