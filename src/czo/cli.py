@@ -8,7 +8,7 @@ experiment writes fixed-name CSV files plus a ``manifest.csv`` (config
 echo, seed, library versions, wall time) into the output directory.  The
 thread count reaches only the T_eps kinds (apply, t0-convergence,
 weaktype).  Exit codes: 0 pass, 1 numerical assertion failure, 2
-configuration error.
+configuration error.  Each kind imports only the library layers it runs.
 """
 
 from __future__ import annotations
@@ -24,18 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .curves import get_curve
-from .decomposition import (cz_decompose, weak_type_experiment,
-                            weak_l1_quasinorm)
 from .errors import CzoError, RegistryError, RejectedInputError
 from .geometry import Box, parse_box
-from .kernels import (audit_regularity, audit_size, get_kernel,
-                      hormander_constant)
-from .metric import check_equivalence, check_qtheta
-from .operator import (GridFunction, apply_truncated, estimate_T0,
-                       grid_nodes, multiplier_field, multiplier_handle,
-                       read_grid_csv, recover_multipliers, write_grid_csv)
-from .partition import build_partition
 
 DEFAULTS = {
     "curve": "two-lines",
@@ -135,9 +125,9 @@ def _bump_width(w: float, spec: str) -> float:
 def builtin_function(spec: str, bx: Box, n_cells: int) -> GridFunction:
     """Parse 'indicator:a,b' | 'bump[:center,width]' | 'odd-bump' |
     'custom:path.csv' into a grid function."""
+    from .operator import GridFunction, grid_nodes, read_grid_csv
     name, _, arg = spec.partition(":")
-    nodes = grid_nodes(bx, n_cells)
-    x = nodes[:, 0]
+    x = grid_nodes(bx, n_cells)[:, 0]
     if name == "indicator":
         a, b = _spec_numbers(spec, arg, (-1.0, 1.0))
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -220,12 +210,14 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def _run_metric_equivalence(cfg, out_dir) -> int:
+    from .curves import get_curve
+    from .metric import check_equivalence
     curve = get_curve(cfg.get("curve"))
     rep = check_equivalence(curve, cfg.get_int("pairs"), cfg.get_int("seed"))
     rows = [(curve.name, rep.pair_count, rep.max_ratio_tilde,
              rep.max_ratio_star, rep.bound, int(rep.passed))]
     if rep.witness is not None:
-        rows.append(("witness", repr(rep.witness), "", "", "", 0))
+        rows.append(("witness", f'"{rep.witness!r}"', "", "", "", 0))
     _write_csv(os.path.join(out_dir, "metric_equivalence.csv"),
                ["curve", "pairs", "max_ratio_tilde", "max_ratio_star",
                 "bound", "passed"], rows)
@@ -233,6 +225,8 @@ def _run_metric_equivalence(cfg, out_dir) -> int:
 
 
 def _run_partition(cfg, out_dir) -> int:
+    from .curves import get_curve
+    from .partition import build_partition
     curve = get_curve(cfg.get("curve"))
     part = build_partition(curve, cfg.get_int("max_depth"))
     rows = [("cube", c.level, " ".join(map(str, c.corner)),
@@ -247,6 +241,7 @@ def _run_partition(cfg, out_dir) -> int:
 
 
 def _run_kernel_audit(cfg, out_dir) -> int:
+    from .kernels import audit_regularity, audit_size, get_kernel
     kernel = get_kernel(cfg.get("kernel"))
     size = audit_size(kernel, cfg.get_int("samples"), cfg.get_int("seed"))
     rows = [("size", size.supremum, size.bound, int(size.passed))]
@@ -264,6 +259,7 @@ def _run_kernel_audit(cfg, out_dir) -> int:
 
 
 def _run_hormander(cfg, out_dir) -> int:
+    from .kernels import get_kernel, hormander_constant
     kernel = get_kernel(cfg.get("kernel"))
     rows = []
     totals = []
@@ -279,6 +275,8 @@ def _run_hormander(cfg, out_dir) -> int:
 
 
 def _run_apply(cfg, out_dir) -> int:
+    from .kernels import get_kernel
+    from .operator import apply_truncated
     kernel = get_kernel(cfg.get("kernel"))
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
@@ -294,6 +292,8 @@ def _run_apply(cfg, out_dir) -> int:
 
 
 def _run_t0(cfg, out_dir) -> int:
+    from .kernels import get_kernel
+    from .operator import estimate_T0, write_grid_csv
     kernel = get_kernel(cfg.get("kernel"))
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
@@ -309,6 +309,10 @@ def _run_t0(cfg, out_dir) -> int:
 
 
 def _run_recover(cfg, out_dir) -> int:
+    from .curves import get_curve
+    from .operator import (multiplier_field, multiplier_handle,
+                           recover_multipliers)
+    from .partition import build_partition
     curve = get_curve(cfg.get("curve"))
     bx = cfg.get_box()
     n = cfg.get_int("n")
@@ -335,6 +339,8 @@ def _run_recover(cfg, out_dir) -> int:
 
 
 def _run_decompose(cfg, out_dir) -> int:
+    from .decomposition import cz_decompose, weak_l1_quasinorm
+    from .operator import write_grid_csv
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
     root = cfg.get_box("root") if cfg.get("root") else None
@@ -358,6 +364,8 @@ def _run_decompose(cfg, out_dir) -> int:
 
 
 def _run_weaktype(cfg, out_dir) -> int:
+    from .decomposition import weak_type_experiment
+    from .kernels import get_kernel
     kernel = get_kernel(cfg.get("kernel"))
     bx = cfg.get_box()
     n = cfg.get_int("n")
@@ -377,6 +385,8 @@ def _run_weaktype(cfg, out_dir) -> int:
 
 
 def _run_qtheta(cfg, out_dir) -> int:
+    from .curves import get_curve
+    from .metric import check_qtheta
     curve = get_curve(cfg.get("curve"))
     rep = check_qtheta(curve, cfg.get_box("cube"), cfg.get_float("theta"),
                        probe_count=cfg.get_int("probes"),

@@ -32,8 +32,6 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .geometry import Box
-from .kernels import KernelSpec
-from .metric import _require_separation, enlarged_cube
 from .operator import GridFunction, _require_inputs, _truncated, grid_nodes
 
 
@@ -266,6 +264,7 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
     if not (isinstance(ladder_max, numbers.Integral) and ladder_max >= 0):
         raise RejectedInputError(
             f"ladder_max must be a non-negative integer: {ladder_max}")
+    from .metric import _require_separation, enlarged_cube
     for f in family:
         _require_inputs(kernel, epsilon, f)
     _require_separation(kernel.curve, theta)

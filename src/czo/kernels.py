@@ -20,8 +20,7 @@ import numpy as np
 from .curves import get_curve
 from .errors import RegistryError, RejectedInputError
 from .geometry import HyperCurve
-from .metric import _CHUNK, rho_values
-from .util import AUDIT_HALF_WIDTH, audit_pairs, chunk_ranges
+from .util import _CHUNK, AUDIT_HALF_WIDTH, audit_pairs, chunk_ranges
 
 _RHO_FLOOR = 1e-12
 _SIZE_ROUNDS = 40            # shrinking-neighbourhood rounds of audit_size
@@ -71,6 +70,7 @@ class KernelSpec:
 def _rho_and_kernel(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray):
     """rho(x, y) and K(x, y) on point arrays, K set to 0 where rho falls
     below the singular-set floor."""
+    from .metric import rho_values
     R, _ = rho_values(kernel.curve, X, Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = kernel.fn(X, Y, np.maximum(R, _RHO_FLOOR))
@@ -218,6 +218,7 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
     if bound is None:
         raise RejectedInputError(
             f"kernel {kernel.name!r} declares no regularity constant")
+    from .metric import rho_values
     rng = np.random.default_rng(seed)
     n = kernel.dim
     d = kernel.delta

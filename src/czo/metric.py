@@ -43,13 +43,12 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .geometry import Box, CurveBranch, HyperCurve, Region
-from .util import (BOUNDING_HALF_WIDTH, as_points, audit_pairs, chunk_ranges,
-                   pmap_chunks)
+from .util import (_CHUNK, BOUNDING_HALF_WIDTH, as_points, audit_pairs,
+                   chunk_ranges, pmap_chunks)
 
 _SAMPLES_PER_AXIS = 4096
 _BLOCK = 64                  # consecutive samples per nearest-search block
 _QUERY_ROWS = 1024           # queries per pass of the nearest-sample search
-_CHUNK = 1 << 14
 _SECANT_STEPS = 8            # regula-falsi steps of each refine
 _CONTAINS_TOL = 1e-7         # Q_theta boundary tolerance, relative to side(Q)
 _PROBE_ROUNDS = 16           # most draws of 4 * probe_count separation probes

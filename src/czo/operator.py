@@ -57,7 +57,6 @@ import numpy as np
 from .errors import ConsistencyError, RejectedInputError
 from .geometry import Box, HyperCurve, parse_box
 from .kernels import KernelSpec, _rho_and_kernel
-from .partition import BranchDisjointPartition
 from .util import as_points, pmap_chunks
 
 

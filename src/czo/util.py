@@ -8,6 +8,7 @@ import numpy as np
 BOUNDING_HALF_WIDTH = 32.0
 # The random audits draw x and y from [-AUDIT_HALF_WIDTH, AUDIT_HALF_WIDTH]^n.
 AUDIT_HALF_WIDTH = 8.0
+_CHUNK = 1 << 14             # points per chunk of the streamed loops
 
 
 def audit_pairs(rng: np.random.Generator, count: int, dim: int):

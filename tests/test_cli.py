@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import re
@@ -6,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-import czo.cli as cli
+import czo.kernels as kernels
+import czo.metric as metric
+import czo.operator as operator
 from czo.cli import (ExperimentConfig, builtin_function, main,
                      parse_config_file, run_experiment)
 from czo.curves import get_curve
@@ -232,8 +235,6 @@ class TestExitCodes:
 
     def test_kernel_audit_regularity_row_sets_exit_code(self, tmp_path,
                                                         monkeypatch):
-        import czo.cli as cli
-
         assert main(["kernel-audit", "samples=2000",
                      "--out", str(tmp_path / "ok")]) == 0
         rows = (tmp_path / "ok" / "kernel_audit.csv").read_text()
@@ -241,7 +242,7 @@ class TestExitCodes:
         k = get_kernel("two-line-hilbert")
         small = dataclasses.replace(
             k, regularity_constant=0.5 * k.regularity_constant)
-        monkeypatch.setattr(cli, "get_kernel", lambda name: small)
+        monkeypatch.setattr(kernels, "get_kernel", lambda name: small)
         assert main(["kernel-audit", "samples=2000",
                      "--out", str(tmp_path / "bad")]) == 1
         rows = (tmp_path / "bad" / "kernel_audit.csv").read_text()
@@ -278,7 +279,7 @@ class TestFailureExits:
         def fail(*args):
             raise ConsistencyError("the check could not run")
 
-        monkeypatch.setattr(cli, "check_equivalence", fail)
+        monkeypatch.setattr(metric, "check_equivalence", fail)
         assert main(["metric-equivalence", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "czo: failure: the check could not run" in err
@@ -288,13 +289,18 @@ class TestFailureExits:
                                                    monkeypatch):
         rep = EquivalenceReport(False, 10, 9.5, 1.0, 4.0,
                                 witness=((0.5,), (-0.5,), 0))
-        monkeypatch.setattr(cli, "check_equivalence", lambda *a: rep)
+        monkeypatch.setattr(metric, "check_equivalence", lambda *a: rep)
         assert main(["metric-equivalence", "--out", str(tmp_path)]) == 1
-        lines = (tmp_path / "metric_equivalence.csv").read_text().splitlines()
+        path = tmp_path / "metric_equivalence.csv"
+        lines = path.read_text().splitlines()
         assert lines[1] == "two-lines,10,9.5,1.0,4.0,0"
         witness = lines[2]
         assert witness.startswith("witness,") and witness.endswith(",0")
         assert "((0.5,), (-0.5,), 0)" in witness
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert rows[2] == ["witness", "((0.5,), (-0.5,), 0)", "", "", "", "0"]
 
     def test_recover_beyond_its_tolerance_exits_1(self, tmp_path,
                                                   monkeypatch):
@@ -303,8 +309,8 @@ class TestFailureExits:
             rec = recover(*args)
             return dataclasses.replace(rec, fields=rec.fields + 1.0)
 
-        recover = cli.recover_multipliers
-        monkeypatch.setattr(cli, "recover_multipliers", off_by_one)
+        recover = operator.recover_multipliers
+        monkeypatch.setattr(operator, "recover_multipliers", off_by_one)
         assert main(["recover", "n=128", "max_depth=5",
                      "--out", str(tmp_path)]) == 1
         rows = (tmp_path / "recover.csv").read_text().splitlines()
