@@ -266,7 +266,7 @@ def _run_hormander(cfg, out_dir) -> int:
     for a in cfg.get_floats("a_list"):
         rep = hormander_constant(kernel, z=a,
                                  grid_points=cfg.get_int("hormander_grid"))
-        rows.append((a, rep.value_box, rep.tail, rep.value_total))
+        rows.append((rep.separation, rep.value_box, rep.tail, rep.value_total))
         totals.append(rep.value_total)
     _write_csv(os.path.join(out_dir, "hormander.csv"),
                ["separation", "value_box", "tail", "value_total"], rows)

@@ -45,7 +45,6 @@ def diagonal(dim: int = 1) -> HyperCurve:
         lipschitz=1.0,
         range_region=dom,
         preimage_boxes=lambda b: [b],
-        preimage_nearest=lambda Y, X: Y.copy(),
         name="identity",
         distance=(lambda X, Y: np.abs(X[:, 0] - Y[:, 0]) / _SQRT2) if dim == 1
             else lambda X, Y: np.sqrt(np.sum((X - Y) ** 2, axis=1)) / _SQRT2,
@@ -70,7 +69,7 @@ def _mirror(branch: CurveBranch, index: int, name: str) -> CurveBranch:
         lipschitz=branch.lipschitz,
         range_region=region(*map(_flip, branch.range_region.boxes)),
         preimage_boxes=lambda b: branch.preimage_boxes(_flip(b)),
-        preimage_nearest=lambda Y, X: branch.preimage_nearest(-Y, X),
+        preimage_nearest=lambda Y, X: branch.nearest_preimage(-Y, X),
         breakpoints=branch.breakpoints,
         name=name,
         distance=lambda X, Y: branch.distance(X, -Y),

@@ -218,16 +218,13 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
     if bound is None:
         raise RejectedInputError(
             f"kernel {kernel.name!r} declares no regularity constant")
-    from .metric import rho_values
     rng = np.random.default_rng(seed)
     n = kernel.dim
     d = kernel.delta
-    curve = kernel.curve
     X, Y = audit_pairs(rng, sample_count, n)
-    r, _ = rho_values(curve, X, Y)
+    r, base = _rho_and_kernel(kernel, X, Y)
     ok = r >= 1e-6
-    X, Y, r = X[ok], Y[ok], r[ok]
-    base = kernel.fn(X, Y, r)
+    X, Y, r, base = X[ok], Y[ok], r[ok], base[ok]
     dirs = rng.normal(size=X.shape)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
@@ -236,13 +233,11 @@ def audit_regularity(kernel: KernelSpec, sample_count: int = 20000,
         h = (frac * r)[:, None] * dirs
         step = frac * r
         for side, (Xp, Yp) in enumerate(((X, Y + h), (X + h, Y))):
-            rp, _ = rho_values(curve, Xp, Yp)
+            rp, kp = _rho_and_kernel(kernel, Xp, Yp)
             good = rp >= _RHO_FLOOR
-            if np.any(good):
-                kp = kernel.fn(Xp[good], Yp[good], rp[good])
-                ratio = (np.abs(base[good] - kp) * r[good] ** (n + d)
-                         / step[good] ** d)
-                sups[side] = max(sups[side], float(np.max(ratio)))
+            ratio = (np.abs(base[good] - kp[good]) * r[good] ** (n + d)
+                     / step[good] ** d)
+            sups[side] = max(sups[side], float(np.max(ratio, initial=0.0)))
     sup = max(sups)
     return RegularityReport(sup, *sups, bound, d,
                             sup <= bound * (1.0 + 1e-6), sample_count)

@@ -18,10 +18,10 @@ bracketed secant (Illinois regula falsi) on the derivative of the squared
 distance, with gamma' from the branch's ``jacobian``, split at declared
 non-smooth parameter values.  ``nearest_range`` (eta) clamps onto a
 declared ``range_region``, else onto the range of those samples, each end
-refined by the same secant on gamma'.  Both size the samples by one rule,
-``_extents``: a box covering the domain's finite bounds and, on an
-unbounded domain, each point's own coordinates, so no point of a call
-changes another's bits.
+refined by the same secant on gamma'.  Both group their points by one
+rule, ``_per_extent``: a sampling box covering the domain's finite bounds
+and, on an unbounded domain, each point's own coordinates, so no point of
+a call changes another's bits.
 Neither path takes a thread count; a caller that wants parallel rho splits
 the pairs however it likes, as the dense T_eps build does with its rows.
 
@@ -36,7 +36,7 @@ covering argument behind the bound needs a Lipschitz inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -167,20 +167,25 @@ class _BranchSampler:
         return np.sqrt(best2), best
 
 
-def _extents(branch: CurveBranch, P: np.ndarray) -> np.ndarray:
-    """The sampler half-width for each row of P: the smallest
-    BOUNDING_HALF_WIDTH 2^k (k >= 0) that covers every finite bound of the
-    domain and, on an unbounded one, is not below 1.3 max(1, |p_k|) of
-    that row alone."""
+def _per_extent(branch: CurveBranch, P: np.ndarray, out: np.ndarray,
+                solve) -> np.ndarray:
+    """out with each group of rows of P that share a sampler half-width
+    set to solve(extent, sel), sel the group's row mask.  A row's
+    half-width is the smallest BOUNDING_HALF_WIDTH 2^k (k >= 0) that covers
+    every finite bound of the domain and, on an unbounded one, is not below
+    1.3 max(1, |p_k|) of that row alone."""
     boxes = branch.domain.boxes
     need = np.full(len(P), max((abs(v) for b in boxes for v in b.lo + b.hi
                                 if math.isfinite(v)), default=0.0))
     if not all(b.is_bounded for b in boxes):
         need = np.maximum(need, 1.3 * np.maximum(1.0, np.max(np.abs(P), 1)))
-    extent = np.full(len(P), BOUNDING_HALF_WIDTH)
-    while np.any(grow := extent < need):
-        extent[grow] *= 2.0
-    return extent
+    extents = np.full(len(P), BOUNDING_HALF_WIDTH)
+    while np.any(grow := extents < need):
+        extents[grow] *= 2.0
+    for extent in sorted(set(extents.tolist())):
+        sel = extents == extent
+        out[sel] = solve(extent, sel)
+    return out
 
 
 def _get_sampler(branch: CurveBranch, extent: float) -> _BranchSampler:
@@ -295,13 +300,9 @@ def sampled_rho_branch_values(curve: HyperCurve, i: int, X, Y) -> np.ndarray:
 
     def run(s, e):
         Xc, Yc = X[s:e], Y[s:e]
-        extents = _extents(b, np.hstack([Xc, Yc]))
-        out = np.empty(e - s)
-        for extent in sorted(set(extents.tolist())):
-            sel = extents == extent
-            out[sel] = _solve_chunk(b, _get_sampler(b, extent),
-                                    Xc[sel], Yc[sel])
-        return out
+        return _per_extent(b, np.hstack([Xc, Yc]), np.empty(e - s),
+                           lambda extent, sel: _solve_chunk(
+                               b, _get_sampler(b, extent), Xc[sel], Yc[sel]))
 
     return pmap_chunks(run, len(X), _CHUNK)
 
@@ -313,12 +314,9 @@ def nearest_range(branch: CurveBranch, Y) -> np.ndarray:
     Y = as_points(Y, branch.dim)
     if branch.range_region is not None:
         return branch.range_region.clamp(Y)
-    extents = _extents(branch, Y)
-    eta = np.empty_like(Y)
-    for extent in sorted(set(extents.tolist())):
-        sel = extents == extent
-        eta[sel] = _sampled_range(branch, extent).clamp(Y[sel])
-    return eta
+    return _per_extent(branch, Y, np.empty_like(Y),
+                       lambda extent, sel:
+                       _sampled_range(branch, extent).clamp(Y[sel]))
 
 
 def rho_values(curve: HyperCurve, X, Y):
@@ -413,37 +411,38 @@ def _unit_ball_volume(n: int) -> float:
 
 @dataclass
 class CubePiece:
-    """The part of Q_theta that one active branch contributes."""
+    """The part of Q_theta that one active branch contributes: exact from
+    ``preimage_boxes``, else from eta_{i,Q} on a grid of ``cube``, kept."""
 
     branch: CurveBranch
     preimage_boxes: Optional[list[Box]] = None   # exact path
+    cube: Optional[Box] = None                   # sampled path
+    _eta: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
-    def distance(self, Q: Box, X: np.ndarray) -> np.ndarray:
+    def distance(self, X: np.ndarray) -> np.ndarray:
         """d(x, gamma_i^{-1}(eta_{i,Q})) for each query x."""
         if self.preimage_boxes is not None:
             return np.min(np.stack([b.distance(X)
                                     for b in self.preimage_boxes]), axis=0)
-        return _sampled_piece_distance(self.branch, Q, X)
+        if self._eta is None:
+            self._eta = nearest_range(self.branch, _cube_y_samples(self.cube))
+        eta, pre = self._eta, self.branch.nearest_preimage
+        best = np.full(len(X), math.inf)
+        step = max(1, _CHUNK // max(len(X), 1))
+        for chunk in np.array_split(eta, range(step, len(eta), step)):
+            # All (eta, x) pairs of ~_CHUNK in one call, then the min over eta.
+            E = np.repeat(chunk, len(X), axis=0)
+            XX = np.tile(X, (len(chunk), 1))
+            d = np.sqrt(np.sum((XX - pre(E, XX)) ** 2, axis=1))
+            best = np.minimum(best, d.reshape(len(chunk), len(X)).min(axis=0))
+        return best
 
 
 def _cube_y_samples(Q: Box, per_axis: int = 256) -> np.ndarray:
     axes = [np.linspace(Q.lo[k], Q.hi[k], per_axis) for k in range(Q.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return grid.reshape(-1, Q.dim)
-
-
-def _sampled_piece_distance(branch: CurveBranch, Q: Box,
-                            X: np.ndarray) -> np.ndarray:
-    eta = nearest_range(branch, _cube_y_samples(Q))
-    best = np.full(len(X), math.inf)
-    step = max(1, _CHUNK // max(len(X), 1))
-    for chunk in np.array_split(eta, range(step, len(eta), step)):
-        # All (eta, x) pairs of ~_CHUNK in one call, then the min over eta.
-        E = np.repeat(chunk, len(X), axis=0)
-        XX = np.tile(X, (len(chunk), 1))
-        d = np.sqrt(np.sum((XX - branch.nearest_preimage(E, XX)) ** 2, axis=1))
-        best = np.minimum(best, d.reshape(len(chunk), len(X)).min(axis=0))
-    return best
 
 
 @dataclass
@@ -461,7 +460,7 @@ class EnlargedCube:
                   + _CONTAINS_TOL * ell)
         out = np.zeros(len(X), dtype=bool)
         for p in self.pieces:
-            out |= p.distance(self.base, X) <= thresh
+            out |= p.distance(X) <= thresh
         return out
 
     def bounding_box(self) -> Box:
@@ -531,9 +530,9 @@ def enlarged_cube(curve: HyperCurve, Q: Box, theta: float) -> EnlargedCube:
             continue
         eb = _eta_box(b, Q)
         if eb is None or b.preimage_boxes is None:
-            pieces.append(CubePiece(b))
+            pieces.append(CubePiece(b, cube=Q))
         elif boxes := b.preimage_boxes(eb):
-            pieces.append(CubePiece(b, boxes))
+            pieces.append(CubePiece(b, boxes, Q))
     return EnlargedCube(Q, theta, curve, pieces)
 
 
@@ -571,8 +570,10 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     ``inverse=None`` the measure half is skipped and the report's
     ``measure_estimate`` and ``measure_halfwidth`` are None; the separation
     half always runs.  Its probes outside Q_theta are drawn in at most
-    ``_PROBE_ROUNDS`` rounds; when Q_theta covers the probe box none is
-    found, and the half holds vacuously with ``min_probe_rho`` = inf.
+    ``_PROBE_ROUNDS`` rounds from the probe box (Q_theta's bounding box
+    dilated by 4 theta side(Q), rejected unless its squared width is
+    finite); when Q_theta covers it none is found, and the half holds
+    vacuously with ``min_probe_rho`` = inf.
     The ``mc_samples`` points are drawn and tested ``_CHUNK`` at a time,
     so memory does not grow with ``mc_samples``.
     """
@@ -591,11 +592,16 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
     C = omega * curve.r * (1.0 + 6.0 * math.sqrt(n) * curve.c_gamma / theta) ** n
     bound = C * theta ** n * Q.measure()
 
+    bbox = ec.bounding_box()
+    pbox = bbox.dilate(4.0 * theta * ell)
+    widths = [float(b) - float(a) for a, b in zip(pbox.lo, pbox.hi)]
+    if not math.isfinite(sum(w * w for w in widths)):
+        raise RejectedInputError(f"theta={theta} and cube {Q} give a probe box "
+                                 f"whose squared width is not finite: {pbox}")
     est = hw = None
     passed = True
     witness = None
     if all(p.branch.inverse is not None for p in ec.pieces):
-        bbox = ec.bounding_box()
         vol = bbox.measure()
         # Drawn in chunks: the same doubles in the same order as one draw.
         hits = sum(np.count_nonzero(ec.contains(
@@ -610,10 +616,9 @@ def check_qtheta(curve: HyperCurve, Q: Box, theta: float,
 
     # Separation probes: x outside Q_theta, y inside Q.
     sep_bound = 2.0 * math.sqrt(n) * ell * (1.0 - 1e-5)
-    bbox = ec.bounding_box().dilate(4.0 * theta * ell)
     xs = []
     for _ in range(_PROBE_ROUNDS):
-        cand = rng.uniform(bbox.lo_a, bbox.hi_a, size=(4 * probe_count, n))
+        cand = rng.uniform(pbox.lo_a, pbox.hi_a, size=(4 * probe_count, n))
         xs.append(cand[~ec.contains(cand)])
         if sum(len(a) for a in xs) >= probe_count:
             break

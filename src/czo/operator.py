@@ -248,7 +248,8 @@ class _Dense:
     the bits of f's values (0.0 and -0.0 give different zero signs).
     order holds the folded position, column and mirror column of the cells
     with rho < top by ascending rho (in ``rho``), one of two mirror cells
-    of equal rho, built on the first new eps for an f and on one above top."""
+    of equal rho.  One order serves every input: built on the first new
+    eps for the kept f, it is rebuilt only for a step above top."""
 
     def __init__(self, kernel: KernelSpec, Xout: np.ndarray,
                  gf: GridFunction, threads: int):

@@ -102,13 +102,12 @@ def disjoint_preimage_test(curve: HyperCurve, cube: DyadicCube | Box,
     if crit is None:
         crit = critical_values(curve)
     critical_hit = bool(len(crit)) and bool(np.any(bx.contains(crit)))
-    exact = _preimage_overlap_exact(curve, bx)
-    if exact is None:
+    overlap = _preimage_overlap_exact(curve, bx)
+    probabilistic = overlap is None
+    if probabilistic:
         overlap = _preimage_overlap_sampled(curve, bx)
-        return DisjointnessResult(not overlap and not critical_hit,
-                                  critical_hit, probabilistic=True)
-    return DisjointnessResult(not exact and not critical_hit,
-                              critical_hit, probabilistic=False)
+    return DisjointnessResult(not overlap and not critical_hit,
+                              critical_hit, probabilistic)
 
 
 @dataclass

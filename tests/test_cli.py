@@ -135,6 +135,14 @@ class TestExitCodes:
         assert main(["hormander", "kernel=hilbert", "a_list=1,1e154",
                      "--out", str(tmp_path)]) == 0
 
+    def test_hormander_separation_column_is_the_distance(self, tmp_path):
+        # It once held z itself, so z = -1 read -1.0 for a separation of 1.
+        assert main(["hormander", "a_list=-1,1", "hormander_grid=4096",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "hormander.csv").read_text().splitlines()
+        assert rows[0].startswith("separation,")
+        assert [r.split(",")[0] for r in rows[1:]] == ["1.0", "1.0"]
+
     def test_hormander_rejects_a_non_finite_point_before_computing(
             self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -163,6 +171,11 @@ class TestExitCodes:
         (["qtheta", "cube=2..2"], "cube"),
         (["qtheta", "cube=0..inf"], "cube"),
         (["qtheta", "cube=2..3,2..3"], "cube"),
+        # Probe boxes whose squared width overflows.
+        (["qtheta", "theta=1e308"], "theta"),
+        (["qtheta", "theta=1e306"], "theta"),
+        (["qtheta", "cube=1e307..1.5e307"], "cube"),
+        (["qtheta", "cube=1e300..2e300"], "cube"),
         (["decompose", "root=-8..8,-8..8"], "root"),
         (["apply", "box=1..1"], "box"),
         (["t0-convergence", "box=1..1"], "box"),

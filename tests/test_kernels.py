@@ -11,7 +11,8 @@ from czo.errors import RegistryError, RejectedInputError
 from czo.kernels import (_BOX_FACTOR, _RHO_FLOOR, KERNEL_NAMES,
                          audit_regularity, audit_size, _rho_and_kernel,
                          get_kernel, hormander_constant)
-from czo.metric import _CHUNK
+from czo.metric import _CHUNK, rho_values
+from czo.util import audit_pairs
 from test_operator import riesz_2d, wavy_kernel
 
 SQ2 = math.sqrt(2.0)
@@ -129,6 +130,45 @@ class TestRegularityAudit:
     def test_both_argument_sides_estimated(self):
         rep = audit_regularity(get_kernel("two-line-hilbert"), 3000, seed=0)
         assert rep.supremum_y > 0 and rep.supremum_x > 0
+
+    @staticmethod
+    def inline_audit(kernel, sample_count, seed):
+        """The audit computed inline: rho_values, then kernel.fn on the
+        pairs with rho >= 1e-6, then the rho >= floor mask per side."""
+        rng = np.random.default_rng(seed)
+        n, d = kernel.dim, kernel.delta
+        X, Y = audit_pairs(rng, sample_count, n)
+        r, _ = rho_values(kernel.curve, X, Y)
+        ok = r >= 1e-6
+        X, Y, r = X[ok], Y[ok], r[ok]
+        base = kernel.fn(X, Y, r)
+        dirs = rng.normal(size=X.shape)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        sups = [0.0, 0.0]
+        for frac in (0.5, 0.25, 0.125, 0.03125):
+            h = (frac * r)[:, None] * dirs
+            step = frac * r
+            for side, (Xp, Yp) in enumerate(((X, Y + h), (X + h, Y))):
+                rp, _ = rho_values(kernel.curve, Xp, Yp)
+                good = rp >= _RHO_FLOOR
+                if np.any(good):
+                    kp = kernel.fn(Xp[good], Yp[good], rp[good])
+                    ratio = (np.abs(base[good] - kp) * r[good] ** (n + d)
+                             / step[good] ** d)
+                    sups[side] = max(sups[side], float(np.max(ratio)))
+        return max(sups), *sups
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("name", ["hilbert", "two-line-hilbert"])
+    def test_equals_the_inline_computation_bit_for_bit(self, name, seed):
+        k = get_kernel(name)
+        rep = audit_regularity(k, 20000, seed=seed)
+        got = (rep.supremum, rep.supremum_y, rep.supremum_x)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in self.inline_audit(k, 20000, seed)]
+        assert (rep.bound, rep.delta, rep.sample_count) == (
+            k.regularity_constant, k.delta, 20000)
+        assert rep.passed == (rep.supremum <= rep.bound * (1.0 + 1e-6))
 
 
 class TestHormander:

@@ -293,13 +293,36 @@ class TestEnlargedCube:
         for eta in nearest_range(branch, ys):
             pre = branch.nearest_preimage(np.broadcast_to(eta, X.shape), X)
             want = np.minimum(want, np.sqrt(np.sum((X - pre) ** 2, axis=1)))
-        # The piece samples Q on the reference's 48 x 48 grid.
+        # A new piece samples Q on the reference's 48 x 48 grid, once.
         samples = metric._cube_y_samples
         monkeypatch.setattr(metric, "_cube_y_samples",
                             lambda Q, per_axis=256: samples(Q, 48))
+        piece = CubePiece(branch, cube=Q)
         for m in (len(X), 7, 0):
-            got = ec.pieces[0].distance(Q, X[:m])
+            got = piece.distance(X[:m])
             assert got.tobytes() == want[:m].tobytes()
+
+    def test_sampled_piece_samples_eta_once(self, monkeypatch):
+        import czo.metric as metric
+
+        # Branches without preimage boxes give sampled pieces, each of
+        # which reads eta_{i,Q} once, however often contains runs.
+        curve = get_curve("two-lines")
+        curve = HyperCurve(curve.name, [
+            dataclasses.replace(b, preimage_boxes=None)
+            for b in curve.branches], curve.intersection_points)
+        ec = enlarged_cube(curve, box(2.0, 3.0), 8.0)
+        assert len(ec.pieces) == 2
+        assert all(p.preimage_boxes is None for p in ec.pieces)
+        calls = []
+        real = metric.nearest_range
+        monkeypatch.setattr(metric, "nearest_range",
+                            lambda b, Y: calls.append(b.index) or real(b, Y))
+        X = np.linspace(-13, 13, 401).reshape(-1, 1)
+        first = ec.contains(X)
+        for _ in range(2):
+            assert ec.contains(X).tobytes() == first.tobytes()
+        assert sorted(calls) == [0, 1]
 
 
 class TestQTheta:
