@@ -22,7 +22,11 @@ what it can observe (it keeps its latest input, keyed on f's bits):
   except on rows whose Hankel band (|x_i + y_j| too close for eps) meets
   a nonzero g_j, found as row ranges from the runs of the band mask and
   of g != 0, and on the middle row of an odd output grid; those rows are
-  recomputed by a direct masked sum over cell pairs (j, N - 1 - j).
+  recomputed by a direct masked sum over cell pairs (j, N - 1 - j).  The
+  object keeps its latest eps step for an input, so a new eps re-sums
+  only the rows that read a tap it turns on or off within the hull of g's
+  nonzeros.  The other rows keep the previous output's bits: each row's
+  sum is its own dot product, and a changed tap meets only g = 0 there.
 - ``_Dense``, everything else (kernels without a declaration, other
   output grids, 2-D, ``apply_truncated_at``, which caches nothing): rho
   and K from the output grid to f's grid, folded into two contiguous
@@ -32,8 +36,9 @@ what it can observe (it keeps its latest input, keyed on f's bits):
   its mirror's first, so integrands that are exactly antisymmetric on a
   symmetric grid cancel bitwise.  The object keeps those folded sums of
   the latest input and eps (half of K's size) and the cells ordered by
-  rho, so a new eps re-forms, by the same operations, only the sums of
-  the cells whose rho lies between it and the previous eps.
+  rho, so a new eps re-forms only the sums of the cells whose rho lies
+  between it and the previous eps, as [rho >= eps] K times f: the same
+  bits.
 
 Both paths sum directly rather than by FFT.  An FFT leaves a residue of
 about 1e-16 |k| |f| at every point, even where every unmasked term is 0;
@@ -108,6 +113,11 @@ def _grid_size(bx: Box, n: int) -> tuple[int, bool]:
     return n ** len(widths), min(widths) >= top
 
 
+def _require_finite(v: np.ndarray) -> None:
+    if np.count_nonzero(np.isfinite(v)) != len(v):
+        raise RejectedInputError("grid function values must be finite")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Midpoint samples of a function on an N^n grid over a box.
@@ -125,11 +135,20 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if len(v) != size:
             raise RejectedInputError(f"expected {size} values, got {len(v)}")
-        if np.count_nonzero(np.isfinite(v)) != len(v):
-            raise RejectedInputError("grid function values must be finite")
+        _require_finite(v)
         if not cubic:
             raise RejectedInputError("cells must be cubic (equal axis widths)")
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _on_checked_grid(cls, bx: Box, n: int,
+                         values: np.ndarray) -> "GridFunction":
+        """The grid function of a flat float array of the right size on a
+        grid whose checks passed before: only its finiteness is checked."""
+        _require_finite(values)
+        gf = object.__new__(cls)
+        gf.__dict__.update(box=bx, cells_per_axis=n, values=values)
+        return gf
 
     @property
     def dim(self) -> int:
@@ -288,7 +307,9 @@ class _Dense:
         masked kernel times ``block``, on the output nodes and without the
         factor h^n; the masked matrix is unfolded on the first read.  A
         new eps for the same f re-forms S only where a mask changed, from
-        one gather of both halves' rho, K and f per ``_BAND_BLOCK`` cells."""
+        one gather of both halves' rho, K and f per ``_BAND_BLOCK`` cells,
+        as [rho >= eps] K times f: the same bits, and on a step's cells
+        cheaper than masking the products."""
         f, half, bits = gf.values, self.K.shape[2], gf.values.tobytes()
         if bits != self.bits:
             F = np.stack((f[:half], f[::-1][:half]))
@@ -315,14 +336,12 @@ class _Dense:
                 p = self.order[0, c:min(c + _BAND_BLOCK, b)].astype(np.intp)
                 G, F = RK.take(p, axis=1), f.take(self.order[1:, c:c + len(p)])
                 with np.errstate(all="ignore"):
-                    W = G[2:] * F
-                np.copyto(W, 0.0 * F, where=~(G[:2] >= epsilon))
+                    W = np.where(G[:2] >= epsilon, G[2:], 0.0) * F
                 S[p] = W[0] + W[1]
         self.eps = epsilon
-        out = np.sum(self.S, axis=1)
+        out = np.add.reduce(self.S, axis=1)
         if self.R_mid is not None:
-            out = out + (np.where(self.R_mid >= epsilon, self.K_mid, 0.0)
-                         * f[half])
+            out += np.where(self.R_mid >= epsilon, self.K_mid, 0.0) * f[half]
         M = []
 
         def column(cells, block):
@@ -331,7 +350,8 @@ class _Dense:
             return M[0][(slice(None),) + cells].reshape(len(M[0]), -1) @ \
                 block.reshape(-1)
 
-        return out * gf.h ** gf.dim, column
+        out *= gf.h ** gf.dim
+        return out, column
 
 
 class _Lattice:
@@ -341,7 +361,9 @@ class _Lattice:
     x_i - y_j is p = step*i - j + N_in - 1 and, on a symmetric box,
     x_i + y_j is step*i + j.  It keeps its latest input as ``_Dense``
     does, under the bits of f's values: g (see ``__call__``), the phases
-    of its reversal and g's nonzero runs (``memo``)."""
+    of its reversal, g's nonzero runs and the hull of the reversed g's
+    nonzeros (``memo``), and its latest eps step (``last``), O(N) in all.
+    ``local`` says whether k is finite wherever rho_1 > 0."""
 
     def __init__(self, kernel: KernelSpec, gf: GridFunction, step: int):
         n_in = gf.cells_per_axis
@@ -350,6 +372,7 @@ class _Lattice:
         self.k = K / len(kernel.reflections)
         self.reflections, self.step = kernel.reflections, step
         self.n_in, self.entries, self.bits = n_in, len(d), None
+        self.local = bool(np.all(np.isfinite(self.k[self.R > 0.0])))
 
     def taps(self, epsilon: float) -> np.ndarray:
         """(on, taps) stacked in one read-only array: on = [rho_1 >= eps]
@@ -405,9 +428,24 @@ class _Lattice:
         so for an odd k they cancel exactly where x_i = 0.  The rows are
         summed by einsum, without BLAS, in blocks of consecutive rows from
         the start of each range.  column gathers the kernel from the taps on
-        the cells it reads alone, ``_BAND_BLOCK`` entries at a time."""
+        the cells it reads alone, ``_BAND_BLOCK`` entries at a time.
+
+        A new eps for the same input re-sums only the rows whose sum can
+        change.  From the kept step ``last`` (the off runs of the previous
+        eps and its output) the changed taps are the symmetric difference
+        of both eps' off runs, and ``_band_ranges`` finds the rows that
+        read one of them within ``reads``, the hull of the reversed g's
+        nonzeros.  Every other row copies its bits: each correlate output
+        is its own dot of the same operands, and a changed tap there meets
+        only g = 0, adding +-0 to a sum that is never -0.  A band row reads
+        the taps step*i + j and step*i + N - 1 - j against g_j alone, so its
+        einsum sum keeps its bits on the same terms.  An input whose hull
+        covers every cell keeps no step, as a step changes nearly every
+        row, nor does one on taps whose k is not finite at some rho_1 > 0,
+        where a changed tap times 0 would not be 0."""
         ot = self.taps(epsilon)
         refl, step, bits = self.reflections, self.step, gf.values.tobytes()
+        n_in, n_out, half = self.n_in, self.n_in // step, self.n_in // 2
         if bits != self.bits:
             g = gf.values if 1 in refl else 0.0
             if -1 in refl:
@@ -421,14 +459,18 @@ class _Lattice:
                 if live:
                     parts.append((r, b, live))
             nonzero = _runs(g != 0.0) if len(refl) == 2 and parts else []
-            self.bits, self.memo = bits, (g, parts, nonzero)
-        g, parts, nonzero = self.memo
-        n_in, n_out, half = self.n_in, self.n_in // step, self.n_in // 2
+            nz, reads = np.flatnonzero(rev), None
+            if self.local and len(nz) and (nz[0] > 0 or nz[-1] < n_in - 1):
+                reads = [int(nz[0]) - 1, int(nz[-1])]
+            self.bits, self.last = bits, None
+            self.memo = g, parts, nonzero, reads
+        g, parts, nonzero, reads = self.memo
         phases = [(np.ascontiguousarray(ot[1][r::step]), b, live)
                   for r, b, live in parts]
+        off = _runs(ot[0] == 0.0) if nonzero or reads else None
         fix = []
         if nonzero:
-            fix = _band_ranges(_runs(ot[0] == 0.0), nonzero, step, n_out,
+            fix = _band_ranges(off, nonzero, step, n_out,
                                [n_out // 2] * (n_out % 2))
             # g is even and not all 0: its first nonzero is at or below half.
             cells = slice(nonzero[0] + 1, half)
@@ -466,7 +508,20 @@ class _Lattice:
                 out += W @ block[c0 - c.start:c1 - c.start]
             return out
 
-        return pmap_chunks(rows, n_out, _TAP_CHUNK, threads), column
+        if self.last is None:
+            out = pmap_chunks(rows, n_out, _TAP_CHUNK, threads)
+            if reads:
+                self.last = off, out.copy()
+            return out, column
+        old, kept = self.last
+        changed = sorted(set(off).symmetric_difference(old))
+        out = kept.copy()
+        for a, b in _band_ranges(changed, reads, step, n_out):
+            out[a:b] = kept[a:b] = pmap_chunks(
+                lambda i0, i1: rows(a + i0, a + i1), b - a, _TAP_CHUNK,
+                threads)
+        self.last = off, kept
+        return out, column
 
 
 def _runs(m: np.ndarray) -> list[int]:
@@ -501,13 +556,22 @@ def _band_ranges(off: list[int], nonzero: list[int], step: int, n_out: int,
     return out
 
 
+def _require_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise RejectedInputError(
+            f"epsilon must be finite and positive: {epsilon}")
+
+
 def _require_inputs(kernel: KernelSpec, epsilon: float, f: GridFunction,
                     out_box: Optional[Box] = None) -> None:
     """Reject an epsilon that is not finite and positive, and an f or
     output box whose number of axes is not the kernel's."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise RejectedInputError(
-            f"epsilon must be finite and positive: {epsilon}")
+    _require_epsilon(epsilon)
+    _require_axes(kernel, f, out_box)
+
+
+def _require_axes(kernel: KernelSpec, f: GridFunction,
+                  out_box: Optional[Box] = None) -> None:
     for what, bx in (("f", f.box), ("output box", out_box)):
         if bx is not None and bx.dim != kernel.dim:
             raise RejectedInputError(
@@ -518,17 +582,20 @@ def _require_inputs(kernel: KernelSpec, epsilon: float, f: GridFunction,
 def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
                     out_geometry: Optional[tuple[Box, int]] = None,
                     threads: int = 1) -> GridFunction:
-    """T_eps f on the output grid (defaults to f's own grid)."""
+    """T_eps f on the output grid (defaults to f's own grid).  eps is
+    checked, and warned about, on every call, the grids once per summation
+    (``_truncated``) and the values, for finiteness, on every call."""
     if out_geometry is None:
         out_box, out_n = f.box, f.cells_per_axis
     else:
         out_box, out_n = out_geometry
-    _require_inputs(kernel, epsilon, f, out_box)
+    _require_epsilon(epsilon)
+    summation = _truncated(kernel, f, out_box, out_n, threads)
     if epsilon < 4.0 * f.h:
         warnings.warn("epsilon below 4 cell widths: quadrature near the "
                       "truncation boundary is unreliable", stacklevel=2)
-    summation = _truncated(kernel, f, out_box, out_n, threads)
-    return GridFunction(out_box, out_n, summation(f, epsilon, threads)[0])
+    return GridFunction._on_checked_grid(
+        out_box, out_n, summation(f, epsilon, threads)[0])
 
 
 def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
@@ -538,13 +605,17 @@ def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
     ``_CACHE_ENTRY_LIMIT`` entries: a ``_Lattice`` of step N_in / N_out for
     a 1-D kernel that declares its reflections, an output grid on f's box
     whose cell count divides f's and, for the reflection -1, a box
-    symmetric about 0 (whose nodes reflect bitwise); else a ``_Dense``."""
+    symmetric about 0 (whose nodes reflect bitwise); else a ``_Dense``.
+    The axis counts of both grids and the output grid's own checks run
+    before it is built, so once per cached summation."""
     key = ((out_box.lo, out_box.hi, out_n),
            (f.box.lo, f.box.hi, f.cells_per_axis))
     hit = kernel._matrices.get(key)
     if hit is None:
+        _require_axes(kernel, f, out_box)
+        GridFunction(out_box, out_n, np.zeros(_grid_size(out_box, out_n)[0]))
         n_in, refl = f.cells_per_axis, kernel.reflections
-        if (refl and kernel.dim == 1 and out_box == f.box and 0 < out_n
+        if (refl and kernel.dim == 1 and out_box == f.box
                 and n_in % out_n == 0
                 and (-1 not in refl or f.box.lo[0] == -f.box.hi[0])):
             hit = _Lattice(kernel, f, n_in // out_n)

@@ -424,15 +424,16 @@ def test_ladder_bits_equal_the_earlier_lattice_path(monkeypatch, n, step):
 
 
 def count_correlates(monkeypatch, fn):
+    """(fn(), the number of output rows of each np.correlate call)."""
     calls = []
     inner = np.correlate
-    monkeypatch.setattr(np, "correlate",
-                        lambda *a: calls.append(1) or inner(*a))
+    monkeypatch.setattr(np, "correlate", lambda a, v, mode: calls.append(
+        len(a) - len(v) + 1) or inner(a, v, mode))
     try:
         out = fn()
     finally:
         monkeypatch.setattr(np, "correlate", inner)
-    return out, len(calls)
+    return out, calls
 
 
 @pytest.mark.parametrize("name", DECLARING)
@@ -441,7 +442,8 @@ def test_zero_chunks_are_skipped_bit_for_bit(monkeypatch, name, step):
     # In chunks of 16 taps most chunks of the compact inputs' g vanish
     # (supp f is [-1.3, 0.2], [-0.6, 1.4] or [-1, 1] of [-8, 8]), and for
     # both reflections the odd input's g vanishes everywhere.  Skipping
-    # those chunks must leave every bit of the unskipped sum.
+    # those chunks must leave every bit of the unskipped sum.  The calls
+    # are counted on a cold apply, as a ladder step re-sums fewer rows.
     monkeypatch.setattr(op, "_TAP_CHUNK", 16)
     k = get_kernel(name)
     n = 384
@@ -449,17 +451,47 @@ def test_zero_chunks_are_skipped_bit_for_bit(monkeypatch, name, step):
         f = GridFunction(B8, n, vals)
         for eps in LADDER[::5]:
             for threads in (1, 2):
-                got, calls = count_correlates(monkeypatch, lambda: quiet_apply(
-                    k, f, eps, (B8, n // step), threads))
+                got = quiet_apply(k, f, eps, (B8, n // step), threads)
+                cold, calls = count_correlates(monkeypatch, lambda: op._Lattice(
+                    k, f, step)(f, eps, threads)[0])
                 want, ref_calls = count_correlates(
                     monkeypatch,
                     lambda: ref.apply_truncated(k, f, eps, step, threads))
                 assert got.values.tobytes() == want.tobytes()
+                assert cold.tobytes() == want.tobytes()
                 if i < 3:
-                    assert calls < ref_calls
+                    assert len(calls) < len(ref_calls)
                 else:
-                    assert calls == (0 if len(k.reflections) == 2
-                                     else ref_calls)
+                    assert len(calls) == (0 if len(k.reflections) == 2
+                                          else len(ref_calls))
+
+
+@pytest.mark.parametrize("name", DECLARING)
+@pytest.mark.parametrize("step", [1, 2])
+def test_a_compact_step_makes_fewer_row_products(monkeypatch, name, step):
+    # Along a ladder a step re-sums only the rows whose sum can change:
+    # for a compact input fewer than a cold apply, and fewer than half of
+    # them over the ladder; an input whose nonzeros span every cell
+    # re-sums them all.
+    n = 512
+    k = get_kernel(name)
+    compact, full = (ladder_inputs(n)[i] for i in (0, 4))
+    for vals, fewer in ((compact, True), (full, False)):
+        f = GridFunction(B8, n, vals)
+        lat = op._Lattice(k, f, step)
+        lat(f, LADDER[0], 1)
+        warm_rows = cold_rows = 0
+        for e in LADDER[1:]:
+            warm, rows = count_correlates(monkeypatch,
+                                          lambda: lat(f, e, 1)[0])
+            cold, rows_cold = count_correlates(
+                monkeypatch, lambda: op._Lattice(k, f, step)(f, e, 1)[0])
+            assert warm.tobytes() == cold.tobytes()
+            assert (sum(rows) < sum(rows_cold) if fewer
+                    else rows == rows_cold)
+            warm_rows += sum(rows)
+            cold_rows += sum(rows_cold)
+        assert 2 * warm_rows < cold_rows if fewer else warm_rows == cold_rows
 
 
 def memo_inputs(n):
@@ -506,6 +538,80 @@ def test_the_latest_input_is_never_stale(name, step):
             change()
             check_memo_apply(lat, k, f, LADDER[3], step, threads)
             check_memo_apply(lat, k, f, LADDER[9], step, threads)
+
+
+def warm_inputs(n):
+    """A compact input, a gapped one (supp g has a gap at 0), a full one,
+    an odd one (g = 0 for both reflections), zeros, and -0.0 around a
+    compact input."""
+    x = grid_nodes(B8, n)[:, 0]
+    a = np.random.default_rng(n + 1).normal(size=n)
+    return [((x >= -1.3) & (x <= 0.2)).astype(float),
+            np.where((x >= 1.0) & (x <= 2.0), a, 0.0),
+            np.exp(-((x - 0.5) / 1.2) ** 2),
+            a - a[::-1],
+            np.zeros(n),
+            np.where(np.abs(x - 0.5) <= 1.0, a, -0.0)]
+
+
+# eps up, down and repeated.
+WALK = [LADDER[i] for i in (0, 4, 9, 9, 2, 15, 12, 12)]
+
+
+@pytest.mark.parametrize("name", DECLARING)
+@pytest.mark.parametrize("n, step", [(255, 1), (255, 3), (384, 1), (384, 2),
+                                     (384, 3), (384, 4), (512, 1), (512, 2),
+                                     (512, 4)])
+@pytest.mark.parametrize("chunk", [16, 40])
+def test_warm_ladders_keep_the_bits(monkeypatch, name, n, step, chunk):
+    # One _Lattice per thread count walks eps over each input in turn,
+    # and between two walks returns to the previous input for one eps:
+    # every step gives the bits of a fresh object and of the reference.
+    monkeypatch.setattr(op, "_TAP_CHUNK", chunk)
+    k = get_kernel(name)
+    fs = [GridFunction(B8, n, v) for v in warm_inputs(n)]
+    plan = []
+    for i, f in enumerate(fs):
+        plan += [(f, e) for e in WALK] + [(fs[i - 1], WALK[i]), (f, WALK[i])]
+    lats = {t: op._Lattice(k, fs[0], step) for t in (1, 2)}
+    for f, e in plan:
+        want = ref.apply_truncated(k, f, e, step)
+        assert op._Lattice(k, f, step)(f, e, 1)[0].tobytes() == want.tobytes()
+        for t, lat in lats.items():
+            assert lat(f, e, t)[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", DECLARING)
+def test_a_returned_array_changed_by_its_caller_leaves_the_next_step(name):
+    # The kept output is not the returned array: filling what a cold apply
+    # or a step returned leaves the bits of every later step.
+    k = get_kernel(name)
+    n = 384
+    f = GridFunction(B8, n, warm_inputs(n)[0])
+    for e in LADDER:
+        out = quiet_apply(k, f, e)
+        assert out.values.tobytes() == ref.apply_truncated(k, f, e).tobytes()
+        out.values.fill(7.0)
+
+
+def test_taps_that_are_not_finite_keep_no_step():
+    # k is infinite at the offset 1, where rho_1 > 0: once that tap is on,
+    # it makes NaN on every row where it meets g = 0, which a step that
+    # copied those rows would miss.  Every step gives a fresh object's bits.
+    def fn(X, Y, r):
+        d = X[:, 0] - Y[:, 0]
+        return np.where(d == 1.0, np.inf, 1.0 / d)
+
+    k = KernelSpec("spike", get_curve("diagonal"), fn, 1.0, 1.0,
+                   reflections=frozenset({1}))
+    n = 64
+    f = GridFunction(B8, n, warm_inputs(n)[0])
+    lat = op._Lattice(k, f, 1)
+    assert not lat.local
+    for e in (2.0, 0.5, 0.3, 2.0):
+        fresh = op._Lattice(k, f, 1)(f, e, 1)[0]
+        assert lat(f, e, 1)[0].tobytes() == fresh.tobytes()
+    assert np.isnan(fresh).sum() == 0 and np.isnan(lat(f, 0.5, 1)[0]).any()
 
 
 def test_nonzero_runs_are_found_once_per_input(monkeypatch):

@@ -247,6 +247,67 @@ class TestAxisCounts:
                             out_geometry=(B88, 16))
 
 
+WARM_KERNELS = {"hilbert": lambda: get_kernel("hilbert"),
+                "two-line-hilbert": lambda: get_kernel("two-line-hilbert"),
+                "dense hilbert": lambda: dense_twin(get_kernel("hilbert")),
+                "diamond-model": lambda: get_kernel("diamond-model")}
+
+
+class TestChecksOnAWarmSummation:
+    # The grids are checked once per cached summation; eps, its warning
+    # and the finiteness of the values are checked on every call.
+    @staticmethod
+    def warm(name, n=64):
+        k = WARM_KERNELS[name]()
+        x = grid_nodes(B8, n)[:, 0]
+        f = GridFunction(B8, n, np.where(np.abs(x) <= 1.0, 1.0, 0.0))
+        for eps in (2.0, 0.5, 1.0):
+            quiet_apply(k, f, eps)
+        return k, f
+
+    @pytest.mark.parametrize("name", WARM_KERNELS)
+    def test_a_bad_epsilon_is_rejected(self, name):
+        k, f = self.warm(name)
+        for eps in (math.nan, 0.0, -0.5, math.inf, -math.inf):
+            with pytest.raises(RejectedInputError,
+                               match="epsilon must be finite and positive"):
+                apply_truncated(k, f, eps)
+        with pytest.warns(UserWarning):
+            apply_truncated(k, f, 0.1)
+
+    @pytest.mark.parametrize("name", WARM_KERNELS)
+    def test_a_wrong_axis_count_is_rejected_before_any_warning(self, name):
+        # eps lies below 4 cell widths, so a warning would come first if
+        # the axes were checked after it.
+        k, f = self.warm(name)
+        f2 = grid_function(B88, 16, lambda X: np.cos(X[:, 0]))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(RejectedInputError, match="f has 2 axes"):
+                apply_truncated(k, f2, 0.5)
+            with pytest.raises(RejectedInputError,
+                               match="output box has 2 axes"):
+                apply_truncated(k, f, 0.1, out_geometry=(B88, 16))
+        assert not [w for w in seen if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize("name", WARM_KERNELS)
+    def test_a_kept_cell_overflow_raises_on_a_ladder_step(self, name):
+        # 5e307 on four cells: at a large eps (the diamond's rho is
+        # smaller) every kept sum stays finite, at eps = 0.3 the kept cells
+        # next to them overflow.  The step back gives the first apply's
+        # bits.
+        k = WARM_KERNELS[name]()
+        n = 64
+        f = GridFunction(B8, n, np.where(np.abs(np.arange(n) - 31.5) < 2,
+                                         5e307, 0.0))
+        large = 0.5 if name == "diamond-model" else 4.0
+        far = quiet_apply(k, f, large).values
+        assert np.all(np.isfinite(far)) and np.any(far != 0.0)
+        with pytest.raises(RejectedInputError, match="must be finite"):
+            quiet_apply(k, f, 0.3)
+        assert quiet_apply(k, f, large).values.tobytes() == far.tobytes()
+
+
 def riesz_2d():
     """K(x, y) = (x_1 - y_1) / |x - y|^3 on diagonal(2), where
     rho = |x - y| / sqrt(2); it declares no reflections, so every apply
