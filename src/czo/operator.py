@@ -113,11 +113,6 @@ def _grid_size(bx: Box, n: int) -> tuple[int, bool]:
     return n ** len(widths), min(widths) >= top
 
 
-def _require_finite(v: np.ndarray) -> None:
-    if np.count_nonzero(np.isfinite(v)) != len(v):
-        raise RejectedInputError("grid function values must be finite")
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Midpoint samples of a function on an N^n grid over a box.
@@ -135,20 +130,11 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if len(v) != size:
             raise RejectedInputError(f"expected {size} values, got {len(v)}")
-        _require_finite(v)
+        if np.count_nonzero(np.isfinite(v)) != len(v):
+            raise RejectedInputError("grid function values must be finite")
         if not cubic:
             raise RejectedInputError("cells must be cubic (equal axis widths)")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _on_checked_grid(cls, bx: Box, n: int,
-                         values: np.ndarray) -> "GridFunction":
-        """The grid function of a flat float array of the right size on a
-        grid whose checks passed before: only its finiteness is checked."""
-        _require_finite(values)
-        gf = object.__new__(cls)
-        gf.__dict__.update(box=bx, cells_per_axis=n, values=values)
-        return gf
 
     @property
     def dim(self) -> int:
@@ -308,8 +294,7 @@ class _Dense:
         factor h^n; the masked matrix is unfolded on the first read.  A
         new eps for the same f re-forms S only where a mask changed, from
         one gather of both halves' rho, K and f per ``_BAND_BLOCK`` cells,
-        as [rho >= eps] K times f: the same bits, and on a step's cells
-        cheaper than masking the products."""
+        as [rho >= eps] K times f: the bits of the masked products."""
         f, half, bits = gf.values, self.K.shape[2], gf.values.tobytes()
         if bits != self.bits:
             F = np.stack((f[:half], f[::-1][:half]))
@@ -439,10 +424,10 @@ class _Lattice:
         is its own dot of the same operands, and a changed tap there meets
         only g = 0, adding +-0 to a sum that is never -0.  A band row reads
         the taps step*i + j and step*i + N - 1 - j against g_j alone, so its
-        einsum sum keeps its bits on the same terms.  An input whose hull
-        covers every cell keeps no step, as a step changes nearly every
-        row, nor does one on taps whose k is not finite at some rho_1 > 0,
-        where a changed tap times 0 would not be 0."""
+        einsum sum keeps its bits on the same terms.  An input keeps no
+        step once a step re-sums every row, nor if its hull covers every
+        cell, nor on taps whose k is not finite at some rho_1 > 0, where a
+        changed tap times 0 would not be 0."""
         ot = self.taps(epsilon)
         refl, step, bits = self.reflections, self.step, gf.values.tobytes()
         n_in, n_out, half = self.n_in, self.n_in // step, self.n_in // 2
@@ -508,19 +493,23 @@ class _Lattice:
                 out += W @ block[c0 - c.start:c1 - c.start]
             return out
 
-        if self.last is None:
-            out = pmap_chunks(rows, n_out, _TAP_CHUNK, threads)
-            if reads:
-                self.last = off, out.copy()
-            return out, column
-        old, kept = self.last
-        changed = sorted(set(off).symmetric_difference(old))
-        out = kept.copy()
-        for a, b in _band_ranges(changed, reads, step, n_out):
-            out[a:b] = kept[a:b] = pmap_chunks(
-                lambda i0, i1: rows(a + i0, a + i1), b - a, _TAP_CHUNK,
-                threads)
-        self.last = off, kept
+        if self.last is not None:
+            old, kept = self.last
+            redo = _band_ranges(sorted(set(off).symmetric_difference(old)),
+                                reads, step, n_out)
+            if redo != [(0, n_out)]:
+                out = kept.copy()
+                for a, b in redo:
+                    out[a:b] = kept[a:b] = pmap_chunks(
+                        lambda i0, i1: rows(a + i0, a + i1), b - a,
+                        _TAP_CHUNK, threads)
+                self.last = off, kept
+                return out, column
+            # A step that re-sums every row: this input keeps no step.
+            self.memo, self.last, reads = (g, parts, nonzero, None), None, None
+        out = pmap_chunks(rows, n_out, _TAP_CHUNK, threads)
+        if reads:
+            self.last = off, out.copy()
         return out, column
 
 
@@ -556,22 +545,13 @@ def _band_ranges(off: list[int], nonzero: list[int], step: int, n_out: int,
     return out
 
 
-def _require_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise RejectedInputError(
-            f"epsilon must be finite and positive: {epsilon}")
-
-
 def _require_inputs(kernel: KernelSpec, epsilon: float, f: GridFunction,
                     out_box: Optional[Box] = None) -> None:
     """Reject an epsilon that is not finite and positive, and an f or
     output box whose number of axes is not the kernel's."""
-    _require_epsilon(epsilon)
-    _require_axes(kernel, f, out_box)
-
-
-def _require_axes(kernel: KernelSpec, f: GridFunction,
-                  out_box: Optional[Box] = None) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise RejectedInputError(
+            f"epsilon must be finite and positive: {epsilon}")
     for what, bx in (("f", f.box), ("output box", out_box)):
         if bx is not None and bx.dim != kernel.dim:
             raise RejectedInputError(
@@ -582,20 +562,17 @@ def _require_axes(kernel: KernelSpec, f: GridFunction,
 def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
                     out_geometry: Optional[tuple[Box, int]] = None,
                     threads: int = 1) -> GridFunction:
-    """T_eps f on the output grid (defaults to f's own grid).  eps is
-    checked, and warned about, on every call, the grids once per summation
-    (``_truncated``) and the values, for finiteness, on every call."""
+    """T_eps f on the output grid (defaults to f's own grid)."""
     if out_geometry is None:
         out_box, out_n = f.box, f.cells_per_axis
     else:
         out_box, out_n = out_geometry
-    _require_epsilon(epsilon)
-    summation = _truncated(kernel, f, out_box, out_n, threads)
+    _require_inputs(kernel, epsilon, f, out_box)
     if epsilon < 4.0 * f.h:
         warnings.warn("epsilon below 4 cell widths: quadrature near the "
                       "truncation boundary is unreliable", stacklevel=2)
-    return GridFunction._on_checked_grid(
-        out_box, out_n, summation(f, epsilon, threads)[0])
+    summation = _truncated(kernel, f, out_box, out_n, threads)
+    return GridFunction(out_box, out_n, summation(f, epsilon, threads)[0])
 
 
 def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
@@ -605,17 +582,13 @@ def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
     ``_CACHE_ENTRY_LIMIT`` entries: a ``_Lattice`` of step N_in / N_out for
     a 1-D kernel that declares its reflections, an output grid on f's box
     whose cell count divides f's and, for the reflection -1, a box
-    symmetric about 0 (whose nodes reflect bitwise); else a ``_Dense``.
-    The axis counts of both grids and the output grid's own checks run
-    before it is built, so once per cached summation."""
+    symmetric about 0 (whose nodes reflect bitwise); else a ``_Dense``."""
     key = ((out_box.lo, out_box.hi, out_n),
            (f.box.lo, f.box.hi, f.cells_per_axis))
     hit = kernel._matrices.get(key)
     if hit is None:
-        _require_axes(kernel, f, out_box)
-        GridFunction(out_box, out_n, np.zeros(_grid_size(out_box, out_n)[0]))
         n_in, refl = f.cells_per_axis, kernel.reflections
-        if (refl and kernel.dim == 1 and out_box == f.box
+        if (refl and kernel.dim == 1 and out_box == f.box and 0 < out_n
                 and n_in % out_n == 0
                 and (-1 not in refl or f.box.lo[0] == -f.box.hi[0])):
             hit = _Lattice(kernel, f, n_in // out_n)

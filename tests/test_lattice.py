@@ -471,27 +471,33 @@ def test_zero_chunks_are_skipped_bit_for_bit(monkeypatch, name, step):
 def test_a_compact_step_makes_fewer_row_products(monkeypatch, name, step):
     # Along a ladder a step re-sums only the rows whose sum can change:
     # for a compact input fewer than a cold apply, and fewer than half of
-    # them over the ladder; an input whose nonzeros span every cell
-    # re-sums them all.
+    # them over the ladder.  An input whose nonzeros span every cell
+    # re-sums them all, and so does one nonzero on every other cell, by
+    # a cold apply from its first step on, which re-sums every row.
     n = 512
     k = get_kernel(name)
     compact, full = (ladder_inputs(n)[i] for i in (0, 4))
-    for vals, fewer in ((compact, True), (full, False)):
+    alternate = np.where(np.arange(n) % 2 == 0, full, 0.0)
+    for vals, cold_from in ((compact, None), (full, 0), (alternate, 1)):
         f = GridFunction(B8, n, vals)
         lat = op._Lattice(k, f, step)
         lat(f, LADDER[0], 1)
         warm_rows = cold_rows = 0
-        for e in LADDER[1:]:
+        for s, e in enumerate(LADDER[1:]):
             warm, rows = count_correlates(monkeypatch,
                                           lambda: lat(f, e, 1)[0])
             cold, rows_cold = count_correlates(
                 monkeypatch, lambda: op._Lattice(k, f, step)(f, e, 1)[0])
             assert warm.tobytes() == cold.tobytes()
-            assert (sum(rows) < sum(rows_cold) if fewer
-                    else rows == rows_cold)
+            if cold_from is None:
+                assert sum(rows) < sum(rows_cold)
+            else:
+                assert s < cold_from or (rows == rows_cold
+                                         and lat.last is None)
             warm_rows += sum(rows)
             cold_rows += sum(rows_cold)
-        assert 2 * warm_rows < cold_rows if fewer else warm_rows == cold_rows
+        if cold_from is None:
+            assert 2 * warm_rows < cold_rows
 
 
 def memo_inputs(n):

@@ -254,8 +254,8 @@ WARM_KERNELS = {"hilbert": lambda: get_kernel("hilbert"),
 
 
 class TestChecksOnAWarmSummation:
-    # The grids are checked once per cached summation; eps, its warning
-    # and the finiteness of the values are checked on every call.
+    # A warm summation still checks eps, the axis counts, eps's warning
+    # and the finiteness of the values on every call.
     @staticmethod
     def warm(name, n=64):
         k = WARM_KERNELS[name]()
