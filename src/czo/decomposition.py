@@ -266,7 +266,7 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
             f"ladder_max must be a non-negative integer: {ladder_max}")
     from .metric import _require_separation, enlarged_cube
     for f in family:
-        _require_inputs(kernel, epsilon, f)
+        _require_inputs(kernel, epsilon, f, threads=threads)
     _require_separation(kernel.curve, theta)
     n = kernel.dim
     rows = []
@@ -298,7 +298,6 @@ def weak_type_experiment(kernel: KernelSpec, family: Sequence[GridFunction],
                 Tb = np.empty((m_out, len(dec.blocks)))
                 for k, (cells, block) in enumerate(dec.blocks):
                     Tb[:, k] = column(cells, block)
-                Tb *= f.h ** n
                 outside = ~in_bstar
                 bad_int = float(np.sum(np.abs(Tb[outside])) * out_cell)
             rows.append(WeakTypeRow(fi, lam, len(dec.cubes), level, ratio,

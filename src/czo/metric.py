@@ -504,10 +504,7 @@ def _eta_box(branch: CurveBranch, Q: Box) -> Optional[Box]:
     """The set {eta_{i,y} : y in Q} when the range is a single box."""
     if branch.range_region is None or len(branch.range_region.boxes) != 1:
         return None
-    rb = branch.range_region.boxes[0]
-    lo = tuple(min(max(a, c), d) for a, c, d in zip(Q.lo, rb.lo, rb.hi))
-    hi = tuple(min(max(b, c), d) for b, c, d in zip(Q.hi, rb.lo, rb.hi))
-    return Box(lo, hi)
+    return Box(*branch.range_region.boxes[0].clamp([Q.lo, Q.hi]))
 
 
 def enlarged_cube(curve: HyperCurve, Q: Box, theta: float) -> EnlargedCube:

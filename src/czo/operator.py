@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -82,9 +83,9 @@ def _axis_nodes(lo: float, hi: float, n_cells: int) -> np.ndarray:
 
 
 def grid_nodes(bx: Box, n_cells: int) -> np.ndarray:
-    """Midpoint nodes of the N^n grid on bx, shape (N^n, n), row-major."""
-    if n_cells < 1:
-        raise RejectedInputError(f"a grid needs at least one cell: {n_cells}")
+    """Midpoint nodes of the N^n grid on bx, shape (N^n, n), row-major,
+    once ``_grid_size``, the one validator of a grid, accepts it."""
+    _grid_size(bx, n_cells)
     axes = [_axis_nodes(bx.lo[k], bx.hi[k], n_cells) for k in range(bx.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return grid.reshape(-1, bx.dim)
@@ -92,13 +93,14 @@ def grid_nodes(bx: Box, n_cells: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _grid_size(bx: Box, n: int) -> tuple[int, bool]:
-    """(n^dim, whether the cells are cubic) for n cells per axis on bx,
-    after the checks that depend on (bx, n) alone: every grid function an
-    apply returns repeats them on the same grid."""
+    """The one validator of a grid, run before anything is built on it:
+    (n^dim, whether the cells are cubic) for n >= 1 cells per axis on a
+    bounded bx with cells of positive volume, one message per rule.
+    Cached, as every grid function an apply returns repeats it."""
     if n < 1:
-        raise RejectedInputError("cells_per_axis must be positive")
+        raise RejectedInputError(f"a grid needs at least one cell: {n}")
     if not bx.is_bounded:
-        raise RejectedInputError("grid functions need a bounded box")
+        raise RejectedInputError(f"a grid needs a bounded box: {bx}")
     widths = [(b - a) / n for a, b in zip(bx.lo, bx.hi)]
     for k, w in enumerate(widths):
         # Cells of zero volume (h ** dim underflowing included) would
@@ -290,8 +292,8 @@ class _Dense:
         dropped cells too, so an overflow in it raises no warning; on a
         kept cell it still shows as +-inf in T_eps f.  column(cells, block)
         is the sum over gf's cells ``cells`` (one slice per axis) of the
-        masked kernel times ``block``, on the output nodes and without the
-        factor h^n; the masked matrix is unfolded on the first read.  A
+        masked kernel times ``block`` times h^n, as T_eps f is, on the
+        output nodes; the masked matrix is unfolded on the first read.  A
         new eps for the same f re-forms S only where a mask changed, from
         one gather of both halves' rho, K and f per ``_BAND_BLOCK`` cells,
         as [rho >= eps] K times f: the bits of the masked products."""
@@ -327,15 +329,15 @@ class _Dense:
         out = np.add.reduce(self.S, axis=1)
         if self.R_mid is not None:
             out += np.where(self.R_mid >= epsilon, self.K_mid, 0.0) * f[half]
-        M = []
+        M, weight = [], gf.h ** gf.dim
 
         def column(cells, block):
             M[:] = M or [self.unfold(epsilon).reshape(
                 (-1,) + (gf.cells_per_axis,) * gf.dim)]
             return M[0][(slice(None),) + cells].reshape(len(M[0]), -1) @ \
-                block.reshape(-1)
+                block.reshape(-1) * weight
 
-        out *= gf.h ** gf.dim
+        out *= weight
         return out, column
 
 
@@ -413,7 +415,8 @@ class _Lattice:
         so for an odd k they cancel exactly where x_i = 0.  The rows are
         summed by einsum, without BLAS, in blocks of consecutive rows from
         the start of each range.  column gathers the kernel from the taps on
-        the cells it reads alone, ``_BAND_BLOCK`` entries at a time.
+        the cells it reads alone, ``_BAND_BLOCK`` entries at a time, and
+        returns the h-scaled sum, as ``_Dense``'s does.
 
         A new eps for the same input re-sums only the rows whose sum can
         change.  From the kept step ``last`` (the off runs of the previous
@@ -491,6 +494,7 @@ class _Lattice:
                 c1 = min(c0 + width, c.stop)
                 W = self.block(ot, slice(0, n_out), slice(c0, c1))
                 out += W @ block[c0 - c.start:c1 - c.start]
+            out *= gf.h
             return out
 
         if self.last is not None:
@@ -546,12 +550,16 @@ def _band_ranges(off: list[int], nonzero: list[int], step: int, n_out: int,
 
 
 def _require_inputs(kernel: KernelSpec, epsilon: float, f: GridFunction,
-                    out_box: Optional[Box] = None) -> None:
-    """Reject an epsilon that is not finite and positive, and an f or
-    output box whose number of axes is not the kernel's."""
+                    out_box: Optional[Box] = None, threads: int = 1) -> None:
+    """Reject an epsilon that is not finite and positive, a thread count
+    that is not an integer of at least 1, and an f or output box whose
+    number of axes is not the kernel's."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise RejectedInputError(
             f"epsilon must be finite and positive: {epsilon}")
+    if not (isinstance(threads, numbers.Integral) and threads >= 1):
+        raise RejectedInputError(
+            f"threads must be an integer of at least 1: {threads}")
     for what, bx in (("f", f.box), ("output box", out_box)):
         if bx is not None and bx.dim != kernel.dim:
             raise RejectedInputError(
@@ -567,7 +575,7 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
         out_box, out_n = f.box, f.cells_per_axis
     else:
         out_box, out_n = out_geometry
-    _require_inputs(kernel, epsilon, f, out_box)
+    _require_inputs(kernel, epsilon, f, out_box, threads)
     if epsilon < 4.0 * f.h:
         warnings.warn("epsilon below 4 cell widths: quadrature near the "
                       "truncation boundary is unreliable", stacklevel=2)
@@ -588,8 +596,8 @@ def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
     hit = kernel._matrices.get(key)
     if hit is None:
         n_in, refl = f.cells_per_axis, kernel.reflections
-        if (refl and kernel.dim == 1 and out_box == f.box and 0 < out_n
-                and n_in % out_n == 0
+        _grid_size(out_box, out_n)
+        if (refl and kernel.dim == 1 and out_box == f.box and n_in % out_n == 0
                 and (-1 not in refl or f.box.lo[0] == -f.box.hi[0])):
             hit = _Lattice(kernel, f, n_in // out_n)
         else:

@@ -55,6 +55,15 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             get_kernel("bogus")
 
+    def test_one_dimensional_curve_in_two_dimensions(self):
+        with pytest.raises(RegistryError, match="one-dimensional"):
+            get_curve("two-lines", 2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(RejectedInputError,
+                           match="unknown experiment kind 'nope'"):
+            run_experiment(ExperimentConfig("nope"))
+
 
 class TestBuiltinFunctions:
     def test_indicator(self):
@@ -182,10 +191,19 @@ class TestExitCodes:
         (["recover", "box=1..1"], "box"),
         (["decompose", "box=1..1"], "box"),
         (["weaktype", "box=1..1"], "box"),
+        # A MultiplierField grid was once never checked: 512 uncovered
+        # nodes at tolerance 0.0, exit 0.
+        (["recover", "box=0..0"], "zero volume"),
+        # Unbounded boxes once computed NaN nodes before the rejection.
+        (["recover", "box=-inf..inf"], "bounded box"),
+        (["decompose", "box=-inf..inf"], "bounded box"),
+        (["apply", "box=-inf..inf"], "bounded box"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_non_finite_or_degenerate_exits_2(self, tmp_path, capsys, argv,
                                               name):
-        assert main([*argv, "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(tmp_path)]) == 2
         assert name in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 

@@ -527,6 +527,14 @@ class TestWeakType:
         with pytest.raises(RejectedInputError):
             weak_type_experiment(get_kernel("two-line-hilbert"), [], 0.1, 8.1)
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5])
+    def test_rejects_a_bad_thread_count(self, threads):
+        # An all-zero f never reaches T_eps: the count is checked up front.
+        zero = GridFunction(B8, 64, np.zeros(64))
+        with pytest.raises(RejectedInputError, match="threads"):
+            weak_type_experiment(get_kernel("two-line-hilbert"), [zero], 0.5,
+                                 8.1, out_cells=32, threads=threads)
+
     def test_theta_hypothesis_enforced(self):
         f = GridFunction(B8, 64, np.zeros(64))
         with pytest.raises(RejectedInputError):
@@ -628,7 +636,6 @@ class TestWeakType:
                 if dec.blocks:
                     Tb = np.stack([column(cells, block)
                                    for cells, block in dec.blocks], axis=1)
-                    Tb *= f.h
                     bad_int = float(np.sum(np.abs(Tb[~in_bstar])) * out_cell)
                     kept += len(dec.blocks) * (not np.all(in_bstar))
                 want.append(WeakTypeRow(fi, lam, len(dec.cubes), level,
@@ -666,7 +673,7 @@ class TestWeakType:
             def call(f, epsilon, threads):
                 Tf, _ = summation(f, epsilon, threads)
                 M = summation.unfold(epsilon)
-                return Tf, lambda cells, block: M[:, cells[0]] @ block
+                return Tf, lambda cells, block: M[:, cells[0]] @ block * f.h
             return call
 
         monkeypatch.setattr(decomposition, "_truncated", eager)

@@ -770,6 +770,24 @@ def test_bits_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("out_cells", [512, 256, 128])
+def test_one_reflection_weak_type_matches_the_dense_twin(out_cells):
+    # hilbert's columns are single-reflection views of the taps; the CLI's
+    # default family reads at least one of them off B*.
+    from czo.cli import DEFAULTS, builtin_function
+    k = get_kernel("hilbert")
+    family = [builtin_function(s, B8, 512)
+              for s in DEFAULTS["family"].split(";")]
+    got, want = (weak_type_experiment(kernel, family, 0.1, 8.1,
+                                      out_cells=out_cells)
+                 for kernel in (k, dense_twin(k)))
+    assert any(r.bad_integral > 0.0 for r in got.rows)
+    for a, b in zip(got.rows, want.rows, strict=True):
+        assert (dataclasses.replace(a, bad_integral=0.0)
+                == dataclasses.replace(b, bad_integral=0.0))
+        assert abs(a.bad_integral - b.bad_integral) <= 1e-15 * b.bad_integral
+
+
 @pytest.mark.parametrize("block", [op._BAND_BLOCK, 3 * 256])
 def test_weak_type_matches_the_dense_twin(monkeypatch, block):
     # On a wide box the enlarged cubes leave cells outside B*; a block of

@@ -129,6 +129,32 @@ class TestGridFunction:
         with pytest.raises(RejectedInputError):
             grid_nodes(B8, 0)
 
+    @pytest.mark.parametrize("bx, n, rule", [
+        (B8, -3, "at least one cell: -3"),
+        (box(-math.inf, math.inf), 4, "bounded box"),
+        (box(0.0, math.inf), 4, "bounded box"),
+        (box(1.0, 1.0), 4, "zero volume"),
+    ])
+    def test_grid_nodes_checks_the_grid_before_any_node(self, bx, n, rule):
+        # An unbounded box once gave NaN nodes and a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RejectedInputError, match=rule):
+                grid_nodes(bx, n)
+
+    def test_grid_function_from_an_array(self):
+        f = grid_function(B8, 4, [1.0, 2.0, 3.0, 4.0])
+        assert f.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(RejectedInputError, match="expected 4 values"):
+            grid_function(B8, 4, np.ones(5))
+
+    def test_csv_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("\n# box=0.0..1.0 n=2\n\n1.5\n  \n-2.0\n\n")
+        g = read_grid_csv(str(p))
+        assert (g.box, g.cells_per_axis) == (box(0.0, 1.0), 2)
+        assert g.values.tolist() == [1.5, -2.0]
+
 
 class TestInterpolation:
     def test_exact_on_nodes(self):
@@ -148,12 +174,41 @@ class TestInterpolation:
         assert vals[0] == 0.0 and outside[0]
         assert not outside[1]
 
+    @pytest.mark.parametrize("bx", [box(0.0, 1.0), box((0.0, 0.0), (1.0, 1.0))])
+    def test_one_cell_grid_is_constant(self, bx):
+        # One node has no neighbour to interpolate towards.
+        f = GridFunction(bx, 1, [2.5])
+        X = np.array([[0.0] * bx.dim, [0.3] * bx.dim, [1.0] * bx.dim,
+                      [1.5] * bx.dim])
+        vals, outside = interpolate(f, X)
+        assert vals.tolist() == [2.5, 2.5, 2.5, 0.0]
+        assert outside.tolist() == [False, False, False, True]
+
 
 class TestApplyTruncated:
     def test_rejects_nonpositive_epsilon(self):
         f = grid_function(B8, 16, lambda X: np.ones(len(X)))
         with pytest.raises(RejectedInputError):
             apply_truncated(get_kernel("hilbert"), f, 0.0)
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, "2"])
+    def test_rejects_a_bad_thread_count(self, threads):
+        f = grid_function(B8, 16, lambda X: np.ones(len(X)))
+        with pytest.raises(RejectedInputError, match="threads"):
+            apply_truncated(get_kernel("hilbert"), f, 4.0, threads=threads)
+
+    @pytest.mark.parametrize("out_box", [box(1.0, 1.0),
+                                         box(-math.inf, math.inf)])
+    def test_rejected_output_grid_builds_no_summation(self, out_box):
+        # A zero-width dense output grid was once summed and cached before
+        # its grid function rejected it.
+        k = get_kernel("diamond-model")
+        f = grid_function(B8, 16, lambda X: np.ones(len(X)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RejectedInputError, match="box"):
+                apply_truncated(k, f, 4.0, (out_box, 8))
+        assert k._matrices == {}
 
     def test_warns_below_reliable_regime(self):
         f = grid_function(B8, 16, lambda X: np.ones(len(X)))
@@ -887,6 +942,13 @@ class TestEstimateT0:
         assert all(d[k + 1] <= d[k] * (1.0 + 1e-9)
                    for k in range(1, len(d) - 1))
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5])
+    def test_rejects_a_bad_thread_count(self, threads):
+        f = grid_function(B8, 64, lambda X: np.ones(len(X)))
+        with pytest.raises(RejectedInputError, match="threads"):
+            estimate_T0(get_kernel("hilbert"), f, [1.0, 0.5],
+                        threads=threads)
+
     def test_unreliable_epsilons_flagged(self):
         f = grid_function(B8, 64, lambda X: np.ones(len(X)))  # h = 0.25
         _, rep = estimate_T0(get_kernel("hilbert"), f, [0.5, 0.1])
@@ -924,6 +986,28 @@ class TestApplyMultiplier:
         with pytest.raises(RejectedInputError, match=r"box has 2 axes but "
                            r"the curve 'two-lines' has 1"):
             multiplier_field(get_curve("two-lines"), B88, 16, [1.0, 0.0])
+
+    @pytest.mark.parametrize("bx, n, rule", [
+        (B8, 0, "at least one cell"),
+        (box(0.0, 0.0), 16, "zero volume"),
+        (box(-math.inf, math.inf), 16, "bounded box"),
+    ])
+    def test_bad_grid_is_rejected(self, bx, n, rule):
+        # A zero-width field once came back with every node uncovered.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RejectedInputError, match=rule):
+                multiplier_field(get_curve("two-lines"), bx, n, [1.0, 0.0])
+
+    def test_branch_whose_domain_misses_the_grid(self):
+        # The diamond's flat branch lives on |x| >= 1, off -0.5..0.5.
+        curve, bx = get_curve("diamond"), box(-0.5, 0.5)
+        f = grid_function(box(-2.0, 2.0), 64, lambda X: 1.0 + X[:, 0] ** 2)
+        mf = multiplier_field(curve, bx, 8, [1.0, 0.0, 5.0])
+        assert not mf.support[2].any()
+        out = apply_multiplier(curve, mf, f)
+        want, _ = interpolate(f, 1.0 - np.abs(mf.nodes()))
+        assert np.array_equal(out.values, want)
 
     @pytest.mark.parametrize("funcs", [[1.0], [1.0, 0.0, 0.0]])
     def test_wrong_multiplier_count_is_rejected(self, funcs):

@@ -6,7 +6,7 @@ import pytest
 from czo import partition
 from czo.curves import CURVE_NAMES, get_curve
 from czo.errors import RejectedInputError
-from czo.geometry import DyadicCube, box
+from czo.geometry import DyadicCube, box, region
 from czo.partition import (BranchDisjointPartition, _level0_corners,
                            build_partition, critical_values,
                            disjoint_preimage_test)
@@ -53,6 +53,14 @@ class TestDisjointnessTest:
             b.preimage_boxes = None
         res = disjoint_preimage_test(curve, DyadicCube(0, (1,)))
         assert res.disjoint and res.probabilistic
+
+    def test_sampling_skips_a_branch_off_the_samples(self):
+        # The samples cover [-32, 32]; once the minus branch lives beyond
+        # them, only the plus branch maps samples into the crossing cube.
+        curve, cube = get_curve("two-lines"), box(-1.0, 1.0)
+        assert partition._preimage_overlap_sampled(curve, cube)
+        curve.branches[1].domain = region(box(100.0, 200.0))
+        assert not partition._preimage_overlap_sampled(curve, cube)
 
     def test_diamond_slant_cube_disjoint_from_flat(self):
         # [0.5, 1) meets only the upper branch; preimages of lower/flat
