@@ -11,8 +11,9 @@ the selection equals the cube-by-cube recursion bit for bit.
 
 The level pass works on a private copy of |f| over the root.  Once a level
 selects its cubes, their cells are zeroed in the copy, so a cube inside a
-selected one averages 0 and is never selected, and the pass ends early:
-a cube can only average above lambda if it holds a cell with
+selected one averages 0 and is never selected.  A side-s cube can only
+average above lambda if the root's |f|-sum reaches lambda s^n (1 -
+HOT_MARGIN), so coarser levels are skipped, and if it holds a cell with
 |f| >= lambda (1 - HOT_MARGIN), so once the copy's maximum is below that
 no finer level is visited.  Cubes of at most 8 cells are summed column
 by column, and all cubes are built in one batch after the pass.  Each bad
@@ -43,7 +44,9 @@ from .operator import GridFunction, _require_inputs, _truncated, grid_nodes
 # 0.1 average 0.10000000000000002), but the pairwise sum of a power-of-two
 # block errs by less than 1e-14 relative, so a cube without a cell of
 # |f| >= lam (1 - HOT_MARGIN) never averages above lam, and the level pass
-# may stop once no unselected cell reaches that height.
+# may stop once no unselected cell reaches that height.  For the same reason
+# no side-s cube averages above lam while the root's sum is below
+# lam s^n (1 - HOT_MARGIN), and the pass may skip those levels.
 HOT_MARGIN = 2.0 ** -40
 
 
@@ -91,8 +94,7 @@ def _root_cells(f: GridFunction, root: Box) -> tuple[tuple[int, ...], int]:
     if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9
                for v in start + count):
         raise RejectedInputError("root cube is not aligned with the grid")
-    s = tuple(round(v) for v in start)
-    c = [round(v) for v in count]
+    s, c = tuple(map(round, start)), list(map(round, count))
     if any(a < 0 or a + b > f.cells_per_axis for a, b in zip(s, c)):
         raise RejectedInputError("root cube is not aligned with the grid")
     if len(set(c)) != 1:
@@ -130,15 +132,17 @@ def cz_decompose(f: GridFunction, lam: float,
     keeps its average's bits.  Each cube is summed as one contiguous
     row-major block, in the order ``np.mean`` uses on the cube alone (by
     ``_row_sums``, column by column, for cubes of at most 8 cells).  The
-    pass stops before the first level at which that |f|'s maximum is below
-    lam (1 - HOT_MARGIN), which leaves the selection unchanged.  It only
-    records each level's cubes.  Then each side takes one gather, one
-    reduce for the signed averages (a multi-axis cube larger than numpy's
-    reduction buffer keeps ``np.mean`` on its view, which sums buffer by
-    buffer), one scatter into ``good`` and one subtraction for the bad
-    blocks; one corners array gives every box and cell slice.  Cubes are
-    listed smallest side first, each side in row-major order; ``blocks``
-    holds their cell slices and f - average there (``bad``, when read).
+    pass skips each level at which the root's |f|-sum is below
+    lam s^n (1 - HOT_MARGIN) and stops before the first level at which that
+    |f|'s maximum is below lam (1 - HOT_MARGIN); neither changes the
+    selection.  A level that selects records its cubes and their corners.
+    Then each side takes one gather, one reduce for the signed averages (a
+    multi-axis cube larger than numpy's reduction buffer keeps ``np.mean``
+    on its view, which sums buffer by buffer), one scatter into ``good``
+    and one subtraction for the bad blocks; one concatenation of the
+    corners gives every box and cell slice.  Cubes are listed smallest
+    side first, each side in row-major order; ``blocks`` holds their cell
+    slices and f - average there (``bad``, when read).
     """
     if not (math.isfinite(lam) and lam > 0):
         raise RejectedInputError(f"lambda must be finite and positive: {lam}")
@@ -148,7 +152,8 @@ def cz_decompose(f: GridFunction, lam: float,
     grid = f.values.reshape((f.cells_per_axis,) * n)
     sl = tuple(slice(s, s + m) for s in start)
     absf = np.abs(grid[sl])
-    root_avg = float(np.mean(absf))
+    total = np.add.reduce(absf, axis=None)
+    root_avg = float(total / absf.size)       # np.mean's sum and division
     if root_avg > lam:
         raise RejectedInputError(
             f"average of |f| over the root is {root_avg} > lambda={lam}")
@@ -161,28 +166,30 @@ def cz_decompose(f: GridFunction, lam: float,
         return a.reshape((m // size, size) * n).transpose(axes)
 
     hot, peak = lam * (1.0 - HOT_MARGIN), absf.max()
-    hits = []                    # per level with a hit: (size, idx, abs avg)
+    hits = []    # per hit level, smallest first: size, idx, |f| avgs, corners
     for size in (m >> j for j in range(1, m.bit_length())):
         if peak < hot:
             break
         cells = size ** n
+        if total < hot * cells:         # no cube here averages above lam
+            continue
         view = blocked(absf, size)
-        rows = np.ascontiguousarray(view).reshape(-1, cells)
-        abs_avg = (_row_sums(rows) / cells).reshape(view.shape[:n])
+        abs_avg = (_row_sums(view.reshape(-1, cells)) / cells).reshape(
+            view.shape[:n])
         idx = (abs_avg > lam).nonzero()
         if len(idx[0]):
             view[idx] = 0.0
-            hits.insert(0, (size, idx, abs_avg[idx]))  # smallest first
+            # Each cube's lo then hi corner, in cells from the root's.
+            lohi = np.array(idx + idx).T + ((0,) * n + (1,) * n)
+            hits.insert(0, (size, idx, abs_avg[idx].tolist(), lohi * size))
             peak = absf.max()
     if not hits:
         return DecompositionResult(lam, root, [], f.with_values(good), [])
 
-    side = np.repeat([s for s, _, _ in hits], [len(a) for _, _, a in hits])
-    corners = np.concatenate([np.array(i).T * s for s, i, _ in hits]) + start
-    slices = [tuple(slice(a, a + s) for a in cs)
-              for cs, s in zip(corners.tolist(), side.tolist())]
-    avgs, bad = [], []
-    for size, idx, _ in hits:
+    corners = np.concatenate([c for *_, c in hits]) + (start + start)
+    slices = [tuple(map(slice, c[:n], c[n:])) for c in corners.tolist()]
+    avgs, abs_avgs, bad = [], [], []
+    for size, idx, aa, _ in hits:
         cells = size ** n
         frows = blocked(grid[sl], size)[idx].reshape(-1, cells)
         if n > 1 and cells > np.getbufsize():
@@ -193,12 +200,9 @@ def cz_decompose(f: GridFunction, lam: float,
         blocked(good[sl], size)[idx] = avg.reshape((-1,) + (1,) * n)
         bad.extend((frows - avg[:, None]).reshape((-1,) + (size,) * n))
         avgs += avg.tolist()
-    lo, h = f.box.lo_a, f.h
-    cubes = [SelectedCube(Box(tuple(a), tuple(b)), av, aa)
-             for a, b, av, aa in zip(
-                 (lo + corners * h).tolist(),
-                 (lo + (corners + side[:, None]) * h).tolist(), avgs,
-                 np.concatenate([a for _, _, a in hits]).tolist())]
+        abs_avgs += aa
+    cubes = [SelectedCube(Box(b[:n], b[n:]), av, aa) for b, av, aa in zip(
+        ((f.box.lo + f.box.lo) + corners * f.h).tolist(), avgs, abs_avgs)]
     return DecompositionResult(lam, root, cubes, f.with_values(good),
                                list(zip(slices, bad)))
 
@@ -208,14 +212,17 @@ def cz_decompose(f: GridFunction, lam: float,
 # ---------------------------------------------------------------------------
 
 def weak_l1_quasinorm(g: GridFunction) -> float:
-    """sup over attained values lam of lam * |{|g| >= lam}| (exact on grids)."""
-    s = np.sort(np.abs(g.values))
-    # First position of each distinct value: |{|g| >= s[i]}| = len(s) - i.
-    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    first = first[s[first] > 0]
-    if len(first) == 0:
-        return 0.0
-    return float(np.max(s[first] * (len(s) - first) * g.h ** g.dim))
+    """sup over attained values lam of lam * |{|g| >= lam}| (exact on grids).
+
+    With s = sort |g|, |{|g| >= s[i]}| is N - i cells at the first position
+    i of each value.  The max of s[i] (N - i) is taken over every position,
+    as rounding is monotone and s >= 0: a later copy of a value (a smaller
+    count) never exceeds its first, and zeros give +0.  So too h^n
+    multiplies the maximum alone.
+    """
+    s = np.abs(g.values)
+    s.sort()
+    return float(np.max(s * np.arange(len(s), 0.0, -1.0)) * g.h ** g.dim)
 
 
 def lp_norm(g: GridFunction, p: float) -> float:

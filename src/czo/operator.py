@@ -596,7 +596,8 @@ def _truncated(kernel: KernelSpec, f: GridFunction, out_box: Box, out_n: int,
     hit = kernel._matrices.get(key)
     if hit is None:
         n_in, refl = f.cells_per_axis, kernel.reflections
-        _grid_size(out_box, out_n)
+        if not _grid_size(out_box, out_n)[1]:
+            raise RejectedInputError("cells must be cubic (equal axis widths)")
         if (refl and kernel.dim == 1 and out_box == f.box and n_in % out_n == 0
                 and (-1 not in refl or f.box.lo[0] == -f.box.hi[0])):
             hit = _Lattice(kernel, f, n_in // out_n)

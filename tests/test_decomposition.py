@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import decomposition_reference as ref
 from czo.curves import get_curve
 from czo.decomposition import (WeakTypeRow, _row_sums, cz_decompose,
                                lp_norm, weak_l1_quasinorm,
@@ -435,6 +436,159 @@ class TestCubeLocalBlocks:
                              out_cells=64, ladder_max=6)
         assert any(dec.blocks for dec in seen)
         assert all("bad" not in dec.__dict__ for dec in seen)
+
+
+def result_bits(dec):
+    """Every field of a decomposition, each float by its bits."""
+    def bits(xs):
+        return tuple((type(x).__name__, float(x).hex()) for x in xs)
+
+    return (bits([dec.lam]), dec.root, bits(dec.root.lo), bits(dec.root.hi),
+            [(bits(c.box.lo), bits(c.box.hi), bits([c.average]),
+              bits([c.abs_average])) for c in dec.cubes],
+            dec.good.box, dec.good.cells_per_axis, dec.good.values.dtype,
+            dec.good.values.tobytes(),
+            [(repr(cells), block.shape, block.dtype, block.tobytes())
+             for cells, block in dec.blocks])
+
+
+def assert_matches_reference(f, lam, root=None):
+    """cz_decompose and the weak L1 of its good part equal the previous
+    path's bit for bit; the result is returned."""
+    dec = cz_decompose(f, lam, root)
+    want = ref.cz_decompose(f, lam, root)
+    assert result_bits(dec) == result_bits(want)
+    got_wl, want_wl = weak_l1_quasinorm(dec.good), ref.weak_l1_quasinorm(
+        want.good)
+    assert type(got_wl) is float and got_wl.hex() == want_wl.hex()
+    return dec
+
+
+def quantized_bumps(rng, cells=4096):
+    """A sum of 3-6 Gaussians rounded to multiples of 2^-20."""
+    x = grid_nodes(B8, cells)[:, 0]
+    m = int(rng.integers(3, 7))
+    c, w = rng.uniform(-6, 6, m), rng.uniform(0.05, 1.0, m)
+    amp = rng.uniform(-3, 3, m)
+    vals = np.sum(amp[:, None] * np.exp(
+        -((x[None, :] - c[:, None]) / w[:, None]) ** 2), axis=0)
+    return np.round(vals * 2.0 ** 20) / 2.0 ** 20
+
+
+class TestMatchesPreviousPath:
+    """The fast path against the path it replaced
+    (``decomposition_reference``), every field bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("data", ["steps", "bumps"])
+    def test_1d_heights_two_to_the_u(self, data, seed):
+        rng = np.random.default_rng([seed, 35])
+        vals = dyadic_steps(rng) if data == "steps" else quantized_bumps(rng)
+        f = GridFunction(B8, 4096, vals)
+        mean = max(float(np.mean(np.abs(vals))), 2.0 ** -20)
+        counts = [len(assert_matches_reference(f, mean * 2.0 ** u).cubes)
+                  for u in np.linspace(0.0, 5.0, 21)]
+        assert max(counts) >= 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_2d_spikes(self, seed):
+        # A smooth background plus 24 spikes, one in each of 24 of the 64
+        # blocks of 32 x 32 cells.
+        rng = np.random.default_rng([seed, 24])
+        x = grid_nodes(box((-8.0, -8.0), (8.0, 8.0)), 256)
+        c, w = rng.uniform(-6, 6, 2), rng.uniform(2.0, 6.0)
+        vals = 2.0 * np.exp(-np.sum((x - c) ** 2, axis=1) / w ** 2)
+        vals = (np.round(vals * 2.0 ** 20) / 2.0 ** 20).reshape(256, 256)
+        for block in rng.choice(64, 24, replace=False):
+            i, j = divmod(int(block), 8)
+            vals[32 * i + rng.integers(32), 32 * j + rng.integers(32)] = 4096.0
+        f = GridFunction(box((-8.0, -8.0), (8.0, 8.0)), 256, vals.reshape(-1))
+        dec = assert_matches_reference(f, float(rng.uniform(7.0, 15.0)))
+        assert len(dec.cubes) == 24
+
+    def test_3d(self):
+        rng = np.random.default_rng(3)
+        f = GridFunction(box((-8.0,) * 3, (8.0,) * 3), 32,
+                         signed_lognormal(rng, 32 ** 3))
+        mean = float(np.mean(np.abs(f.values)))
+        for u in (0.5, 2.0, 4.0):
+            assert_matches_reference(f, mean * 2.0 ** u)
+
+    @pytest.mark.parametrize("dim,cells,lo", [(1, 1024, (-6.0,)),
+                                              (2, 128, (-6.0, -2.0)),
+                                              (3, 32, (-4.0, 0.0, -8.0))])
+    def test_offset_sub_cube_roots(self, dim, cells, lo):
+        rng = np.random.default_rng(dim)
+        f = GridFunction(box((-8.0,) * dim, (8.0,) * dim), cells,
+                         signed_lognormal(rng, cells ** dim))
+        root = box(lo, tuple(a + 8.0 for a in lo))
+        m = int(round(8.0 / f.h))
+        start = np.rint((root.lo_a + 8.0) / f.h).astype(int)
+        grid = f.values.reshape((cells,) * dim)
+        mean = float(np.mean(np.abs(grid[tuple(slice(a, a + m)
+                                               for a in start)])))
+        for u in (0.0, 1.0, 2.0, 4.0):
+            assert_matches_reference(f, mean * 2.0 ** u, root)
+
+    def test_16384_distinct_values(self):
+        rng = np.random.default_rng(16384)
+        vals = (rng.permutation(16384) + 1.0) / 16384
+        f = GridFunction(B8, 16384, vals)
+        for lam in (float(np.mean(vals)), 0.75, 1.5):
+            assert_matches_reference(f, lam)
+
+    @pytest.mark.parametrize("dim,cells", [(2, 512), (3, 64)])
+    def test_multi_axis_cubes_above_the_buffer(self, dim, cells):
+        rng = np.random.default_rng(dim)
+        half = cells // 2
+        assert half ** dim > np.getbufsize()
+        grid = rng.uniform(-0.01, 0.01, size=(cells,) * dim)
+        grid[(slice(0, half),) * dim] = 1.5 * signed_lognormal(
+            rng, half ** dim, sigma=0.5).reshape((half,) * dim)
+        f = GridFunction(box((0.0,) * dim, (float(cells),) * dim), cells,
+                         grid.reshape(-1))
+        assert len(assert_matches_reference(f, 1.0).cubes) == 1
+
+    def test_the_same_rejections(self):
+        # 128 cells of 0.1 average 0.10000000000000002 by np.mean.
+        ones, tenths = (GridFunction(B8, 128, np.full(128, v))
+                        for v in (1.0, 0.1))
+        for f, lam, root in ((ones, 0.5, None), (tenths, 0.1, None),
+                             (ones, 2.0, box(-7.9, 0.1)),
+                             (ones, 2.0, box(-8.0, -2.0)),
+                             (ones, math.inf, None)):
+            with pytest.raises(RejectedInputError) as got:
+                cz_decompose(f, lam, root)
+            with pytest.raises(RejectedInputError) as want:
+                ref.cz_decompose(f, lam, root)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("dim,cells", [(1, 64), (2, 8)])
+    @pytest.mark.parametrize("case", ["zero", "single", "tiny", "overflow",
+                                      "ties"])
+    def test_weak_l1_edge_inputs(self, dim, cells, case):
+        rng = np.random.default_rng(cells)
+        size = cells ** dim
+        vals = {"zero": np.zeros(size), "single": np.full(size, -0.375),
+                "tiny": np.where(rng.random(size) < 0.5, 1e-300, 0.0),
+                "overflow": rng.choice([0.0, 1e308, -1.5e308, 3.0], size),
+                "ties": rng.choice([0.0, -0.0, 0.1, -0.1, 2.0], size)}[case]
+        for side in (1.0, 64.0, 1e150):
+            g = GridFunction(box((0.0,) * dim, (side,) * dim), cells, vals)
+            with np.errstate(over="ignore"):     # "overflow" reaches inf
+                got, want = weak_l1_quasinorm(g), ref.weak_l1_quasinorm(g)
+            assert type(got) is float and got.hex() == want.hex()
+
+    def test_weak_l1_on_tie_heavy_arrays(self):
+        rng = np.random.default_rng(3000)
+        levels = np.array([0.0, 0.1, 0.25, 1.0, 1.0 / 3.0, 7.0, 1e-300])
+        for _ in range(300):
+            size = int(rng.integers(1, 200))
+            vals = rng.choice(levels, size) * rng.choice([-1.0, 1.0], size)
+            g = GridFunction(box(0.0, float(rng.uniform(0.1, 10.0))), size,
+                             vals)
+            assert weak_l1_quasinorm(g).hex() == ref.weak_l1_quasinorm(
+                g).hex()
 
 
 def unique_weak_l1(g):

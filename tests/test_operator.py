@@ -405,6 +405,16 @@ class TestDense2D:
             assert np.all(np.abs(got - want) <= 1e-14 * np.max(scale))
             assert np.any(got != 0.0)
 
+    def test_non_cubic_output_grid_builds_no_summation(self):
+        # Its cubic verdict was once raised only by the result's grid
+        # function, after a dense summation had been built and cached.
+        k = riesz_2d()
+        message = r"^cells must be cubic \(equal axis widths\)$"
+        with pytest.raises(RejectedInputError, match=message):
+            apply_truncated(k, self.even_input(8), 2.0,
+                            (box((-2.0, -2.0), (2.0, 4.0)), 4))
+        assert k._matrices == {}
+
     def test_odd_kernel_on_an_even_input_is_zero_at_the_centre(self):
         # K(-x, -y) = -K(x, y): at x = 0 each cell's term cancels its
         # mirror's exactly.
