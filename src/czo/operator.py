@@ -27,6 +27,9 @@ what it can observe (it keeps its latest input, keyed on f's bits):
   only the rows that read a tap it turns on or off within the hull of g's
   nonzeros.  The other rows keep the previous output's bits: each row's
   sum is its own dot product, and a changed tap meets only g = 0 there.
+  Its parts: ``_memo`` (the input's g, phases, runs and hull), ``__call__``
+  (the eps' taps, phases and band rows), ``_rows`` (the Toeplitz and band
+  sums of a range of rows), ``_step`` (the ladder step) and ``column``.
 - ``_Dense``, everything else (kernels without a declaration, other
   output grids, 2-D, ``apply_truncated_at``, which caches nothing): rho
   and K from the output grid to f's grid, folded into two contiguous
@@ -95,20 +98,29 @@ def grid_nodes(bx: Box, n_cells: int) -> np.ndarray:
 def _grid_size(bx: Box, n: int) -> tuple[int, bool]:
     """The one validator of a grid, run before anything is built on it:
     (n^dim, whether the cells are cubic) for n >= 1 cells per axis on a
-    bounded bx with cells of positive volume, one message per rule.
-    Cached, as every grid function an apply returns repeats it."""
+    bounded bx with cells of positive, finite volume, one message per
+    rule.  Cached, as every grid function an apply returns repeats it."""
     if n < 1:
         raise RejectedInputError(f"a grid needs at least one cell: {n}")
     if not bx.is_bounded:
         raise RejectedInputError(f"a grid needs a bounded box: {bx}")
     widths = [(b - a) / n for a, b in zip(bx.lo, bx.hi)]
     for k, w in enumerate(widths):
+        span = f"on axis {k}: {bx.lo[k]}..{bx.hi[k]}"
+        try:
+            # Python's float power raises on overflow, where numpy's warns.
+            volume = w ** len(widths)
+        except OverflowError:
+            volume = math.inf
         # Cells of zero volume (h ** dim underflowing included) would
-        # give all-zero sums or a division by zero further down.
-        if not w ** len(widths) > 0:
+        # give all-zero sums or a division by zero further down, and cells
+        # of infinite volume an infinite h ** dim.
+        if not volume > 0:
             raise RejectedInputError(
-                f"grid box gives cells of zero volume on axis {k}: "
-                f"{bx.lo[k]}..{bx.hi[k]}")
+                f"grid box gives cells of zero volume {span}")
+        if volume == math.inf:
+            raise RejectedInputError(
+                f"grid box gives cells whose volume is not finite {span}")
     # Cubic: every width within 8 float epsilons of the largest, relative
     # to it, so the check reads the same at every scale.
     top = max(widths) * (1.0 - 8.0 * np.finfo(float).eps)
@@ -342,14 +354,15 @@ class _Dense:
 
 
 class _Lattice:
-    """T_eps from gf's grid onto N_in / step cells on its box, summed on
-    the lattice: R and k hold rho_1 and k = K / |S| at the offsets
-    d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in - step - 1, where
-    x_i - y_j is p = step*i - j + N_in - 1 and, on a symmetric box,
-    x_i + y_j is step*i + j.  It keeps its latest input as ``_Dense``
-    does, under the bits of f's values: g (see ``__call__``), the phases
-    of its reversal, g's nonzero runs and the hull of the reversed g's
-    nonzeros (``memo``), and its latest eps step (``last``), O(N) in all.
+    """T_eps from gf's grid onto n_out = N_in / step cells on its box,
+    summed on the lattice: R and k hold rho_1 and k = K / |S| at the
+    offsets d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in - step - 1,
+    where x_i - y_j is p = step*i - j + N_in - 1 and, on a symmetric box,
+    x_i + y_j is step*i + j.  Its state, O(N) in all, has three parts:
+    the latest input, kept as ``_Dense`` keeps it under the bits of f's
+    values (set by ``_memo``); the latest eps, which ``__call__`` sets for
+    ``_rows``: ot = (on, taps), the taps' residue ``phases`` and the band
+    rows ``fix``; and its latest eps step, ``last`` (see ``_step``).
     ``local`` says whether k is finite wherever rho_1 > 0."""
 
     def __init__(self, kernel: KernelSpec, gf: GridFunction, step: int):
@@ -357,8 +370,9 @@ class _Lattice:
         d = (np.arange(1 - n_in, n_in - step + 1) + (step - 1) / 2) * gf.h
         self.R, K = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
         self.k = K / len(kernel.reflections)
-        self.reflections, self.step = kernel.reflections, step
+        self.reflections, self.step, self.h = kernel.reflections, step, gf.h
         self.n_in, self.entries, self.bits = n_in, len(d), None
+        self.n_out, self.half = n_in // step, n_in // 2
         self.local = bool(np.all(np.isfinite(self.k[self.R > 0.0])))
 
     def taps(self, epsilon: float) -> np.ndarray:
@@ -398,123 +412,135 @@ class _Lattice:
         """(T_eps gf, column) as for ``_Dense``: out_i = h sum_j on[p]
         on[q] k[p] g_j, g = sum over the declared reflections s of f(s y),
         on[q] only with both (p, q and ot = (on, taps) as in ``block``).
+        A new input first runs ``_memo``.  Then the eps state is set: the
+        taps' residue phases beside g's, and the band rows ``fix``, the
+        rows whose band {j : on[q] = 0} meets a nonzero g_j
+        (``_band_ranges``) and the middle row of an odd output grid.  A
+        kept step gives the rows by ``_step``; else ``_rows`` sums them
+        all.  column is ``column`` bound to this eps' taps."""
+        if (bits := gf.values.tobytes()) != self.bits:
+            self._memo(gf, bits)
+        self.ot = ot = self.taps(epsilon)
+        step, n_out = self.step, self.n_out
+        self.phases = [(np.ascontiguousarray(ot[1][r::step]), b, live)
+                       for r, b, live in self.parts]
+        off = _runs(ot[0] == 0.0) if self.nonzero or self.reads else None
+        # Without g's nonzero runs there is no band row: fix is [].
+        self.fix = self.nonzero and _band_ranges(
+            off, self.nonzero, step, n_out, [n_out // 2] * (n_out % 2))
+        out = None if self.last is None else self._step(off, threads)
+        if out is None:
+            out = pmap_chunks(self._rows, n_out, _TAP_CHUNK, threads)
+            if self.reads:
+                self.last = off, out.copy()
+        return out, functools.partial(self.column, ot)
 
-        The Toeplitz sum h sum_j taps[p] g_j is exact on every row whose band
-        {j : on[q] = 0} misses the nonzero g_j.  For it the taps and the
-        reversed g are split by residue mod step, so out_i = sum over r and v
-        of taps_r[i + v] g_r[v], summed in the same fixed chunks of v for
-        every i: splitting the outputs over threads leaves every bit
-        unchanged, and so does skipping a chunk whose g_r is all 0, which
-        would add only +-0 to an out that starts at +0 and is never -0.  The
-        other rows and the middle row of an odd output grid
-        (``_band_ranges``) are recomputed, never as the Toeplitz sum minus
-        the band, which leaves a residue where every kept term is 0.  As g
-        is even and cell j and its mirror N - 1 - j swap p and q, each cell
-        j < N/2 from g's first nonzero adds on[p] on[q] (k[p] + k[q]) g_j:
-        the kernel terms are added before the row sum, as on the dense path,
-        so for an odd k they cancel exactly where x_i = 0.  The rows are
-        summed by einsum, without BLAS, in blocks of consecutive rows from
-        the start of each range.  column gathers the kernel from the taps on
-        the cells it reads alone, ``_BAND_BLOCK`` entries at a time, and
-        returns the h-scaled sum, as ``_Dense``'s does.
+    def _memo(self, gf: GridFunction, bits: bytes) -> None:
+        """Keep what the input alone fixes, under ``bits``: g, ``parts``,
+        the residue phases of the reversed g with the ``_TAP_CHUNK``
+        chunks of v (``live``) where they are not all 0, g's ``nonzero``
+        runs, the band cells, and the hull ``reads``.  Skipping a chunk
+        whose g_r is all 0 leaves every bit of ``_rows``' sum, as it would
+        add only +-0 to an out that starts at +0 and is never -0.  With
+        both reflections the band cells run from g's first nonzero to
+        N/2: g is even and not all 0, so that nonzero is at or below N/2.
+        ``reads`` is the hull of the reversed g's nonzeros as a run.  The
+        input keeps no step (``reads`` is None) if its hull covers every
+        cell, nor on taps whose k is not finite at some rho_1 > 0, where
+        a changed tap times 0 would not be 0."""
+        refl = self.reflections
+        g = gf.values if 1 in refl else 0.0
+        if -1 in refl:
+            g = g + gf.values[::-1]
+        # With both reflections g is even: its own reversal, bitwise.
+        rev, self.parts = g if len(refl) == 2 else g[::-1], []
+        for r in range(self.step):
+            b = np.ascontiguousarray(rev[r::self.step])
+            live = [v0 for v0 in range(0, len(b), _TAP_CHUNK)
+                    if np.count_nonzero(b[v0:v0 + _TAP_CHUNK])]
+            if live:
+                self.parts.append((r, b, live))
+        self.nonzero = _runs(g != 0.0) if len(refl) == 2 and self.parts else []
+        nz, self.reads = np.flatnonzero(rev), None
+        if self.local and len(nz) and (nz[0] > 0 or nz[-1] < self.n_in - 1):
+            self.reads = [int(nz[0]) - 1, int(nz[-1])]
+        if self.nonzero:
+            self.cells = slice(self.nonzero[0] + 1, self.half)
+            self.gc = g[self.cells]
+            self.per = max(1, _BAND_BLOCK // max(len(self.gc), 1))
+        self.g, self.bits, self.last = g, bits, None
 
-        A new eps for the same input re-sums only the rows whose sum can
-        change.  From the kept step ``last`` (the off runs of the previous
-        eps and its output) the changed taps are the symmetric difference
-        of both eps' off runs, and ``_band_ranges`` finds the rows that
-        read one of them within ``reads``, the hull of the reversed g's
-        nonzeros.  Every other row copies its bits: each correlate output
+    def _rows(self, i0: int, i1: int, at: int = 0) -> np.ndarray:
+        """Rows at + i0 .. at + i1 - 1 of T_eps f at the latest eps.  The
+        Toeplitz sum h sum_j taps[p] g_j is exact on every row outside
+        ``fix``.  With the taps and the reversed g split by residue mod
+        step, out_i = sum over r and v of taps_r[i + v] g_r[v], summed in
+        the same fixed chunks of v for every i: splitting the outputs over
+        threads leaves every bit unchanged.  The rows of ``fix`` are
+        recomputed, never as the Toeplitz sum minus the band, which leaves
+        a residue where every kept term is 0.  As g is even and cell j and
+        its mirror N - 1 - j swap p and q, each band cell j < N/2 adds
+        on[p] on[q] (k[p] + k[q]) g_j: the kernel terms are added before
+        the row sum, as on the dense path, so for an odd k they cancel
+        exactly where x_i = 0.  Those rows are summed by einsum, without
+        BLAS, in blocks of ``per`` consecutive rows from the start of each
+        range."""
+        out, i0, i1, ot = np.zeros(i1 - i0), at + i0, at + i1, self.ot
+        for a, b, live in self.phases:
+            for v0 in live:
+                v1 = min(v0 + _TAP_CHUNK, self.n_out)
+                out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1], "valid")
+        if self.fix:
+            most = min(self.per, max(r1 - r0 for r0, r1 in self.fix))
+            buf = np.empty((most, len(self.gc)))
+        for r0, r1 in self.fix:
+            r0, r1 = max(r0, i0), min(r1, i1)
+            for a0 in range(r0, r1, self.per):
+                a1 = min(a0 + self.per, r1)
+                W = self.block(ot, slice(a0, a1), self.cells, buf[:a1 - a0])
+                np.einsum("ij,j->i", W, self.gc, out=out[a0 - i0:a1 - i0])
+            if self.n_in % 2 and r0 < r1:
+                mid = ot[1][self.step * r0 + self.half::self.step]
+                out[r0 - i0:r1 - i0] += mid[:r1 - r0] * self.g[self.half]
+        out *= self.h
+        return out
+
+    def _step(self, off: list[int], threads: int) -> Optional[np.ndarray]:
+        """T_eps f from the kept step ``last`` (the previous eps' off runs
+        and output), re-summing only the rows whose sum can change.  The
+        changed taps are the symmetric difference of both eps' off runs,
+        and ``_band_ranges`` finds the rows that read one of them within
+        ``reads``.  Every other row copies its bits: each correlate output
         is its own dot of the same operands, and a changed tap there meets
         only g = 0, adding +-0 to a sum that is never -0.  A band row reads
-        the taps step*i + j and step*i + N - 1 - j against g_j alone, so its
-        einsum sum keeps its bits on the same terms.  An input keeps no
-        step once a step re-sums every row, nor if its hull covers every
-        cell, nor on taps whose k is not finite at some rho_1 > 0, where a
-        changed tap times 0 would not be 0."""
-        ot = self.taps(epsilon)
-        refl, step, bits = self.reflections, self.step, gf.values.tobytes()
-        n_in, n_out, half = self.n_in, self.n_in // step, self.n_in // 2
-        if bits != self.bits:
-            g = gf.values if 1 in refl else 0.0
-            if -1 in refl:
-                g = g + gf.values[::-1]
-            # With both reflections g is even: its own reversal, bitwise.
-            rev, parts = g if len(refl) == 2 else g[::-1], []
-            for r in range(step):
-                b = np.ascontiguousarray(rev[r::step])
-                live = [v0 for v0 in range(0, len(b), _TAP_CHUNK)
-                        if np.count_nonzero(b[v0:v0 + _TAP_CHUNK])]
-                if live:
-                    parts.append((r, b, live))
-            nonzero = _runs(g != 0.0) if len(refl) == 2 and parts else []
-            nz, reads = np.flatnonzero(rev), None
-            if self.local and len(nz) and (nz[0] > 0 or nz[-1] < n_in - 1):
-                reads = [int(nz[0]) - 1, int(nz[-1])]
-            self.bits, self.last = bits, None
-            self.memo = g, parts, nonzero, reads
-        g, parts, nonzero, reads = self.memo
-        phases = [(np.ascontiguousarray(ot[1][r::step]), b, live)
-                  for r, b, live in parts]
-        off = _runs(ot[0] == 0.0) if nonzero or reads else None
-        fix = []
-        if nonzero:
-            fix = _band_ranges(off, nonzero, step, n_out,
-                               [n_out // 2] * (n_out % 2))
-            # g is even and not all 0: its first nonzero is at or below half.
-            cells = slice(nonzero[0] + 1, half)
-            gc = g[cells]
-            block = max(1, _BAND_BLOCK // max(len(gc), 1))
-            most = min(block, max((r1 - r0 for r0, r1 in fix), default=0))
+        the taps step*i + j and step*i + N - 1 - j against g_j alone, so
+        its einsum sum keeps its bits on the same terms.  A step that would
+        re-sum every row gives None, and the input keeps no step after it."""
+        old, kept = self.last
+        redo = _band_ranges(sorted(set(off).symmetric_difference(old)),
+                            self.reads, self.step, self.n_out)
+        if redo == [(0, self.n_out)]:
+            self.last = self.reads = None
+            return None
+        for a, b in redo:
+            kept[a:b] = pmap_chunks(functools.partial(self._rows, at=a),
+                                    b - a, _TAP_CHUNK, threads)
+        self.last = off, kept
+        return kept.copy()
 
-        def rows(i0, i1):
-            out = np.zeros(i1 - i0)
-            for a, b, live in phases:
-                for v0 in live:
-                    v1 = min(v0 + _TAP_CHUNK, n_out)
-                    out += np.correlate(a[v0 + i0:v1 + i1 - 1], b[v0:v1],
-                                        "valid")
-            buf = np.empty((most, len(gc))) if fix else None
-            for r0, r1 in fix:
-                r0, r1 = max(r0, i0), min(r1, i1)
-                for a0 in range(r0, r1, block):
-                    a1 = min(a0 + block, r1)
-                    W = self.block(ot, slice(a0, a1), cells, buf[:a1 - a0])
-                    np.einsum("ij,j->i", W, gc, out=out[a0 - i0:a1 - i0])
-                if n_in % 2 and r0 < r1:
-                    out[r0 - i0:r1 - i0] += (ot[1][step * r0 + half::step]
-                                             [:r1 - r0] * g[half])
-            out *= gf.h
-            return out
-
-        def column(cells, block):
-            (c,) = cells
-            out = np.zeros(n_out)
-            width = max(1, _BAND_BLOCK // n_out)
-            for c0 in range(c.start, c.stop, width):
-                c1 = min(c0 + width, c.stop)
-                W = self.block(ot, slice(0, n_out), slice(c0, c1))
-                out += W @ block[c0 - c.start:c1 - c.start]
-            out *= gf.h
-            return out
-
-        if self.last is not None:
-            old, kept = self.last
-            redo = _band_ranges(sorted(set(off).symmetric_difference(old)),
-                                reads, step, n_out)
-            if redo != [(0, n_out)]:
-                out = kept.copy()
-                for a, b in redo:
-                    out[a:b] = kept[a:b] = pmap_chunks(
-                        lambda i0, i1: rows(a + i0, a + i1), b - a,
-                        _TAP_CHUNK, threads)
-                self.last = off, kept
-                return out, column
-            # A step that re-sums every row: this input keeps no step.
-            self.memo, self.last, reads = (g, parts, nonzero, None), None, None
-        out = pmap_chunks(rows, n_out, _TAP_CHUNK, threads)
-        if reads:
-            self.last = off, out.copy()
-        return out, column
+    def column(self, ot: np.ndarray, cells: tuple,
+               block: np.ndarray) -> np.ndarray:
+        """``_Dense``'s column at the taps ot: the kernel gathered from
+        them on the cells it reads alone, ``_BAND_BLOCK`` entries at a
+        time, times block, h-scaled.  ``__call__`` binds it to its own
+        eps' taps, so a later apply leaves its bits."""
+        (c,), out = cells, np.zeros(self.n_out)
+        width = max(1, _BAND_BLOCK // self.n_out)
+        for c0 in range(c.start, c.stop, width):
+            c1 = min(c0 + width, c.stop)
+            W = self.block(ot, slice(0, self.n_out), slice(c0, c1))
+            out += W @ block[c0 - c.start:c1 - c.start]
+        return out * self.h
 
 
 def _runs(m: np.ndarray) -> list[int]:

@@ -1,7 +1,8 @@
 """The lattice path of ``czo.operator`` as it stood before its fixed cost
 was cut: one view per operand per band block, band ranges found with
 numpy outer products, band rows recomputed by ``_paired_rows`` and every
-correlate chunk summed, whether or not its slice of g is zero.
+correlate chunk summed, whether or not its slice of g is zero; and the
+weak type's ``column`` at one eps, from taps evaluated afresh.
 
 The tests hold the current path to these bits.  Chunk and block sizes are
 read from ``czo.operator`` at call time, so a test that shortens them
@@ -128,3 +129,23 @@ def apply_truncated(kernel: KernelSpec, f: GridFunction, epsilon: float,
     """The reference T_eps f on the grid (f.box, N_in / step)."""
     return _lattice_apply(kernel, *_lattice_taps(kernel, f, step, epsilon),
                           f, step, threads)
+
+
+def column(kernel: KernelSpec, f: GridFunction, epsilon: float, step: int,
+           cells: tuple, block: np.ndarray) -> np.ndarray:
+    """The reference weak-type column on the grid (f.box, N_in / step):
+    the eps-masked kernel from every output node to f's cells ``cells``
+    (one slice) times ``block``, times h, gathered ``_BAND_BLOCK // n_out``
+    cells at a time."""
+    (c,) = cells
+    on, taps = _lattice_taps(kernel, f, step, epsilon)
+    n_in = f.cells_per_axis
+    n_out = n_in // step
+    width = max(1, op._BAND_BLOCK // n_out)
+    out = np.zeros(n_out)
+    for c0 in range(c.start, c.stop, width):
+        c1 = min(c0 + width, c.stop)
+        W = _lattice_block(kernel, on, taps, n_in, step, slice(0, n_out),
+                           slice(c0, c1))
+        out += W @ block[c0 - c.start:c1 - c.start]
+    return out * f.h

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -206,6 +208,39 @@ class TestExitCodes:
             assert main([*argv, "--out", str(tmp_path)]) == 2
         assert name in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    # Cells of infinite volume: the first once ended in a bare
+    # OverflowError, the second, with h = inf, in a RuntimeWarning from
+    # lp_norm; both exited 1 with a traceback.
+    INFINITE_CELLS = [
+        ["decompose", "box=-1e200..1e200,-1e200..1e200", "n=2"],
+        ["weaktype", "box=-1e308..1e308", "n=4", "out_n=4"],
+    ]
+
+    @pytest.mark.parametrize("argv", INFINITE_CELLS, ids=" ".join)
+    def test_cells_of_infinite_volume_exit_2(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "volume is not finite" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", INFINITE_CELLS, ids=" ".join)
+    def test_cells_of_infinite_volume_exit_2_in_a_process(self, tmp_path,
+                                                          argv):
+        # As CI runs the kinds: a fresh process, RuntimeWarnings as errors.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            operator.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "czo.cli",
+             *argv, "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "RuntimeWarning" not in run.stderr
+        assert "volume is not finite" in run.stderr
 
     @pytest.mark.parametrize("argv, owner", [
         (["apply", "out_n=16"], "kernel 'two-line-hilbert'"),

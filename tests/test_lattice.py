@@ -600,6 +600,39 @@ def test_a_returned_array_changed_by_its_caller_leaves_the_next_step(name):
         out.values.fill(7.0)
 
 
+@pytest.mark.parametrize("name", DECLARING)
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("band", [None, 3 * 128])
+def test_columns_match_the_reference(monkeypatch, name, step, band):
+    # The weak type's column from a cold apply, from a ladder step, and
+    # each read again after an apply at a third eps, gives the bits of the
+    # reference column at its own eps.  A band block of 3 * 128 entries
+    # gathers one cell at a time at 384 output cells, 3 at 128.
+    if band is not None:
+        monkeypatch.setattr(op, "_BAND_BLOCK", band)
+    k = get_kernel(name)
+    n = 384
+    f = GridFunction(B8, n, warm_inputs(n)[0])
+    rng = np.random.default_rng(step)
+    reads = [(slice(0, n),), (slice(37, 101),), (slice(n - 5, n),)]
+    blocks = [rng.normal(size=c.stop - c.start) for (c,) in reads]
+
+    def check(column, eps):
+        for cells, block in zip(reads, blocks):
+            want = ref.column(k, f, eps, step, cells, block)
+            assert column(cells, block).tobytes() == want.tobytes()
+
+    lat = op._Lattice(k, f, step)
+    cold = lat(f, LADDER[2], 1)[1]
+    check(cold, LADDER[2])
+    warm = lat(f, LADDER[9], 1)[1]
+    assert lat.last is not None
+    check(warm, LADDER[9])
+    lat(f, LADDER[5], 1)
+    check(cold, LADDER[2])
+    check(warm, LADDER[9])
+
+
 def test_taps_that_are_not_finite_keep_no_step():
     # k is infinite at the offset 1, where rho_1 > 0: once that tap is on,
     # it makes NaN on every row where it meets g = 0, which a step that

@@ -142,6 +142,23 @@ class TestGridFunction:
             with pytest.raises(RejectedInputError, match=rule):
                 grid_nodes(bx, n)
 
+    @pytest.mark.parametrize("bx, n, axis", [
+        (box(-1e308, 1e308), 4, 0),
+        (box((-1e200, -1e200), (1e200, 1e200)), 2, 0),
+        (box((-1.0, -1e200), (1.0, 1e200)), 2, 1),
+    ])
+    def test_cells_of_infinite_volume_are_rejected(self, bx, n, axis):
+        # A width of inf (1e308 - -1e308 overflows) was once accepted with
+        # h = inf, so that lp_norm warned on inf * 0; a volume of 1e400
+        # raised a bare OverflowError from Python's float power.
+        rule = f"volume is not finite on axis {axis}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RejectedInputError, match=rule):
+                grid_nodes(bx, n)
+            with pytest.raises(RejectedInputError, match=rule):
+                GridFunction(bx, n, np.zeros(n ** bx.dim))
+
     def test_grid_function_from_an_array(self):
         f = grid_function(B8, 4, [1.0, 2.0, 3.0, 4.0])
         assert f.values.tolist() == [1.0, 2.0, 3.0, 4.0]
