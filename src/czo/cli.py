@@ -20,12 +20,16 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .errors import CzoError, RegistryError, RejectedInputError
 from .geometry import Box, parse_box
+
+if TYPE_CHECKING:
+    from .operator import GridFunction
 
 DEFAULTS = {
     "curve": "two-lines",
@@ -460,8 +464,7 @@ def main(argv=None) -> int:
             options["threads"] = str(args.threads)
         cfg = ExperimentConfig(args.kind, options)
         return run_experiment(cfg)
-    except (RegistryError, RejectedInputError, FileNotFoundError,
-            ValueError) as exc:
+    except (RegistryError, RejectedInputError, OSError, ValueError) as exc:
         print(f"czo: config error: {exc}", file=sys.stderr)
         return 2
     except CzoError as exc:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .geometry import Box
+from .kernels import KernelSpec
 from .operator import GridFunction, _require_inputs, _truncated, grid_nodes
 
 

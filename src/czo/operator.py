@@ -59,7 +59,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +67,9 @@ from .errors import ConsistencyError, RejectedInputError
 from .geometry import Box, HyperCurve, parse_box
 from .kernels import KernelSpec, _rho_and_kernel
 from .util import as_points, pmap_chunks
+
+if TYPE_CHECKING:
+    from .partition import BranchDisjointPartition
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +100,12 @@ def grid_nodes(bx: Box, n_cells: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256, typed=True)
 def _grid_size(bx: Box, n: int) -> tuple[int, bool]:
     """The one validator of a grid, run before anything is built on it:
-    (n^dim, whether the cells are cubic) for n >= 1 cells per axis on a
-    bounded bx with cells of positive, finite volume, one message per
-    rule.  Cached, as every grid function an apply returns repeats it."""
+    (n^dim, whether the cells are cubic) for an integer n >= 1 cells per
+    axis on a bounded bx with cells of positive, finite volume, one message
+    per rule.  Cached, as every grid function an apply returns repeats it."""
+    if not isinstance(n, numbers.Integral):
+        raise RejectedInputError(f"a grid's cell count must be an integer: "
+                                 f"{n!r}")
     if n < 1:
         raise RejectedInputError(f"a grid needs at least one cell: {n}")
     if not bx.is_bounded:

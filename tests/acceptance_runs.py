@@ -7,8 +7,9 @@ run with its exit code, then one line per report body with its sha256
 
     PYTHONPATH=src python tests/acceptance_runs.py > runs.txt
 
-Make the same list at the parent commit on the same machine and diff the
-two files.  No digest is kept in the repository: ``np.exp`` and ``np.sin``
+Make the same list from the parent commit's code on the same machine
+(``PYTHONPATH=<parent checkout>/src``, so both sides run this list) and
+diff the two files.  No digest is kept in the repository: ``np.exp`` and ``np.sin``
 may change bits across CPUs and numpy versions.
 """
 
@@ -19,6 +20,8 @@ import tempfile
 import warnings
 
 import czo.cli
+from czo.curves import CURVE_NAMES
+from czo.kernels import KERNEL_NAMES
 
 # Each run is one argv, without --out.
 RUNS = [
@@ -39,6 +42,25 @@ RUNS = [
     ["decompose", "function=indicator:0,1", "root=-2..2", "lambda=0.3"],
     # The dense path's weak type.
     ["weaktype", "kernel=diamond-model", "family=indicator:2,3;bump:4,0.5"],
+    # The eps ladders whose last step test_console.py compares with a
+    # one-shot apply at 0.0625: the dense path at 255 cells, and the
+    # lattice path for both reflections and for one.
+    ["t0-convergence", "kernel=diamond-model"],
+    ["t0-convergence", "kernel=diamond-model", "n=255"],
+    ["apply", "kernel=diamond-model", "n=255", "out_n=255", "eps=0.0625"],
+    ["apply", "out_n=512", "eps=0.0625"],
+    ["t0-convergence", "kernel=hilbert", "n=512"],
+    ["apply", "kernel=hilbert", "n=512", "out_n=512", "eps=0.0625"],
+    ["apply", "kernel=hilbert", "n=16384", "out_n=16384", "eps=0.0625"],
+    ["weaktype", "out_n=100"],
+    ["partition", "curve=diamond", "max_depth=6"],
+    # The audits run under -W error::RuntimeWarning in test_console.py.
+    *(["kernel-audit", f"kernel={k}"] for k in KERNEL_NAMES),
+    *(["metric-equivalence", f"curve={c}"] for c in CURVE_NAMES),
+    *(["qtheta", "curve=diamond", "theta=9", "mc_samples=20000",
+       f"cube={cube}"] for cube in ("0.25..0.5", "2..3")),
+    # A point beyond hormander's tail grid: exit 2, no body.
+    ["hormander", "a_list=1e300"],
 ]
 
 

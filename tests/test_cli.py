@@ -1,9 +1,6 @@
 import csv
 import dataclasses
-import os
 import re
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -20,6 +17,7 @@ from czo.geometry import HyperCurve, box
 from czo.kernels import KernelSpec, get_kernel
 from czo.metric import EquivalenceReport
 from czo.operator import grid_function, write_grid_csv
+from test_console import run_in_a_process
 
 
 class TestConfig:
@@ -230,13 +228,7 @@ class TestExitCodes:
     def test_cells_of_infinite_volume_exit_2_in_a_process(self, tmp_path,
                                                           argv):
         # As CI runs the kinds: a fresh process, RuntimeWarnings as errors.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            operator.__file__)))
-        run = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "czo.cli",
-             *argv, "--out", str(tmp_path)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=120)
+        run = run_in_a_process(tmp_path, *argv)
         assert run.returncode == 2, run.stderr
         assert "Traceback" not in run.stderr
         assert "RuntimeWarning" not in run.stderr
@@ -322,6 +314,23 @@ class TestExitCodes:
         assert main(["decompose", f"function=custom:{p}",
                      "--out", str(out)]) == 2
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["partition", "--config", "{dir}", "--out", "{out}"], "dir"),
+        (["apply", "function=custom:{dir}", "--out", "{out}"], "dir"),
+        (["partition", "max_depth=4", "--out", "{file}"], "file"),
+    ], ids=["config is a directory", "custom is a directory",
+            "out is a file"])
+    def test_bad_path_exits_2(self, tmp_path, capsys, argv, bad):
+        # Each once ended in an OSError traceback (IsADirectoryError,
+        # FileExistsError from os.makedirs) and exit 1.
+        paths = {"dir": tmp_path / "dir", "file": tmp_path / "file",
+                 "out": tmp_path / "out"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert str(paths[bad]) in err and "Traceback" not in err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main(["apply", "--config", str(tmp_path / "nope"),

@@ -689,6 +689,14 @@ class TestWeakType:
             weak_type_experiment(get_kernel("two-line-hilbert"), [zero], 0.5,
                                  8.1, out_cells=32, threads=threads)
 
+    def test_rejects_an_output_cell_count_that_is_not_an_integer(self):
+        # out_cells=4.0 once passed the grid check and failed in numpy.
+        f = GridFunction(B8, 64, np.ones(64))
+        with pytest.raises(RejectedInputError,
+                           match="cell count must be an integer: 4.0"):
+            weak_type_experiment(get_kernel("two-line-hilbert"), [f], 0.5,
+                                 8.1, out_cells=4.0)
+
     def test_theta_hypothesis_enforced(self):
         f = GridFunction(B8, 64, np.zeros(64))
         with pytest.raises(RejectedInputError):

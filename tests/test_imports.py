@@ -1,7 +1,10 @@
 """What a czo process imports: ``import czo`` loads no submodule, each CLI
-kind loads only the layers it runs, and the package's public names are the
-same objects as before they loaded lazily."""
+kind loads only the layers it runs, the package's public names are the
+same objects as before they loaded lazily, and every name an annotation
+uses is bound in its module."""
 
+import ast
+import builtins
 import importlib
 import json
 import os
@@ -109,3 +112,62 @@ def test_star_import_binds_exactly_the_public_names():
                     "exec('from czo import *', ns)\n"
                     "print(json.dumps(sorted(set(ns) - {'__builtins__'})))\n")
     assert json.loads(run.stdout) == _PUBLIC_NAMES
+
+
+def _module_bindings(body):
+    """The names a module body binds: imports, defs, classes and
+    assignments, in if blocks (``if TYPE_CHECKING:``) too."""
+    for st in body:
+        if isinstance(st, (ast.Import, ast.ImportFrom)):
+            yield from ((a.asname or a.name).split(".")[0] for a in st.names)
+        elif isinstance(st, (ast.FunctionDef, ast.ClassDef)):
+            yield st.name
+        elif isinstance(st, (ast.Assign, ast.AnnAssign)):
+            targets = st.targets if isinstance(st, ast.Assign) else [st.target]
+            yield from (n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+        elif isinstance(st, ast.If):
+            yield from _module_bindings(st.body + st.orelse)
+
+
+def _names_read(ann):
+    """The names an annotation reads, those of string annotations too."""
+    for sub in ast.walk(ann):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _names_read(ast.parse(sub.value, mode="eval"))
+
+
+def _annotation_names(tree):
+    """(owner, name) for every name an annotation in tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            args = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            anns = [x.annotation for x in args if x is not None]
+            anns.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            anns = [node.annotation]
+        else:
+            continue
+        for ann in filter(None, anns):
+            for name in _names_read(ann):
+                yield getattr(node, "name", "<field>"), name
+
+
+def test_every_annotation_names_a_bound_class():
+    # typing.get_type_hints once raised NameError on KernelSpec in
+    # weak_type_experiment, BranchDisjointPartition in recover_multipliers
+    # and GridFunction in builtin_function.
+    root = os.path.dirname(czo.__file__)
+    unbound = []
+    for fname in sorted(os.listdir(root)):
+        if fname.endswith(".py"):
+            with open(os.path.join(root, fname)) as fh:
+                tree = ast.parse(fh.read())
+            bound = set(dir(builtins)) | set(_module_bindings(tree.body))
+            unbound += [(fname, owner, name)
+                        for owner, name in _annotation_names(tree)
+                        if name not in bound]
+    assert unbound == []

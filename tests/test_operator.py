@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import warnings
 
@@ -158,6 +159,21 @@ class TestGridFunction:
                 grid_nodes(bx, n)
             with pytest.raises(RejectedInputError, match=rule):
                 GridFunction(bx, n, np.zeros(n ** bx.dim))
+
+    @pytest.mark.parametrize("n", [4.0, 2.5, np.float64(4.0)],
+                             ids=["4.0", "2.5", "np.float64(4.0)"])
+    def test_a_cell_count_that_is_not_an_integer_is_rejected(self, n):
+        # 4.0 was once accepted with h = 0.5, and decompose, interpolate and
+        # apply then raised TypeError; 2.5 asked for "2.5 values".
+        rule = f"cell count must be an integer: {n!r}"
+        with pytest.raises(RejectedInputError, match=re.escape(rule)):
+            grid_nodes(box(-1.0, 1.0), n)
+        with pytest.raises(RejectedInputError, match=re.escape(rule)):
+            GridFunction(box(-1.0, 1.0), n, np.ones(int(n)))
+
+    def test_an_integer_cell_count_of_any_type_is_accepted(self):
+        f = GridFunction(box(-1.0, 1.0), np.int64(4), np.ones(4))
+        assert f.h == 0.5
 
     def test_grid_function_from_an_array(self):
         f = grid_function(B8, 4, [1.0, 2.0, 3.0, 4.0])
