@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -280,15 +279,14 @@ def _run_hormander(cfg, out_dir) -> int:
 
 def _run_apply(cfg, out_dir) -> int:
     from .kernels import get_kernel
-    from .operator import apply_truncated
+    from .operator import estimate_T0
     kernel = get_kernel(cfg.get("kernel"))
     bx = cfg.get_box()
     f = builtin_function(cfg.get("function"), bx, cfg.get_int("n"))
     eps = cfg.get_float("eps")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = apply_truncated(kernel, f, eps, (bx, cfg.get_int("out_n")),
-                              cfg.get_int("threads"))
+    # T_eps f as a one-eps ladder, whose only ignored warning is eps < 4h.
+    out, _ = estimate_T0(kernel, f, [eps], (bx, cfg.get_int("out_n")),
+                         cfg.get_int("threads"))
     _write_csv(os.path.join(out_dir, "apply.csv"), ["x", "value"],
                list(zip(out.nodes()[:, 0].tolist(), out.values.tolist())),
                comments=[f"kernel={kernel.name} eps={eps!r}"])

@@ -27,9 +27,13 @@ what it can observe (it keeps its latest input, keyed on f's bits):
   only the rows that read a tap it turns on or off within the hull of g's
   nonzeros.  The other rows keep the previous output's bits: each row's
   sum is its own dot product, and a changed tap meets only g = 0 there.
-  Its parts: ``_memo`` (the input's g, phases, runs and hull), ``__call__``
-  (the eps' taps, phases and band rows), ``_rows`` (the Toeplitz and band
-  sums of a range of rows), ``_step`` (the ladder step) and ``column``.
+  What an eps alone fixes (its taps, their residue phases and its off
+  runs) is kept per eps, up to ``_EPS_MEMO`` doubles, so an eps that an
+  earlier input met costs no rebuild.  Its parts: ``_memo`` (the input's
+  g, phases, runs and hull), ``_eps`` (the eps' taps, phases and off runs,
+  from the memo), ``__call__`` (the band rows), ``_rows`` (the Toeplitz
+  and band sums of a range of rows), ``_step`` (the ladder step) and
+  ``column``.
 - ``_Dense``, everything else (kernels without a declaration, other
   output grids, 2-D, ``apply_truncated_at``, which caches nothing): rho
   and K from the output grid to f's grid, folded into two contiguous
@@ -39,8 +43,9 @@ what it can observe (it keeps its latest input, keyed on f's bits):
   its mirror's first, so integrands that are exactly antisymmetric on a
   symmetric grid cancel bitwise.  The object keeps those folded sums of
   the latest input and eps (half of K's size) and the cells ordered by
-  rho, so a new eps re-forms only the sums of the cells whose rho lies
-  between it and the previous eps, as [rho >= eps] K times f: the same
+  rho, with their rho and K copied in that order, so a new eps re-forms
+  only the sums of the cells whose rho lies between it and the previous
+  eps, from slices of those copies, as [rho >= eps] K times f: the same
   bits.
 
 Both paths sum directly rather than by FFT.  An FFT leaves a residue of
@@ -175,12 +180,10 @@ class GridFunction:
 
 
 def grid_function(bx: Box, n_cells: int, f) -> GridFunction:
-    """Sample a callable (on (m, n) point arrays) or an array onto the grid."""
-    if callable(f):
-        vals = np.asarray(f(grid_nodes(bx, n_cells)), dtype=float).reshape(-1)
-    else:
-        vals = np.asarray(f, dtype=float).reshape(-1)
-    return GridFunction(bx, n_cells, vals)
+    """Sample a callable (on (m, n) point arrays) or an array onto the grid;
+    ``GridFunction`` casts and flattens the values."""
+    return GridFunction(bx, n_cells, f(grid_nodes(bx, n_cells))
+                        if callable(f) else f)
 
 
 # CSV I/O --------------------------------------------------------------------
@@ -195,20 +198,15 @@ def write_grid_csv(gf: GridFunction, path: str) -> None:
 
 
 def read_grid_csv(path: str) -> GridFunction:
-    header = None
-    vals = []
+    """A file ``write_grid_csv`` writes: the first ``#`` line holding
+    ``box=`` is the header, other ``#`` lines and blank lines are skipped."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header is None and "box=" in line:
-                    header = line
-                continue
-            vals.append(float(line))
+        lines = [line.strip() for line in fh]
+    header = next((line for line in lines
+                   if line.startswith("#") and "box=" in line), "")
+    vals = [float(line) for line in lines if line and not line.startswith("#")]
     fields = dict(part.partition("=")[::2]
-                  for part in (header or "").lstrip("#").split())
+                  for part in header.lstrip("#").split())
     if not {"box", "n"} <= fields.keys():
         raise RejectedInputError(f"{path}: missing '# box=... n=...' header")
     return GridFunction(parse_box(fields["box"]), int(fields["n"]),
@@ -261,6 +259,10 @@ _TAP_CHUNK = 4096
 # rows and weak-type columns: larger temporaries cost a fresh allocation,
 # and its page faults, on every apply.
 _BAND_BLOCK = 1 << 16
+# Doubles that one lattice summation keeps of the state of the eps it has
+# seen (512 KB), 3 per lattice offset and eps: 21 eps at 512 cells, none
+# from 2^14 cells on, where that state is a negligible share of an apply.
+_EPS_MEMO = _BAND_BLOCK
 
 
 class _Dense:
@@ -271,10 +273,14 @@ class _Dense:
     built, never beside rho's temporaries.  It keeps its latest input: S,
     the folded sum [0] + [1] of the masked terms of that f and eps, under
     the bits of f's values (0.0 and -0.0 give different zero signs).
-    order holds the folded position, column and mirror column of the cells
-    with rho < top by ascending rho (in ``rho``), one of two mirror cells
-    of equal rho.  One order serves every input: built on the first new
-    eps for the kept f, it is rebuilt only for a step above top."""
+    order holds the folded position, column and mirror column (intp) of
+    the cells with rho < top by ascending rho (in ``rho``), one of two
+    mirror cells of equal rho, and ``ranked`` both halves' rho and K at
+    those folded positions in that order, one contiguous (4, len) array,
+    so a step slices them and gathers only f.  One order serves every
+    input: built on the first new eps for the kept f, it is rebuilt, with
+    ``ranked``, only for a step above top, and a one-shot apply builds
+    neither."""
 
     def __init__(self, kernel: KernelSpec, Xout: np.ndarray,
                  gf: GridFunction, threads: int):
@@ -331,18 +337,17 @@ class _Dense:
                 below = np.flatnonzero(below)
                 below = below[np.argsort(self.R.reshape(-1)[below])]
                 self.rho, self.top = self.R.reshape(-1)[below], hi
-                self.order = np.empty((3, len(below)), np.int32)
-                self.order[0] = below % self.S.size
-                self.order[1] = self.order[0] % half
-                self.order[2] = len(f) - 1 - self.order[1]
+                col = (pos := below % self.S.size) % half
+                self.ranked = self.RK.reshape(4, -1).take(pos, axis=1)
+                self.order = np.stack((pos, col, len(f) - 1 - col))
             a, b = self.rho.searchsorted((lo, hi))
-            RK, S = self.RK.reshape(4, -1), self.S.reshape(-1)
+            S = self.S.reshape(-1)
             for c in range(a, b, _BAND_BLOCK):
-                p = self.order[0, c:min(c + _BAND_BLOCK, b)].astype(np.intp)
-                G, F = RK.take(p, axis=1), f.take(self.order[1:, c:c + len(p)])
+                d = min(c + _BAND_BLOCK, b)
+                G, F = self.ranked[:, c:d], f.take(self.order[1:, c:d])
                 with np.errstate(all="ignore"):
                     W = np.where(G[:2] >= epsilon, G[2:], 0.0) * F
-                S[p] = W[0] + W[1]
+                S[self.order[0, c:d]] = W[0] + W[1]
         self.eps = epsilon
         out = np.add.reduce(self.S, axis=1)
         if self.R_mid is not None:
@@ -364,12 +369,14 @@ class _Lattice:
     summed on the lattice: R and k hold rho_1 and k = K / |S| at the
     offsets d_p = (p - N_in + 1 + (step-1)/2) h, p = 0 .. 2 N_in - step - 1,
     where x_i - y_j is p = step*i - j + N_in - 1 and, on a symmetric box,
-    x_i + y_j is step*i + j.  Its state, O(N) in all, has three parts:
+    x_i + y_j is step*i + j.  Its state, O(N) in all, has four parts:
     the latest input, kept as ``_Dense`` keeps it under the bits of f's
-    values (set by ``_memo``); the latest eps, which ``__call__`` sets for
-    ``_rows``: ot = (on, taps), the taps' residue ``phases`` and the band
-    rows ``fix``; and its latest eps step, ``last`` (see ``_step``).
-    ``local`` says whether k is finite wherever rho_1 > 0."""
+    values (set by ``_memo``); the state of each eps it has seen, kept in
+    ``memo`` for every input (see ``_eps``); the latest eps, set for
+    ``_rows``: ot = (on, taps), the taps' residue ``phases`` (by ``_eps``)
+    and the band rows ``fix`` (by ``__call__``); and its latest eps step,
+    ``last`` (see ``_step``).  ``local`` says whether k is finite wherever
+    rho_1 > 0."""
 
     def __init__(self, kernel: KernelSpec, gf: GridFunction, step: int):
         n_in = gf.cells_per_axis
@@ -377,7 +384,7 @@ class _Lattice:
         self.R, K = _rho_and_kernel(kernel, d[:, None], np.zeros((len(d), 1)))
         self.k = K / len(kernel.reflections)
         self.reflections, self.step, self.h = kernel.reflections, step, gf.h
-        self.n_in, self.entries, self.bits = n_in, len(d), None
+        self.n_in, self.entries, self.bits, self.memo = n_in, len(d), None, {}
         self.n_out, self.half = n_in // step, n_in // 2
         self.local = bool(np.all(np.isfinite(self.k[self.R > 0.0])))
 
@@ -419,18 +426,14 @@ class _Lattice:
         on[q] k[p] g_j, g = sum over the declared reflections s of f(s y),
         on[q] only with both (p, q and ot = (on, taps) as in ``block``).
         A new input first runs ``_memo``.  Then the eps state is set: the
-        taps' residue phases beside g's, and the band rows ``fix``, the
-        rows whose band {j : on[q] = 0} meets a nonzero g_j
+        taps' residue phases beside g's (``_eps``), and the band rows
+        ``fix``, the rows whose band {j : on[q] = 0} meets a nonzero g_j
         (``_band_ranges``) and the middle row of an odd output grid.  A
         kept step gives the rows by ``_step``; else ``_rows`` sums them
         all.  column is ``column`` bound to this eps' taps."""
         if (bits := gf.values.tobytes()) != self.bits:
             self._memo(gf, bits)
-        self.ot = ot = self.taps(epsilon)
-        step, n_out = self.step, self.n_out
-        self.phases = [(np.ascontiguousarray(ot[1][r::step]), b, live)
-                       for r, b, live in self.parts]
-        off = _runs(ot[0] == 0.0) if self.nonzero or self.reads else None
+        off, step, n_out = self._eps(epsilon), self.step, self.n_out
         # Without g's nonzero runs there is no band row: fix is [].
         self.fix = self.nonzero and _band_ranges(
             off, self.nonzero, step, n_out, [n_out // 2] * (n_out % 2))
@@ -439,7 +442,33 @@ class _Lattice:
             out = pmap_chunks(self._rows, n_out, _TAP_CHUNK, threads)
             if self.reads:
                 self.last = off, out.copy()
-        return out, functools.partial(self.column, ot)
+        return out, functools.partial(self.column, self.ot)
+
+    def _eps(self, epsilon: float) -> tuple:
+        """Set ``ot`` and ``phases`` for eps and return its off runs, from
+        ``memo``: per eps, ot = ``taps(eps)``, its contiguous residue
+        phases ot[1][r::step] by r, each built on the first input that
+        reads it, and the off runs of ot[0] == 0 as a tuple.  The arrays
+        are read-only, so every input and every column bound to ot reads
+        the same bits, and the same eps gives the same arrays as a fresh
+        build.  The memo holds the eps seen last, while they take at most
+        ``_EPS_MEMO`` doubles at 3 per lattice offset and eps (ot, and
+        every phase once built), and evicts the oldest eps first.  So it
+        holds at most 8 ``_EPS_MEMO`` bytes, 512 KB, of arrays, and beside
+        them one tuple per eps of at most one int per offset and one more
+        (a few ints when rho_1 grows with |d|)."""
+        if (at := self.memo.get(epsilon)) is None:
+            ot = self.taps(epsilon)
+            self.memo[epsilon] = at = ot, {}, tuple(_runs(ot[0] == 0.0))
+            if 3 * len(ot[0]) * len(self.memo) > _EPS_MEMO:
+                del self.memo[next(iter(self.memo))]
+        self.ot, phases, off = at
+        for r, _, _ in self.parts:
+            if r not in phases:
+                phases[r] = np.ascontiguousarray(self.ot[1][r::self.step])
+                phases[r].flags.writeable = False
+        self.phases = [(phases[r], b, live) for r, b, live in self.parts]
+        return off
 
     def _memo(self, gf: GridFunction, bits: bytes) -> None:
         """Keep what the input alone fixes, under ``bits``: g, ``parts``,
@@ -667,7 +696,9 @@ def estimate_T0(kernel: KernelSpec, f: GridFunction,
             f"epsilons must be strictly decreasing: {eps}")
     outs = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        # Only the eps-below-4h warning: one from T_eps reaches the caller.
+        warnings.filterwarnings("ignore", "epsilon below 4 cell widths",
+                                UserWarning)
         for e in eps:
             outs.append(apply_truncated(kernel, f, e, out_geometry, threads))
     diffs = [float(np.max(np.abs(a.values - b.values)))
@@ -722,12 +753,8 @@ def multiplier_field(curve: HyperCurve, bx: Box, n_cells: int,
     if len(funcs) != curve.r:
         raise RejectedInputError(f"expected {curve.r} multiplier functions")
     nodes = grid_nodes(bx, n_cells)
-    rows = []
-    for fn in funcs:
-        if callable(fn):
-            rows.append(np.asarray(fn(nodes), dtype=float).reshape(-1))
-        else:
-            rows.append(np.full(len(nodes), float(fn)))
+    rows = [np.asarray(fn(nodes), dtype=float).reshape(-1) if callable(fn)
+            else np.full(len(nodes), float(fn)) for fn in funcs]
     return MultiplierField(curve, bx, n_cells, np.stack(rows))
 
 

@@ -161,13 +161,14 @@ def test_decompose_csvs_keep_its_invariants(tmp_path, argv):
 
 # Every kind at its defaults, each kernel's audit, each curve's
 # equivalence audit, and the diamond's Q_theta at a cube on the curve and
-# one beside it, as CI runs them.  Beyond CI: a weak type whose output grid
-# is f's, the one run here whose lattice meets the offset 0, where K is set
-# to 0 under np.errstate with no warning filter around it (apply and
-# t0-convergence filter every warning).
+# one beside it, as CI runs them.  Beyond CI: a weak type and an apply
+# whose output grid is f's, so that their lattices meet the offset 0, where
+# K is set to 0 under np.errstate, as t0-convergence's does at its
+# defaults.  apply and t0-convergence ignore only the eps-below-4h warning.
 WARNING_RUNS = [
     *([kind] for kind in KINDS),
     ["weaktype", "out_n=512"],
+    ["apply", "out_n=512"],
     *(["kernel-audit", f"kernel={k}"] for k in KERNEL_NAMES),
     *(["metric-equivalence", f"curve={c}"] for c in CURVE_NAMES),
     *(["qtheta", "curve=diamond", "theta=9", "mc_samples=20000",

@@ -654,9 +654,10 @@ def test_taps_that_are_not_finite_keep_no_step():
 
 
 def test_nonzero_runs_are_found_once_per_input(monkeypatch):
-    # Along a 16-eps ladder the band's off runs are found on every eps,
-    # g's nonzero runs once per input, and not at all for an odd input,
-    # whose g is 0.
+    # g's nonzero runs are found once per input, and not at all for an odd
+    # input, whose g is 0.  The band's off runs are found once per eps on
+    # one summation: along the first 16-eps ladder, and on no later input's
+    # ladder over the same eps.
     n = 384
     calls = []
     inner = op._runs
@@ -664,13 +665,14 @@ def test_nonzero_runs_are_found_once_per_input(monkeypatch):
                         lambda m: calls.append(len(m)) or inner(m))
     k = get_kernel("two-line-hilbert")
     for step in (1, 2):
-        for v, per_input in zip(memo_inputs(n)[3:], (1, 0, 1)):
+        for i, (v, per_input) in enumerate(zip(memo_inputs(n)[3:],
+                                               (1, 0, 1))):
             calls.clear()
             _, rep = estimate_T0(k, GridFunction(B8, n, v), LADDER,
                                  (B8, n // step))
             assert len(rep.sup_diffs) == len(LADDER) - 1
             assert calls.count(n) == per_input
-            assert calls.count(2 * n - step) == per_input * len(LADDER)
+            assert calls.count(2 * n - step) == (i == 0) * len(LADDER)
 
 
 def test_path_selection(monkeypatch):
@@ -730,16 +732,90 @@ def test_empty_output_grid_rejected(out_n):
         quiet_apply(get_kernel("hilbert"), f, 0.5, (B8, out_n))
 
 
+def memo_bytes(entry):
+    """The bytes of the eps memo's arrays (a lattice summation's taps and
+    residue phases) and of the rho-ordered copies (a dense one's)."""
+    arrays = [a for ot, phases, _ in getattr(entry, "memo", {}).values()
+              for a in (ot, *phases.values())]
+    return sum(a.nbytes for a in arrays + [getattr(entry, "ranked", None)]
+               if a is not None)
+
+
 def test_large_grid_keeps_the_cache_small():
+    # At 2^14 cells 3 doubles per lattice offset exceed the memo's budget:
+    # it keeps no eps, and the cache holds rho_1 and k alone.
     n = 1 << 14
     f = GridFunction(B8, n, inputs(n, 2)[1])
     for name in DECLARING:
         k = get_kernel(name)
         _, rep = estimate_T0(k, f, LADDER)
         assert len(rep.sup_diffs) == 15
-        held = sum(entry.R.nbytes + entry.k.nbytes
+        held = sum(entry.R.nbytes + entry.k.nbytes + memo_bytes(entry)
                    for entry in k._matrices.values())
         assert 0 < held < 1 << 20
+        assert all(entry.memo == {} for entry in k._matrices.values())
+
+
+@pytest.mark.parametrize("name", DECLARING)
+@pytest.mark.parametrize("step", [1, 2])
+def test_the_eps_memo_stays_at_its_bound(name, step):
+    # 30 distinct eps at 512 cells, more than the 21 that _EPS_MEMO doubles
+    # allow at 3 doubles per offset: the memo keeps the latest 21, with
+    # every phase of both inputs built, in at most 8 _EPS_MEMO bytes.
+    n = 512
+    k = get_kernel(name)
+    ladder = [float(e) for e in 1.9 * 0.9 ** np.arange(30)]
+    for v in inputs(n, 4)[:2]:
+        estimate_T0(k, GridFunction(B8, n, v), ladder, (B8, n // step))
+    (lat,) = k._matrices.values()
+    room = op._EPS_MEMO // (3 * (2 * n - step))
+    assert room == 21
+    assert list(lat.memo) == ladder[-room:]
+    assert all(len(phases) == step for _, phases, _ in lat.memo.values())
+    assert memo_bytes(lat) <= 8 * op._EPS_MEMO
+
+
+def alternating_inputs(n):
+    """An input nonzero on every other cell only, so that one residue phase
+    of the reversed g is all 0 at step 2 for hilbert, then three inputs
+    that read every phase."""
+    bump = inputs(n, 9)[2]
+    return [np.where(np.arange(n) % 2 == 0, bump, 0.0), *inputs(n, 9)[:3]]
+
+
+@pytest.mark.parametrize("name", DECLARING)
+@pytest.mark.parametrize("step", [1, 2])
+def test_interleaved_inputs_match_a_fresh_summation(name, step):
+    # Four inputs share one eps ladder on one cached summation: each walks
+    # the whole ladder in turn, then they take turns at every eps, so the
+    # later applies read taps, phases and off runs from the memo.  Each
+    # output is filled with 7.0 once compared, and every apply gives the
+    # bits of a fresh summation.  Then 30 more eps push the ladder's first
+    # eps out of the memo, and revisiting it gives the same bits again.
+    n = 512
+    k = get_kernel(name)
+    fs = [GridFunction(B8, n, v) for v in alternating_inputs(n)]
+    geom = (B8, n // step)
+
+    def check(f, eps):
+        got = quiet_apply(k, f, eps, geom)
+        fresh = quiet_apply(get_kernel(name), f, eps, geom)
+        assert got.values.tobytes() == fresh.values.tobytes()
+        got.values.fill(7.0)
+
+    for f in fs:
+        for eps in LADDER:
+            check(f, eps)
+    for eps in LADDER[::-1]:
+        for f in fs:
+            check(f, eps)
+    (lat,) = k._matrices.values()
+    assert LADDER[0] in lat.memo
+    for eps in 0.9 * 0.95 ** np.arange(30):
+        check(fs[1], float(eps))
+    assert LADDER[0] not in lat.memo
+    for f in fs:
+        check(f, LADDER[0])
 
 
 # (kernel, n): 2^14 hilbert and 2^13 two-line-hilbert outputs at step 1

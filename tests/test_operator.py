@@ -895,6 +895,47 @@ class TestDenseProducts:
                             lambda s, *a: built.append(s) or build(s, *a))
         apply_truncated_at(k, one, grid_nodes(B8, 17), 0.5)
         assert len(built) == 1 and built[0].order is None
+        # Nor the rho-ordered copies of rho and K that a ladder step reads.
+        assert not hasattr(dense, "ranked") and not hasattr(built[0], "ranked")
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_interleaved_inputs_match_a_fresh_summation(self, sampled):
+        # Three inputs share one eps ladder on one cached summation: each
+        # walks the whole ladder in turn, then they take turns at every eps,
+        # then one steps above the order's top, which rebuilds the order and
+        # the rho-ordered copies, and the others walk the ladder again.
+        # Each output is filled with 7.0 once compared, and every apply
+        # gives the bits of a full pass on a fresh kernel's summation.
+        import czo.operator as op
+
+        n = 128
+        make = wavy_kernel if sampled else lambda: get_kernel("diamond-model")
+        k, fresh = make(), op._Dense(make(), grid_nodes(B8, n),
+                                     GridFunction(B8, n, np.zeros(n)), 1)
+        fs = [GridFunction(B8, n, v)
+              for v in TestMirrorPairedSums.inputs(n, 14)[:3]]
+        ladder = [float(e) for e in 1.27 * 0.82 ** np.arange(16)]
+
+        def check(f, eps):
+            got = quiet_apply(k, f, eps)
+            fresh.bits = None
+            assert got.values.tobytes() == fresh(f, eps, 1)[0].tobytes()
+            got.values.fill(7.0)
+
+        for f in fs:
+            for eps in ladder:
+                check(f, eps)
+        for eps in ladder[::-1]:
+            for f in fs:
+                check(f, eps)
+        (dense,) = product_entries(k).values()
+        ranked = dense.ranked
+        for f, walk in zip(fs, ([ladder[-1], 3.0], ladder, ladder[::-1])):
+            for eps in walk:
+                check(f, eps)
+        assert dense.top == 3.0 and dense.ranked is not ranked
+        assert dense.ranked.shape == (4, dense.order.shape[1])
+        assert dense.ranked.flags.c_contiguous
 
     def test_apply_truncated_at_stores_nothing(self):
         k = get_kernel("diamond-model")
@@ -996,6 +1037,32 @@ class TestEstimateT0:
         f = grid_function(B8, 64, lambda X: np.ones(len(X)))  # h = 0.25
         _, rep = estimate_T0(get_kernel("hilbert"), f, [0.5, 0.1])
         assert rep.unreliable == [False, True]
+
+    def test_only_the_coarse_eps_warning_is_ignored(self):
+        # Both eps lie below 4h = 1.0, where apply_truncated warns; the
+        # ladder ignores that warning and no other, so a RuntimeWarning
+        # that T_eps raises (here from the kernel, on the dense path's
+        # first apply) reaches the caller.
+        def fn(X, Y, r):
+            warnings.warn("raised inside T_eps", RuntimeWarning)
+            return 1.0 / r
+
+        def noisy():
+            return KernelSpec("noisy", get_curve("diagonal"), fn, 1.0, 1.0)
+
+        f = grid_function(B8, 64, lambda X: np.exp(-X[:, 0] ** 2))
+        with pytest.warns(UserWarning, match="epsilon below 4 cell widths"):
+            apply_truncated(get_kernel("hilbert"), f, 0.5)
+        for kernel, want in ((get_kernel("hilbert"), []),
+                             (noisy(), ["raised inside T_eps"])):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                estimate_T0(kernel, f, [0.5, 0.25])
+            assert [str(w.message) for w in seen] == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="inside T_eps"):
+                estimate_T0(noisy(), f, [0.5, 0.25])
 
 
 class TestApplyMultiplier:
