@@ -502,6 +502,27 @@ class TestExperiments:
         assert (tmp_path / "t0_convergence.csv").exists()
         assert (tmp_path / "t0_limit.csv").exists()
 
+    def test_t0_flags_eps_below_h_though_apply_warns_below_4h(self, tmp_path):
+        # At the defaults h = 1/32, so the last eps, 0.0625, lies below 4h,
+        # where apply_truncated warns, yet is not flagged unreliable, which
+        # marks an eps below h only.  An eps below h is flagged.
+        cfg = ExperimentConfig("t0-convergence")
+        f = builtin_function(cfg.get("function"), cfg.get_box(),
+                             cfg.get_int("n"))
+        last = cfg.get_floats("eps_list")[-1]
+        assert f.h <= last < 4.0 * f.h
+        with pytest.warns(UserWarning, match="epsilon below 4 cell widths"):
+            operator.apply_truncated(get_kernel(cfg.get("kernel")), f, last)
+        below_h = f.h / 2
+        code = main(["t0-convergence",
+                     f"eps_list={cfg.get('eps_list')},{below_h}",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "t0_convergence.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert float(rows[-2][0]) == last
+        assert [r[2] for r in rows] == ["0"] * (len(rows) - 1) + ["1"]
+
     def test_weaktype_runs(self, tmp_path):
         code = main(["weaktype", "n=128", "out_n=64", "--out",
                      str(tmp_path)])

@@ -1,7 +1,8 @@
 """What a czo process imports: ``import czo`` loads no submodule, each CLI
-kind loads only the layers it runs, the package's public names are the
-same objects as before they loaded lazily, and every name an annotation
-uses is bound in its module."""
+kind loads only the layers it runs, no process loads scipy, numpy.ma or
+concurrent.futures on one thread, the package's public names are the same
+objects as before they loaded lazily, and every name an annotation uses is
+bound in its module."""
 
 import ast
 import builtins
@@ -70,6 +71,38 @@ def test_each_kind_loads_only_its_layers(kind, tmp_path):
             "assert czo.cli.main(sys.argv[1:]) == 0\n" + _LOADED)
     run = run_fresh(code, kind, "--out", str(tmp_path))
     assert set(json.loads(run.stdout)) == _BASE | _KIND_LOADS[kind]
+
+
+# In one process: import czo, a partition run, the sampled rho on the
+# diagonal, the sampled range of a bare two-lines branch and the diamond's
+# branch 2.  Then a map of three chunks on one thread, so that an import of
+# concurrent.futures moved before pmap_chunks' thread test shows, where a
+# one-chunk map returns before that test.
+_HYGIENE = """\
+import dataclasses, json, sys
+import czo
+eager = [m for m in sys.modules if m.startswith("czo.")]
+import czo.cli
+assert czo.cli.main(["partition", "max_depth=4", "--out", sys.argv[1]]) == 0
+unused = [m for m in ("czo.operator", "czo.metric", "czo.decomposition")
+          if m in sys.modules]
+from czo.curves import get_curve
+from czo.metric import nearest_range, sampled_rho_branch_values
+sampled_rho_branch_values(get_curve("diagonal"), 0, [[0.5]], [[2.0]])
+bare = dataclasses.replace(get_curve("two-lines").branch(0), range_region=None)
+nearest_range(bare, [[40.0]])
+sampled_rho_branch_values(get_curve("diamond"), 2, [[0.5]], [[2.0]])
+from czo.util import pmap_chunks
+pmap_chunks(lambda a, b: [b - a], 3, 1, threads=1)
+print(json.dumps([eager, unused, [m for m in ("scipy", "numpy.ma",
+                                              "concurrent.futures")
+                                  if m in sys.modules]]))
+"""
+
+
+def test_no_process_loads_scipy_numpy_ma_or_an_unthreaded_pool(tmp_path):
+    run = run_fresh(_HYGIENE, str(tmp_path))
+    assert json.loads(run.stdout) == [[], [], []]
 
 
 # Every name ``import czo`` bound before names loaded on first use.
